@@ -23,7 +23,6 @@ from .txprob import TxProbTable, build_tx_prob_table
 from .layers import (
     StateLayerA,
     StateLayerB,
-    cond_tx_prob_state,
     step_process_a,
     step_process_b,
 )
@@ -79,7 +78,6 @@ __all__ = [
     "atom_differences",
     "auto_k_stride",
     "build_tx_prob_table",
-    "cond_tx_prob_state",
     "distribution_quantile",
     "dominant_peaks",
     "kolmogorov_distance",

@@ -1,8 +1,8 @@
 """Command-line front end: model runs, simulation, comparison and planning.
 
 Exit codes: 0 success, 1 usage or input error, 2 result carries a deficit
-above epsilon (model truncation) or a failed comparison, 3 unsatisfiable
-quantile target.
+above epsilon (model truncation), a mass-conservation error above
+``MASS_ERROR_MAX`` or a failed comparison, 3 unsatisfiable quantile target.
 """
 
 from __future__ import annotations
@@ -42,6 +42,27 @@ from .planner import (
 from .simulate import SimConfig, simulate
 
 _QUANTILE_LEVELS = (0.5, 0.95, 0.99, 0.999)
+
+#: Largest |absorbed + failed + unresolved - 1| a model run may report.
+MASS_ERROR_MAX = 1e-9
+
+
+def _check_q(ctx, param, value: float) -> float:
+    if not 0.0 < value < 1.0:
+        raise ConfigurationError(f"--q must lie in (0, 1), got {value}")
+    return value
+
+
+def _check_k_stride(ctx, param, value: str) -> int | str:
+    if value == "auto":
+        return value
+    try:
+        stride = int(value)
+    except ValueError:
+        stride = 0
+    if stride < 1:
+        raise ConfigurationError(f"--k-stride must be a positive integer or 'auto', got {value!r}")
+    return stride
 
 
 def _param_options(f):
@@ -169,6 +190,8 @@ def cmd_model(n_stations, cw_min, cw_max, retry_limit, epsilon, t_max_cap, prune
         "deficit_b": result.p_b.deficit,
         "truncated": diag.truncated,
         "t_stop": diag.t_stop,
+        "mass_error_a": diag.mass_error_a,
+        "mass_error_b": diag.mass_error_b,
     }
     for path, artifact in ((pa_path, "pa"), (pb_path, "pb"), (q_path, "quantiles")):
         RunManifest.build("model", artifact, "model", params, durations, outputs,
@@ -179,6 +202,13 @@ def cmd_model(n_stations, cw_min, cw_max, retry_limit, epsilon, t_max_cap, prune
         f"mass_a={result.p_a.total_mass:.9f} p_fail_a={result.p_fail_a:.3e} "
         f"mass_b={result.p_b.total_mass:.9f} -> {out}.{{pa,pb,quantiles}}.{ext}"
     )
+    mass_error = max(diag.mass_error_a, diag.mass_error_b)
+    if not mass_error <= MASS_ERROR_MAX:
+        click.echo(
+            f"error: probability mass not conserved: mass_error_a={diag.mass_error_a:.3e}, "
+            f"mass_error_b={diag.mass_error_b:.3e} > {MASS_ERROR_MAX}", err=True,
+        )
+        return 2
     unresolved = diag.unresolved_a + diag.unresolved_b
     if diag.truncated and unresolved > params.epsilon:
         click.echo(
@@ -253,8 +283,12 @@ def cmd_compare(model_file, sim_file, tolerance, report) -> int:
             click.echo(f"error: {problem}", err=True)
         raise click.UsageError("manifests do not match; refusing to compare")
 
-    model_dist = load_distribution(model_file)
-    sim_dist = load_distribution(sim_file)
+    try:
+        model_dist = load_distribution(model_file)
+        sim_dist = load_distribution(sim_file)
+    except ValueError as exc:
+        click.echo(f"error: {exc}", err=True)
+        return 1
     distance = kolmogorov_distance(model_dist, sim_dist)
     atoms_m, atoms_s = model_dist.atoms, sim_dist.atoms
     support = sorted(set(atoms_m) | set(atoms_s))
@@ -280,24 +314,23 @@ def cmd_compare(model_file, sim_file, tolerance, report) -> int:
 @_param_options
 @click.option("--p", "p_active", type=float, required=True,
               help="Probability a station holds a frame at the slot start.")
-@click.option("--q", "quantile", type=float, required=True,
+@click.option("--q", "quantile", type=float, required=True, callback=_check_q,
               help="Required delivery probability.")
 @click.option("--conditioning", type=click.Choice([c.value for c in Conditioning]),
               default=Conditioning.TAGGED_HAS_PACKET.value, show_default=True,
               help="Mixture conditioning over the random active count.")
-@click.option("--k-stride", default="1", show_default=True,
-              help="Mixture subsampling stride (integer or 'auto').")
+@click.option("--k-stride", default="1", show_default=True, callback=_check_k_stride,
+              help="Mixture subsampling stride (positive integer or 'auto').")
 def cmd_plan(n_stations, cw_min, cw_max, retry_limit, epsilon, t_max_cap, prune_floor,
              te_us, ts_us, tc_us, paper_params, out, fmt, p_active, quantile,
              conditioning, k_stride) -> int:
     """Minimal RAW slot duration for a population with a random active count."""
     params, durations = _resolve(n_stations, cw_min, cw_max, retry_limit, epsilon,
                                  t_max_cap, prune_floor, te_us, ts_us, tc_us, paper_params)
-    stride = k_stride if k_stride == "auto" else int(k_stride)
     spec = MixtureSpec(n_total=n_stations, p_active=p_active,
                        conditioning=Conditioning(conditioning))
     started = time.perf_counter()
-    mixture = mixture_pa(spec, params, durations, k_stride=stride)
+    mixture = mixture_pa(spec, params, durations, k_stride=k_stride)
     elapsed = time.perf_counter() - started
 
     ext = fmt
@@ -311,7 +344,7 @@ def cmd_plan(n_stations, cw_min, cw_max, retry_limit, epsilon, t_max_cap, prune_
             fh.write(f"{int(d)},{float(c)!r}\n")
 
     extra = {"p_active": p_active, "q": quantile, "conditioning": conditioning,
-             "k_stride": str(stride), "total_mass": mixture.total_mass}
+             "k_stride": str(k_stride), "total_mass": mixture.total_mass}
     outputs = [mix_path, cdf_path]
     plan_path = out.with_name(out.name + ".plan.json")
 
@@ -352,7 +385,7 @@ def cmd_plan(n_stations, cw_min, cw_max, retry_limit, epsilon, t_max_cap, prune_
 @_param_options
 @click.option("--p", "p_active", type=float, required=True,
               help="Probability a station holds a frame at the slot start.")
-@click.option("--q", "quantile", type=float, required=True,
+@click.option("--q", "quantile", type=float, required=True, callback=_check_q,
               help="Required delivery probability.")
 @click.option("--g-min", type=int, required=True, help="Smallest group count to try.")
 @click.option("--g-max", type=int, required=True, help="Largest group count to try.")
@@ -360,21 +393,20 @@ def cmd_plan(n_stations, cw_min, cw_max, retry_limit, epsilon, t_max_cap, prune_
               help="A: one station delivers; B: all active stations deliver.")
 @click.option("--conditioning", type=click.Choice([c.value for c in Conditioning]),
               default=Conditioning.TAGGED_HAS_PACKET.value, show_default=True)
-@click.option("--k-stride", default="auto", show_default=True,
-              help="Mixture subsampling stride (integer or 'auto').")
+@click.option("--k-stride", default="auto", show_default=True, callback=_check_k_stride,
+              help="Mixture subsampling stride (positive integer or 'auto').")
 def cmd_groups(n_stations, cw_min, cw_max, retry_limit, epsilon, t_max_cap, prune_floor,
                te_us, ts_us, tc_us, paper_params, out, fmt, p_active, quantile,
                g_min, g_max, problem, conditioning, k_stride) -> int:
     """Sweep group counts and report the one minimizing total reserved time."""
     params, durations = _resolve(n_stations, cw_min, cw_max, retry_limit, epsilon,
                                  t_max_cap, prune_floor, te_us, ts_us, tc_us, paper_params)
-    stride = k_stride if k_stride == "auto" else int(k_stride)
     spec = MixtureSpec(n_total=n_stations, p_active=p_active,
                        conditioning=Conditioning(conditioning))
     started = time.perf_counter()
     try:
         plans, best = optimize_groups(spec, params, durations, quantile,
-                                      (g_min, g_max), problem, k_stride=stride)
+                                      (g_min, g_max), problem, k_stride=k_stride)
     except UnsatisfiableQuantileError as exc:
         click.echo(
             f"error: q={quantile} unsatisfiable for every group count; best "
@@ -409,7 +441,7 @@ def cmd_groups(n_stations, cw_min, cw_max, retry_limit, epsilon, t_max_cap, prun
     }, indent=2) + "\n", encoding="utf-8")
 
     extra = {"p_active": p_active, "q": quantile, "problem": problem,
-             "g_min": g_min, "g_max": g_max, "k_stride": str(stride),
+             "g_min": g_min, "g_max": g_max, "k_stride": str(k_stride),
              "infeasible_group_counts": infeasible}
     for path, artifact in ((sweep_path, "groups"), (best_path, "groups_best")):
         RunManifest.build("groups", artifact, "planner", params, durations,

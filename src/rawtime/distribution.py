@@ -44,11 +44,13 @@ class TimeDistribution:
             raise ValueError("durations and probabilities must be matching 1-D arrays")
         if durations.size and np.any(np.diff(durations) <= 0):
             raise ValueError("durations must be strictly increasing")
-        if np.any(probabilities <= 0.0):
-            raise ValueError("atom probabilities must be positive")
+        if not np.all(np.isfinite(probabilities)) or np.any(probabilities <= 0.0):
+            raise ValueError("atom probabilities must be positive and finite")
         durations.setflags(write=False)
         probabilities.setflags(write=False)
         total = math.fsum(probabilities.tolist())
+        if total > 1.0 + 1e-12:
+            raise ValueError(f"total mass {total!r} exceeds 1")
         object.__setattr__(self, "durations", durations)
         object.__setattr__(self, "probabilities", probabilities)
         object.__setattr__(self, "total_mass", total)
@@ -56,7 +58,7 @@ class TimeDistribution:
 
     @classmethod
     def from_atoms(cls, atoms: Mapping[int, float]) -> "TimeDistribution":
-        items = sorted((int(d), float(p)) for d, p in atoms.items() if p > 0.0)
+        items = sorted((int(d), float(p)) for d, p in atoms.items() if p != 0.0)
         durations = np.fromiter((d for d, _ in items), dtype=np.int64, count=len(items))
         probabilities = np.fromiter((p for _, p in items), dtype=np.float64, count=len(items))
         return cls(durations, probabilities)
@@ -68,7 +70,7 @@ class TimeDistribution:
         probabilities = np.asarray(probabilities, dtype=np.float64)
         uniq, inverse = np.unique(durations, return_inverse=True)
         summed = np.bincount(inverse, weights=probabilities, minlength=uniq.size)
-        keep = summed > 0.0
+        keep = summed != 0.0
         return cls(uniq[keep], summed[keep])
 
     @property
@@ -118,21 +120,33 @@ def distribution_quantile(dist: TimeDistribution, q: float) -> int:
 
 
 def load_distribution(path: Path | str) -> TimeDistribution:
-    """Read a distribution file written by this package (.csv or .json)."""
+    """Read a distribution file written by this package (.csv or .json).
+
+    Raises ``ValueError`` on a duplicate duration or on a probability that is
+    not a positive finite number: such a file was not written by this package.
+    """
     path = Path(path)
     if path.suffix == ".json":
-        payload = json.loads(path.read_text(encoding="utf-8"))
-        return TimeDistribution.from_atoms({int(k): float(v) for k, v in payload["atoms"].items()})
+        # objects as key-value pair lists, so that a duplicate key stays visible
+        payload = json.loads(path.read_text(encoding="utf-8"), object_pairs_hook=list)
+        pairs = [(int(k), float(v)) for k, v in dict(payload)["atoms"]]
+    else:
+        pairs = []
+        with open(path, encoding="utf-8") as fh:
+            header = fh.readline().strip()
+            if header.split(",")[:2] != ["duration_us", "probability"]:
+                raise ValueError(f"{path}: not a distribution CSV (header {header!r})")
+            for line in fh:
+                if line.strip():
+                    dur, prob = line.split(",")[:2]
+                    pairs.append((int(dur), float(prob)))
     atoms: dict[int, float] = {}
-    with open(path, encoding="utf-8") as fh:
-        header = fh.readline().strip()
-        if header.split(",")[:2] != ["duration_us", "probability"]:
-            raise ValueError(f"{path}: not a distribution CSV (header {header!r})")
-        for line in fh:
-            if not line.strip():
-                continue
-            dur, prob = line.split(",")[:2]
-            atoms[int(dur)] = float(prob)
+    for dur, prob in pairs:
+        if dur in atoms:
+            raise ValueError(f"{path}: duplicate duration {dur}")
+        if not (math.isfinite(prob) and prob > 0.0):
+            raise ValueError(f"{path}: duration {dur} has probability {prob!r}")
+        atoms[dur] = prob
     return TimeDistribution.from_atoms(atoms)
 
 

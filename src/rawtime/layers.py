@@ -1,387 +1,198 @@
 """Layer-by-layer advance of the two absorbing chains.
 
-Process A tracks one tagged station through states ``(t, c, s, r)``: virtual
-slot ``t``, collision slots ``c``, success slots ``s`` and the tagged
-station's retry count ``r``.  It absorbs when the tagged station delivers its
-frame or exhausts the retry limit.  Process B tracks the aggregate
-``(t, c, s)`` and absorbs once all ``n_stations`` have delivered (``s == N``).
+Process A tracks one tagged station through states ``(t, c, s, r)`` -- virtual
+slot, collision slots, success slots, retry count -- until it delivers its frame
+or exhausts the retry limit; process B tracks the aggregate ``(t, c, s)`` until
+all ``n_stations`` have delivered (``s == N``).
 
-Both steppers take the full layer at time ``t`` and produce the layer at
-``t + 1``.  Layers store their sparse mass in parallel arrays so a step is a
-handful of vectorized operations followed by a scatter-add, which keeps runs
-with hundreds of contending stations tractable.
+Every transition moves a state by a fixed offset in ``(c, s, r)``, so a layer
+is a dense float64 array over the bounding box of its live cells,
+``StateLayerA.p[r, c - c0, s - s0]`` and ``StateLayerB.p[c - c0, s - s0]``.
+A step writes each route into a box one larger in ``c`` and ``s`` by a
+shifted slice-add, zeroes the cells below ``prune_floor`` into the dropped
+mass and trims the box to what is left.
+
+Each floating-point sum has a fixed order, so a run gives the same bits
+whatever the extent of its boxes: a cell receives its routes in the order
+stay, peer success, other collision, tagged collision; sums over ``r`` add
+rows in increasing ``r``; the pruned, absorbed and failed totals sum live
+cells only, in ``(c, s, r)`` order, since the zeros of dead cells would
+regroup the pairwise summation of ``np.sum``.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from functools import reduce
 
 import numpy as np
 
 from .params import ModelParams
 from .txprob import TxProbTable
 
-_EMPTY_I = np.empty(0, dtype=np.int64)
-_EMPTY_F = np.empty(0, dtype=np.float64)
+_EMPTY_I, _EMPTY_F = np.empty(0, dtype=np.int64), np.empty(0, dtype=np.float64)
 
 
 def _kahan_add(total: float, comp: float, x: float) -> tuple[float, float]:
-    """One compensated-summation update; keeps cumulative totals honest over
-    thousands of steps."""
+    """One compensated-summation step; keeps totals honest over thousands of steps."""
     y = x - comp
     t = total + y
     return t, (t - total) - y
 
 
 @dataclass(eq=False)
-class StateLayerA:
-    """Tagged-station layer at one model time.
-
-    ``absorbed_success`` holds the success absorptions recorded by the most
-    recent step, keyed by the origin state ``(t, c, s)``; cumulative totals
-    live in the scalar fields so long runs do not accumulate per-state
-    records.
-    """
+class _Layer:
+    """Mass box ``p`` with origin ``(c0, s0)`` at model time ``t``; cumulative pruned mass."""
 
     t: int
-    c: np.ndarray = field(default_factory=lambda: _EMPTY_I)
-    s: np.ndarray = field(default_factory=lambda: _EMPTY_I)
-    r: np.ndarray = field(default_factory=lambda: _EMPTY_I)
-    p: np.ndarray = field(default_factory=lambda: _EMPTY_F)
+    p: np.ndarray
+    c0: int = 0
+    s0: int = 0
+    dropped_mass: float = 0.0
+    _drop_comp: float = 0.0
+
+    def carried_mass(self) -> float:
+        return math.fsum(self.p.ravel().tolist())
+
+    @classmethod
+    def initial(cls):
+        """The layer at ``t = 0``: all mass in the origin cell."""
+        return cls(t=0, p=np.ones((1,) * cls._ndim))
+
+
+@dataclass(eq=False)
+class StateLayerA(_Layer):
+    """Tagged-station layer ``p[r, c - c0, s - s0]``; ``new_success_*``: last step's absorptions."""
+
+    _ndim = 3
     new_success_c: np.ndarray = field(default_factory=lambda: _EMPTY_I)
     new_success_s: np.ndarray = field(default_factory=lambda: _EMPTY_I)
     new_success_p: np.ndarray = field(default_factory=lambda: _EMPTY_F)
     absorbed_success_total: float = 0.0
     absorbed_failure: float = 0.0
-    dropped_mass: float = 0.0
     _succ_comp: float = 0.0
     _fail_comp: float = 0.0
-    _drop_comp: float = 0.0
-
-    @classmethod
-    def initial(cls) -> "StateLayerA":
-        return cls(
-            t=0,
-            c=np.zeros(1, dtype=np.int64),
-            s=np.zeros(1, dtype=np.int64),
-            r=np.zeros(1, dtype=np.int64),
-            p=np.ones(1, dtype=np.float64),
-        )
-
-    @classmethod
-    def from_mass(cls, t: int, mass: dict[tuple[int, int, int], float]) -> "StateLayerA":
-        keys = sorted(mass)
-        return cls(
-            t=t,
-            c=np.array([k[0] for k in keys], dtype=np.int64),
-            s=np.array([k[1] for k in keys], dtype=np.int64),
-            r=np.array([k[2] for k in keys], dtype=np.int64),
-            p=np.array([mass[k] for k in keys], dtype=np.float64),
-        )
-
-    @property
-    def mass(self) -> dict[tuple[int, int, int], float]:
-        return {
-            (int(c), int(s), int(r)): float(p)
-            for c, s, r, p in zip(self.c, self.s, self.r, self.p)
-        }
-
-    @property
-    def absorbed_success(self) -> dict[tuple[int, int, int], float]:
-        """Success absorptions of the last step, keyed (origin t, c, s)."""
-        t0 = self.t - 1
-        return {
-            (t0, int(c), int(s)): float(p)
-            for c, s, p in zip(self.new_success_c, self.new_success_s, self.new_success_p)
-        }
-
-    def carried_mass(self) -> float:
-        return math.fsum(self.p.tolist())
 
 
 @dataclass(eq=False)
-class StateLayerB:
-    """Aggregate layer at one model time; absorptions of the most recent step
-    are keyed by their origin ``(t, c)``."""
+class StateLayerB(_Layer):
+    """Aggregate layer ``p[c - c0, s - s0]``; ``new_absorbed_*``: last step's absorptions."""
 
-    t: int
-    c: np.ndarray = field(default_factory=lambda: _EMPTY_I)
-    s: np.ndarray = field(default_factory=lambda: _EMPTY_I)
-    p: np.ndarray = field(default_factory=lambda: _EMPTY_F)
+    _ndim = 2
     new_absorbed_c: np.ndarray = field(default_factory=lambda: _EMPTY_I)
     new_absorbed_p: np.ndarray = field(default_factory=lambda: _EMPTY_F)
     absorbed_total: float = 0.0
-    dropped_mass: float = 0.0
     _abs_comp: float = 0.0
-    _drop_comp: float = 0.0
-
-    @classmethod
-    def initial(cls) -> "StateLayerB":
-        return cls(
-            t=0,
-            c=np.zeros(1, dtype=np.int64),
-            s=np.zeros(1, dtype=np.int64),
-            p=np.ones(1, dtype=np.float64),
-        )
-
-    @classmethod
-    def from_mass(cls, t: int, mass: dict[tuple[int, int], float]) -> "StateLayerB":
-        keys = sorted(mass)
-        return cls(
-            t=t,
-            c=np.array([k[0] for k in keys], dtype=np.int64),
-            s=np.array([k[1] for k in keys], dtype=np.int64),
-            p=np.array([mass[k] for k in keys], dtype=np.float64),
-        )
-
-    @property
-    def mass(self) -> dict[tuple[int, int], float]:
-        return {(int(c), int(s)): float(p) for c, s, p in zip(self.c, self.s, self.p)}
-
-    @property
-    def absorbed(self) -> dict[tuple[int, int], float]:
-        t0 = self.t - 1
-        return {(t0, int(c)): float(p) for c, p in zip(self.new_absorbed_c, self.new_absorbed_p)}
-
-    def carried_mass(self) -> float:
-        return math.fsum(self.p.tolist())
 
 
-def _cell_mixture(
-    layer: StateLayerA, table: TxProbTable, n_stations: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Per-(c, s) conditional transmission probability, mixing over retry counts.
-
-    Returns (sorted packed cell keys, per-cell probability, per-state inverse
-    index, per-state tagged transmission probability q).
-    """
-    q = table.p_tx_row(layer.t)[layer.r]
-    cell = layer.c * n_stations + layer.s
-    uniq, inverse = np.unique(cell, return_inverse=True)
-    den = np.bincount(inverse, weights=layer.p, minlength=uniq.size)
-    num = np.bincount(inverse, weights=layer.p * q, minlength=uniq.size)
-    prob = np.zeros_like(den)
-    ok = den > 0.0
-    prob[ok] = np.clip(num[ok] / den[ok], 0.0, 1.0)
-    return uniq, prob, inverse, q
+def _cell_prob(p: np.ndarray, pq: np.ndarray) -> np.ndarray:
+    """Per-cell retry-count mixture ``sum_r p q_r / sum_r p`` (0 on empty cells)."""
+    den = reduce(np.add, p)  # row by row: ``p.sum(0)`` may sum pairwise
+    prob = np.divide(reduce(np.add, pq), den, out=np.zeros_like(den), where=den > 0.0)
+    return np.clip(prob, 0.0, 1.0, out=prob)
 
 
-def cond_tx_prob_state(
-    layer: StateLayerA, table: TxProbTable, t: int, c: int, s: int
-) -> float:
-    """Probability that a not-yet-finished station transmits in slot ``t``
-    given the aggregate state ``(t, c, s)``; 0 for unreachable states."""
-    if t != layer.t:
-        raise ValueError(f"layer holds time {layer.t}, queried for {t}")
-    sel = (layer.c == c) & (layer.s == s)
-    den = math.fsum(layer.p[sel].tolist())
-    if den <= 0.0:
-        return 0.0
-    q = table.p_tx_row(t)[layer.r[sel]]
-    num = math.fsum((layer.p[sel] * q).tolist())
-    return min(max(num / den, 0.0), 1.0)
+def _slot_probs(prob: np.ndarray, k: np.ndarray) -> tuple[np.ndarray, ...]:
+    """P(empty), P(one transmission), P(collision) for ``k`` stations sending w.p. ``prob``."""
+    silent = 1.0 - prob
+    empty = silent**k
+    one = np.where(k > 0, k * prob * silent ** np.maximum(k - 1, 0), 0.0)
+    return empty, one, np.maximum(1.0 - empty - one, 0.0)
 
 
-def _scatter_add(keys: np.ndarray, masses: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    uniq, inverse = np.unique(keys, return_inverse=True)
-    return uniq, np.bincount(inverse, weights=masses, minlength=uniq.size)
+def _advance(layer: _Layer, out: np.ndarray, floor: float) -> dict:
+    """Fields of the layer after ``layer``, whose routed mass is ``out`` (last axes ``c, s``):
+    cells below ``floor`` are zeroed into the dropped mass, the box is trimmed to the rest."""
+    n_c, n_s = out.shape[-2:]
+    flat = np.flatnonzero((out > 0.0) & (out < floor))
+    r, cs = np.divmod(flat, n_c * n_s)
+    low = out.ravel()[flat[np.argsort(cs * (out.size // (n_c * n_s)) + r)]]
+    out.ravel()[flat] = 0.0
+    live = (out != 0.0).reshape(-1, n_c, n_s).any(axis=0)
+    cs, ss = np.flatnonzero(live.any(axis=1)), np.flatnonzero(live.any(axis=0))
+    dropped = _kahan_add(layer.dropped_mass, layer._drop_comp, float(np.sum(low)))
+    c_lo, c_hi, s_lo, s_hi = (cs[0], cs[-1] + 1, ss[0], ss[-1] + 1) if cs.size else (0,) * 4
+    return dict(t=layer.t + 1, p=out[..., c_lo:c_hi, s_lo:s_hi], c0=layer.c0 + int(c_lo),
+                s0=layer.s0 + int(s_lo), dropped_mass=dropped[0], _drop_comp=dropped[1])
 
 
-def step_process_a(
-    layer: StateLayerA, table: TxProbTable, params: ModelParams
-) -> StateLayerA:
+def step_process_a(layer: StateLayerA, table: TxProbTable, params: ModelParams) -> StateLayerA:
     """Advance the tagged-station layer one virtual slot.
 
-    Routing from each carried state, with q the tagged station's conditional
-    transmission probability and the peer slot-type probabilities computed
-    from the (c, s)-cell mixture:
-
+    Routing from each carried state, with q the tagged station's transmission
+    probability and the peers' slot-type probabilities from the cell mixture:
     * empty slot, tagged silent          -> (t+1, c, s, r)
     * tagged transmits, peers silent     -> success absorption
     * one peer succeeds                  -> (t+1, c, s+1, r)
     * tagged transmits and is not alone  -> (t+1, c+1, s, r+1) or retry-limit failure
     * peers collide without tagged       -> (t+1, c+1, s, r)
     """
-    n = params.n_stations
-    rl = params.retry_limit
-    if layer.p.size == 0:
-        return StateLayerA(
-            t=layer.t + 1,
-            absorbed_success_total=layer.absorbed_success_total,
-            absorbed_failure=layer.absorbed_failure,
-            dropped_mass=layer.dropped_mass,
-            _succ_comp=layer._succ_comp,
-            _fail_comp=layer._fail_comp,
-            _drop_comp=layer._drop_comp,
-        )
-
-    _, cell_prob, inverse, q = _cell_mixture(layer, table, n)
-    peer_prob = cell_prob[inverse]
-    peers = n - layer.s - 1
-    silent = 1.0 - peer_prob
-    pi_empty = silent**peers
-    pi_peer_succ = np.where(
-        peers > 0, peers * peer_prob * silent ** np.maximum(peers - 1, 0), 0.0
-    )
-    pi_peer_coll = np.maximum(1.0 - pi_empty - pi_peer_succ, 0.0)
-
-    m = layer.p
-    stay = m * (1.0 - q) * pi_empty
-    succeed = m * q * pi_empty
-    peer_succ = m * (1.0 - q) * pi_peer_succ
-    coll_tagged = m * q * (1.0 - pi_empty)
-    coll_other = m * (1.0 - q) * pi_peer_coll
-
-    dest_c, dest_s, dest_r, dest_m = [], [], [], []
-
-    def _route(mass: np.ndarray, dc: int, ds: int, dr: int, sel=None) -> None:
-        nz = np.flatnonzero(mass > 0.0) if sel is None else sel[mass[sel] > 0.0]
-        if nz.size == 0:
-            return
-        dest_c.append(layer.c[nz] + dc)
-        dest_s.append(layer.s[nz] + ds)
-        dest_r.append(layer.r[nz] + dr)
-        dest_m.append(mass[nz])
-
-    _route(stay, 0, 0, 0)
-    _route(peer_succ, 0, 1, 0)
-    _route(coll_other, 1, 0, 0)
-    retryable = np.flatnonzero(layer.r + 1 < rl)
-    exhausted = np.flatnonzero(layer.r + 1 >= rl)
-    _route(coll_tagged, 1, 0, 1, sel=retryable)
-    new_failure = float(np.sum(coll_tagged[exhausted]))
-
-    dropped, drop_comp = layer.dropped_mass, layer._drop_comp
-    if dest_m:
-        key = (np.concatenate(dest_c) * n + np.concatenate(dest_s)) * rl + np.concatenate(dest_r)
-        uniq, summed = _scatter_add(key, np.concatenate(dest_m))
-        keep = summed >= params.prune_floor if params.prune_floor > 0.0 else summed > 0.0
-        dropped, drop_comp = _kahan_add(dropped, drop_comp, float(np.sum(summed[~keep])))
-        uniq, summed = uniq[keep], summed[keep]
-        cs, out_r = uniq // rl, uniq % rl
-        out_c, out_s = cs // n, cs % n
-    else:
-        out_c = out_s = out_r = _EMPTY_I
-        summed = _EMPTY_F
-
-    succ_nz = np.flatnonzero(succeed > 0.0)
-    succ_key, succ_mass = _scatter_add(
-        layer.c[succ_nz] * n + layer.s[succ_nz], succeed[succ_nz]
-    )
+    m, rl = layer.p, params.retry_limit
+    n_r, n_c, n_s = m.shape
+    q = table.p_tx_row(layer.t)[:n_r, None, None]
+    silent_m, tx_m = m * (1.0 - q), m * q
+    peers = params.n_stations - 1 - (layer.s0 + np.arange(n_s))
+    pi_empty, pi_peer_succ, pi_peer_coll = _slot_probs(_cell_prob(m, tx_m), peers)
+    coll_tagged = tx_m * (1.0 - pi_empty)
+    r_out = min(n_r + 1, rl)
+    out = np.zeros((r_out, n_c + 1, n_s + 1))
+    out[:n_r, :n_c, :n_s] += silent_m * pi_empty
+    out[:n_r, :n_c, 1:] += silent_m * pi_peer_succ
+    out[:n_r, 1:, :n_s] += silent_m * pi_peer_coll
+    out[1:, 1:, :n_s] += coll_tagged[: r_out - 1]
+    new_failure = float(np.sum(coll_tagged[-1][m[-1] > 0.0])) if n_r == rl else 0.0
+    succ = reduce(np.add, tx_m * pi_empty)
+    succ_c, succ_s = np.nonzero(succ > 0.0)
+    succ_p = succ[succ_c, succ_s]
     succ_total, succ_comp = _kahan_add(
-        layer.absorbed_success_total, layer._succ_comp, float(np.sum(succ_mass))
-    )
+        layer.absorbed_success_total, layer._succ_comp, float(np.sum(succ_p)))
     fail_total, fail_comp = _kahan_add(layer.absorbed_failure, layer._fail_comp, new_failure)
-
     return StateLayerA(
-        t=layer.t + 1,
-        c=out_c,
-        s=out_s,
-        r=out_r,
-        p=summed,
-        new_success_c=succ_key // n,
-        new_success_s=succ_key % n,
-        new_success_p=succ_mass,
-        absorbed_success_total=succ_total,
-        absorbed_failure=fail_total,
-        dropped_mass=dropped,
-        _succ_comp=succ_comp,
-        _fail_comp=fail_comp,
-        _drop_comp=drop_comp,
-    )
+        **_advance(layer, out, params.prune_floor), new_success_c=layer.c0 + succ_c,
+        new_success_s=layer.s0 + succ_s, new_success_p=succ_p, absorbed_success_total=succ_total,
+        _succ_comp=succ_comp, absorbed_failure=fail_total, _fail_comp=fail_comp)
 
 
 def step_process_b(
-    layer: StateLayerB,
-    table: TxProbTable,
-    layer_a: StateLayerA,
-    params: ModelParams,
+    layer: StateLayerB, table: TxProbTable, layer_a: StateLayerA, params: ModelParams
 ) -> StateLayerB:
     """Advance the aggregate layer one virtual slot.
 
-    The per-(c, s) transmission probability comes from process A's layer at
-    the same time; aggregate cells that process A assigns no mass get
-    probability 0 and self-loop through empty slots until mass arrives (or
-    never, once process A has fully resolved -- that residue is the
-    some-station-failed tail).
+    Each cell transmits with process A's cell mixture at the same time; where A
+    holds no mass that is 0 and the cell self-loops through empty slots until
+    mass arrives (or never, once A has resolved: the some-station-failed tail).
     """
-    n = params.n_stations
+    n, m, a = params.n_stations, layer.p, layer_a.p
     if layer_a.t != layer.t:
         raise ValueError(f"process A layer at t={layer_a.t}, process B at t={layer.t}")
-    if layer.p.size == 0:
-        return StateLayerB(
-            t=layer.t + 1,
-            absorbed_total=layer.absorbed_total,
-            dropped_mass=layer.dropped_mass,
-            _abs_comp=layer._abs_comp,
-            _drop_comp=layer._drop_comp,
-        )
-
-    if layer_a.p.size:
-        a_cells, a_prob, _, _ = _cell_mixture(layer_a, table, n)
-        cell = layer.c * n + layer.s
-        pos = np.searchsorted(a_cells, cell)
-        pos_clipped = np.minimum(pos, a_cells.size - 1)
-        found = a_cells[pos_clipped] == cell
-        peer_prob = np.where(found, a_prob[pos_clipped], 0.0)
-    else:
-        peer_prob = np.zeros_like(layer.p)
-
-    remaining = n - layer.s  # >= 1 while carried
-    silent = 1.0 - peer_prob
-    pi_empty = silent**remaining
-    pi_succ = remaining * peer_prob * silent ** (remaining - 1)
-    pi_coll = np.maximum(1.0 - pi_empty - pi_succ, 0.0)
-
-    m = layer.p
-    empty = m * pi_empty
-    succ = m * pi_succ
-    coll = m * pi_coll
-
-    finishing = layer.s + 1 == n
-    absorbed = succ * finishing
-    succ_carried = succ * ~finishing
-
-    dest_c, dest_s, dest_m = [], [], []
-
-    def _route(mass: np.ndarray, dc: int, ds: int) -> None:
-        nz = np.flatnonzero(mass > 0.0)
-        if nz.size == 0:
-            return
-        dest_c.append(layer.c[nz] + dc)
-        dest_s.append(layer.s[nz] + ds)
-        dest_m.append(mass[nz])
-
-    _route(empty, 0, 0)
-    _route(succ_carried, 0, 1)
-    _route(coll, 1, 0)
-
-    dropped, drop_comp = layer.dropped_mass, layer._drop_comp
-    if dest_m:
-        key = np.concatenate(dest_c) * n + np.concatenate(dest_s)
-        uniq, summed = _scatter_add(key, np.concatenate(dest_m))
-        keep = summed >= params.prune_floor if params.prune_floor > 0.0 else summed > 0.0
-        dropped, drop_comp = _kahan_add(dropped, drop_comp, float(np.sum(summed[~keep])))
-        uniq, summed = uniq[keep], summed[keep]
-        out_c, out_s = uniq // n, uniq % n
-    else:
-        out_c = out_s = _EMPTY_I
-        summed = _EMPTY_F
-
-    abs_nz = np.flatnonzero(absorbed > 0.0)
-    abs_key, abs_mass = _scatter_add(layer.c[abs_nz], absorbed[abs_nz])
-    abs_total, abs_comp = _kahan_add(layer.absorbed_total, layer._abs_comp, float(np.sum(abs_mass)))
-
+    if m.size == 0:
+        return replace(layer, t=layer.t + 1, new_absorbed_c=_EMPTY_I, new_absorbed_p=_EMPTY_F)
+    n_c, n_s = m.shape
+    # Outside process A's box P = 0, so pi_empty = 1 exactly and all mass
+    # stays; only the overlap with A's box needs the slot-type powers.
+    out = np.zeros((n_c + 1, n_s + 1))
+    out[:n_c, :n_s] = m
+    absorbed = _EMPTY_F
+    c_lo, s_lo = max(layer.c0, layer_a.c0), max(layer.s0, layer_a.s0)
+    h = min(layer.c0 + n_c, layer_a.c0 + a.shape[1]) - c_lo
+    w = min(layer.s0 + n_s, layer_a.s0 + a.shape[2]) - s_lo
+    if h > 0 and w > 0:
+        ia, ja, i, j = c_lo - layer_a.c0, s_lo - layer_a.s0, c_lo - layer.c0, s_lo - layer.s0
+        a, sub = a[:, ia : ia + h, ja : ja + w], m[i : i + h, j : j + w]
+        peer_prob = _cell_prob(a, a * table.p_tx_row(layer_a.t)[: a.shape[0], None, None])
+        pi_empty, pi_succ, pi_coll = _slot_probs(peer_prob, n - np.arange(s_lo, s_lo + w))
+        succ = sub * pi_succ
+        if s_lo + w == n:  # successes from s == N - 1 absorb
+            absorbed = succ[:, -1].copy()
+            succ[:, -1] = 0.0
+        out[i : i + h, j : j + w] = sub * pi_empty
+        out[i : i + h, j + 1 : j + w + 1] += succ
+        out[i + 1 : i + h + 1, j : j + w] += sub * pi_coll
+    abs_c = np.flatnonzero(absorbed > 0.0)
+    abs_p = absorbed[abs_c]
+    abs_total, abs_comp = _kahan_add(layer.absorbed_total, layer._abs_comp, float(np.sum(abs_p)))
     return StateLayerB(
-        t=layer.t + 1,
-        c=out_c,
-        s=out_s,
-        p=summed,
-        new_absorbed_c=abs_key,
-        new_absorbed_p=abs_mass,
-        absorbed_total=abs_total,
-        dropped_mass=dropped,
-        _abs_comp=abs_comp,
-        _drop_comp=drop_comp,
+        **_advance(layer, out, params.prune_floor), new_absorbed_c=c_lo + abs_c,
+        new_absorbed_p=abs_p, absorbed_total=abs_total, _abs_comp=abs_comp,
     )

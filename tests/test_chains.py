@@ -1,4 +1,7 @@
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rawtime import (
     AH_SLOT_DURATIONS,
@@ -8,16 +11,60 @@ from rawtime import (
     StateLayerB,
     ah_params,
     build_tx_prob_table,
-    cond_tx_prob_state,
     run_chains,
     state_time,
     step_process_a,
     step_process_b,
 )
+from rawtime.layers import _cell_prob
 
 from reference import DenseChainReference
 
 SMALL = SlotDurations(t_empty=52, t_success=2184, t_collision=2184)
+
+
+def layer_a(t, mass):
+    """Process-A layer at time ``t`` holding ``mass``, keyed (c, s, r)."""
+    c0 = min(c for c, _, _ in mass)
+    s0 = min(s for _, s, _ in mass)
+    shape = [max(key[i] for key in mass) + 1 - lo for i, lo in ((2, 0), (0, c0), (1, s0))]
+    p = np.zeros(shape)
+    for (c, s, r), m in mass.items():
+        p[r, c - c0, s - s0] = m
+    return StateLayerA(t=t, p=p, c0=c0, s0=s0)
+
+
+def mass_a(layer):
+    """Carried mass of a process-A layer, keyed (c, s, r)."""
+    return {
+        (layer.c0 + int(c), layer.s0 + int(s), int(r)): float(layer.p[r, c, s])
+        for r, c, s in zip(*np.nonzero(layer.p))
+    }
+
+
+def success_records(layer):
+    """Success absorptions of the step that produced ``layer``, keyed by the
+    origin state (t, c, s)."""
+    return {
+        (layer.t - 1, int(c), int(s)): float(p)
+        for c, s, p in zip(layer.new_success_c, layer.new_success_s, layer.new_success_p)
+    }
+
+
+def absorbed_records(layer):
+    """Process-B absorptions of the step that produced ``layer``, keyed (t, c)."""
+    pairs = zip(layer.new_absorbed_c, layer.new_absorbed_p)
+    return {(layer.t - 1, int(c)): float(p) for c, p in pairs}
+
+
+def cond_tx(layer, table, c, s):
+    """Transmission probability the layer's (c, s) cell mixture gives a
+    contending station; 0 outside the layer's box."""
+    p = layer.p
+    prob = _cell_prob(p, p * table.p_tx_row(layer.t)[: p.shape[0], None, None])
+    i, j = c - layer.c0, s - layer.s0
+    inside = 0 <= i < prob.shape[0] and 0 <= j < prob.shape[1]
+    return float(prob[i, j]) if inside else 0.0
 
 
 def harsh_params(n):
@@ -48,13 +95,16 @@ class TestCondTxProb:
         params = ah_params(7)
         table = build_tx_prob_table(params, 10)
         layer = StateLayerA.initial()
-        assert cond_tx_prob_state(layer, table, 0, 0, 0) == 1 / 16
+        assert cond_tx(layer, table, 0, 0) == 1 / 16
 
     def test_unreachable_state_is_zero(self):
         params = ah_params(7)
         table = build_tx_prob_table(params, 10)
         layer = StateLayerA.initial()
-        assert cond_tx_prob_state(layer, table, 0, 3, 2) == 0.0
+        assert cond_tx(layer, table, 3, 2) == 0.0
+        # a cell inside the box that holds no mass
+        layer = layer_a(0, {(0, 0, 0): 0.5, (1, 1, 0): 0.5})
+        assert cond_tx(layer, table, 0, 1) == 0.0
 
     def test_against_dense_reference_at_t20(self):
         params = ah_params(7, prune_floor=0.0)
@@ -67,15 +117,15 @@ class TestCondTxProb:
         assert layer.t == ref.t == 20
         cells = {(c, s) for (c, s, _r) in ref.layer_a}
         assert cells
-        for c, s in sorted(cells):
-            got = cond_tx_prob_state(layer, table, 20, c, s)
+        box = {
+            (layer.c0 + i, layer.s0 + j)
+            for i in range(layer.p.shape[1]) for j in range(layer.p.shape[2])
+        }
+        assert cells <= box
+        for c, s in sorted(box | {(max(c for c, _ in box) + 1, 0)}):
+            got = cond_tx(layer, table, c, s)
             want = ref.cond_tx(c, s)
             assert got == pytest.approx(want, abs=1e-12)
-
-    def test_time_mismatch_rejected(self):
-        table = build_tx_prob_table(ah_params(2), 10)
-        with pytest.raises(ValueError):
-            cond_tx_prob_state(StateLayerA.initial(), table, 3, 0, 0)
 
 
 class TestStepProcessA:
@@ -86,7 +136,7 @@ class TestStepProcessA:
         for t in range(16):
             layer = step_process_a(layer, table, params)
             # only absorption record: origin (t, 0, 0) with mass 1/CW0
-            assert layer.absorbed_success == pytest.approx({(t, 0, 0): 1 / 16}, abs=1e-15)
+            assert success_records(layer) == pytest.approx({(t, 0, 0): 1 / 16}, abs=1e-15)
         assert layer.p.size == 0
         assert layer.absorbed_success_total == pytest.approx(1.0, abs=1e-12)
 
@@ -113,7 +163,7 @@ class TestStepProcessA:
         records = {}
         for _ in range(params.max_backoff_slots()):
             layer = step_process_a(layer, table, params)
-            for key, mass in layer.absorbed_success.items():
+            for key, mass in success_records(layer).items():
                 records[key] = records.get(key, 0.0) + mass
             ref.step()
         assert set(records) == set(ref.success_records)
@@ -125,11 +175,11 @@ class TestStepProcessA:
         # state with all six peers already done: peer activity impossible
         params = ah_params(7)
         table = build_tx_prob_table(params, 10)
-        layer = StateLayerA.from_mass(3, {(0, 6, 0): 1.0})
+        layer = layer_a(3, {(0, 6, 0): 1.0})
         nxt = step_process_a(layer, table, params)
         q = table.tx_prob(3, 0)
-        assert nxt.absorbed_success == pytest.approx({(3, 0, 6): q}, abs=1e-15)
-        assert nxt.mass == pytest.approx({(0, 6, 0): 1.0 - q}, abs=1e-15)
+        assert success_records(nxt) == pytest.approx({(3, 0, 6): q}, abs=1e-15)
+        assert mass_a(nxt) == pytest.approx({(0, 6, 0): 1.0 - q}, abs=1e-15)
 
 
 class TestStepProcessB:
@@ -140,7 +190,7 @@ class TestStepProcessB:
         for t in range(16):
             lb = step_process_b(lb, table, la, params)
             la = step_process_a(la, table, params)
-            assert lb.absorbed == pytest.approx({(t, 0): 1 / 16}, abs=1e-15)
+            assert absorbed_records(lb) == pytest.approx({(t, 0): 1 / 16}, abs=1e-15)
         assert lb.absorbed_total == pytest.approx(1.0, abs=1e-12)
 
     def test_mass_conserved_each_step(self):
@@ -158,7 +208,7 @@ class TestStepProcessB:
     def test_time_mismatch_rejected(self):
         params = ah_params(2)
         table = build_tx_prob_table(params, 10)
-        la = StateLayerA.from_mass(1, {(0, 0, 0): 1.0})
+        la = layer_a(1, {(0, 0, 0): 1.0})
         with pytest.raises(ValueError):
             step_process_b(StateLayerB.initial(), table, la, params)
 
@@ -227,3 +277,55 @@ class TestRunChains:
             dist = run_chains(ah_params(n), AH_SLOT_DURATIONS, compute_b=False).p_a
             quantiles.append([dist.quantile(q) for q in (0.5, 0.95)])
         assert quantiles == sorted(quantiles)
+
+
+@st.composite
+def small_configs(draw):
+    cw_min = draw(st.sampled_from([2, 4]))
+    params = ModelParams(
+        n_stations=draw(st.integers(1, 4)),
+        cw_min=cw_min,
+        cw_max=draw(st.sampled_from([w for w in (2, 4, 8) if w >= cw_min])),
+        retry_limit=draw(st.integers(1, 3)),
+        epsilon=1e-15,
+        prune_floor=0.0,
+    )
+    t_empty = draw(st.integers(1, 60))
+    durations = SlotDurations(
+        t_empty=t_empty,
+        t_success=draw(st.integers(t_empty, 3000)),
+        t_collision=draw(st.integers(t_empty, 3000)),
+    )
+    return params, durations
+
+
+@settings(max_examples=40, deadline=None)
+@given(small_configs())
+def test_random_small_configs_equal_dense_reference(config):
+    params, durations = config
+    support = params.max_backoff_slots()
+    table = build_tx_prob_table(params, support + 1)
+    la, lb = StateLayerA.initial(), StateLayerB.initial()
+    for _ in range(support):
+        na = step_process_a(la, table, params)
+        nb = step_process_b(lb, table, la, params)
+        resolved_a = sum(
+            getattr(na, f) - getattr(la, f)
+            for f in ("absorbed_success_total", "absorbed_failure", "dropped_mass")
+        )
+        assert na.carried_mass() + resolved_a == pytest.approx(la.carried_mass(), abs=1e-12)
+        resolved_b = (nb.absorbed_total - lb.absorbed_total) + (nb.dropped_mass - lb.dropped_mass)
+        assert nb.carried_mass() + resolved_b == pytest.approx(lb.carried_mass(), abs=1e-12)
+        la, lb = na, nb
+
+    ref = DenseChainReference(
+        params.n_stations, params.cw_min, params.cw_max, params.retry_limit, durations
+    )
+    ref.run(support)
+    result = run_chains(params, durations)
+    for got, want in ((result.p_a.atoms, ref.pa_atoms), (result.p_b.atoms, ref.pb_atoms)):
+        for tau in set(got) | set(want):
+            assert got.get(tau, 0.0) == pytest.approx(want.get(tau, 0.0), abs=1e-12)
+    assert result.p_fail_a == pytest.approx(ref.fail_a, abs=1e-12)
+    assert result.diagnostics.mass_error_a < 1e-12
+    assert result.diagnostics.mass_error_b < 1e-12

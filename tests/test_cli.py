@@ -133,3 +133,78 @@ def test_groups_sweep_csv_schema(tmp_path):
 
 def test_unknown_command_is_usage_error(capsys):
     assert main(["frobnicate"]) == 1
+
+
+def _fail_if_called(*args, **kwargs):
+    raise AssertionError("a chain run started before the input was validated")
+
+
+@pytest.mark.parametrize("command, flag, value, named", [
+    ("plan", "--k-stride", "abc", "--k-stride"),
+    ("plan", "--k-stride", "0", "--k-stride"),
+    ("groups", "--k-stride", "-2", "--k-stride"),
+    ("groups", "--k-stride", "1.5", "--k-stride"),
+    ("plan", "--q", "1.5", "--q"),
+    ("plan", "--q", "0", "--q"),
+    ("groups", "--q", "1", "--q"),
+    ("groups", "--q", "nan", "--q"),
+    ("plan", "--p", "1.5", "p_active"),
+    ("groups", "--p", "-0.1", "p_active"),
+    ("groups", "--p", "nan", "p_active"),
+])
+def test_planner_input_rejected_before_chain_runs(
+    tmp_path, capsys, monkeypatch, command, flag, value, named
+):
+    monkeypatch.setattr("rawtime.planner.run_chains", _fail_if_called)
+    args = {"--n": "4", "--p": "0.5", "--q": "0.9", flag: value}
+    argv = [command, "--paper-params", "--out", str(tmp_path / "x")]
+    if command == "groups":
+        argv += ["--g-min", "1", "--g-max", "2"]
+    for key, val in args.items():
+        argv += [key, val]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert len(err.strip().splitlines()) == 1
+    assert err.startswith("error: ") and named in err
+
+
+def test_model_conservation_error_exit_code(tmp_path, capsys, monkeypatch):
+    import dataclasses
+
+    import rawtime.cli
+
+    real = rawtime.cli.run_chains
+
+    def leaky(*args, **kwargs):
+        result = real(*args, **kwargs)
+        diag = dataclasses.replace(result.diagnostics, mass_error_b=2e-9)
+        return result._replace(diagnostics=diag)
+
+    out = tmp_path / "leak"
+    assert main(["model", "--n", "2", "--paper-params", "--out", str(out)]) == 0
+    extra = load_manifest(f"{out}.pa.csv")["extra"]
+    assert 0.0 <= extra["mass_error_a"] <= 1e-9
+    assert 0.0 <= extra["mass_error_b"] <= 1e-9
+
+    monkeypatch.setattr(rawtime.cli, "run_chains", leaky)
+    assert main(["model", "--n", "2", "--paper-params", "--out", str(out)]) == 2
+    assert "mass_error_b=2.000e-09" in capsys.readouterr().err
+    assert load_manifest(f"{out}.pb.csv")["extra"]["mass_error_b"] == 2e-9
+
+
+@pytest.mark.parametrize("body", [
+    "duration_us,probability\n10,0.5\n10,0.2\n",
+    "duration_us,probability\n10,0.5\n20,nan\n",
+    "duration_us,probability\n10,0.5\n20,inf\n",
+    "duration_us,probability\n10,0.5\n20,0.0\n",
+    "duration_us,probability\n10,0.5\n30,-0.1\n",
+    "duration_us,probability\n10,0.9\n20,0.5\n",
+])
+def test_compare_rejects_corrupt_distribution(tmp_path, capsys, body):
+    assert main(["model", "--n", "1", "--paper-params", "--out", str(tmp_path / "m")]) == 0
+    assert main(["simulate", "--n", "1", "--paper-params", "--runs", "100", "--seed", "1",
+                 "--out", str(tmp_path / "s")]) == 0
+    (tmp_path / "s.pa.csv").write_text(body)
+    assert main(["compare", f"{tmp_path}/m.pa.csv", f"{tmp_path}/s.pa.csv"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err

@@ -143,3 +143,50 @@ class TestMergeWeighted:
     def test_zero_weight_skipped(self):
         merged = merge_weighted([(0.0, UNIFORM16), (1.0, UNIFORM16)])
         assert merged.atoms == pytest.approx(UNIFORM16.atoms)
+
+
+class TestRejectCorruptInput:
+    @pytest.mark.parametrize("probability", [math.nan, math.inf, -math.inf])
+    def test_non_finite_probability_rejected(self, probability):
+        with pytest.raises(ValueError):
+            TimeDistribution(np.array([1, 2]), np.array([0.5, probability]))
+        with pytest.raises(ValueError):
+            TimeDistribution.from_atoms({1: 0.5, 2: probability})
+
+    def test_total_mass_above_one_rejected(self):
+        with pytest.raises(ValueError):
+            TimeDistribution(np.array([1, 2]), np.array([0.7, 0.7]))
+        with pytest.raises(ValueError):
+            TimeDistribution.from_arrays(np.array([1, 1]), np.array([0.7, 0.7]))
+
+    def test_rounding_above_one_accepted(self):
+        dist = TimeDistribution(np.array([1, 2]), np.array([0.5, 0.5 + 1e-13]))
+        assert dist.total_mass > 1.0
+
+    @pytest.mark.parametrize("rows", [
+        ["10,0.5", "10,0.2"],
+        ["10,0.5", "20,nan"],
+        ["10,0.5", "20,inf"],
+        ["10,0.5", "20,0.0"],
+        ["10,0.5", "30,-0.1"],
+        ["10,0.5", "10,0.2", "20,nan", "30,-0.1"],
+    ])
+    def test_corrupt_csv_rejected(self, tmp_path, rows):
+        path = tmp_path / "d.csv"
+        path.write_text("duration_us,probability\n" + "\n".join(rows) + "\n")
+        with pytest.raises(ValueError):
+            load_distribution(path)
+
+    @pytest.mark.parametrize("atoms", [
+        '{"10": 0.5, "10": 0.2}',
+        '{"10": 0.5, "010": 0.2}',
+        '{"10": 0.5, "20": NaN}',
+        '{"10": 0.5, "20": Infinity}',
+        '{"10": 0.5, "20": 0}',
+        '{"10": 0.5, "20": -0.1}',
+    ])
+    def test_corrupt_json_rejected(self, tmp_path, atoms):
+        path = tmp_path / "d.json"
+        path.write_text('{"atoms": ' + atoms + ', "total_mass": 0.7}')
+        with pytest.raises(ValueError):
+            load_distribution(path)
