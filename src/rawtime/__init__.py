@@ -26,16 +26,14 @@ from .layers import (
     step_process_a,
     step_process_b,
 )
-from .chains import ChainDiagnostics, ChainResult, run_chains, state_time
+from .chains import ChainDiagnostics, ChainResult, run_chains
 from .distribution import (
     TimeDistribution,
     UnsatisfiableQuantileError,
-    atom_differences,
-    distribution_quantile,
-    dominant_peaks,
     kolmogorov_distance,
     load_distribution,
     merge_weighted,
+    write_distribution,
 )
 from .simulate import EmpiricalDistribution, SimConfig, simulate
 from .planner import (
@@ -44,12 +42,10 @@ from .planner import (
     DistributionCache,
     GroupPlan,
     MixtureSpec,
-    auto_k_stride,
     mixture_pa,
     mixture_pb,
     mixture_weights,
     optimize_groups,
-    plan_slot_duration,
 )
 
 __all__ = [
@@ -75,11 +71,7 @@ __all__ = [
     "TxProbTable",
     "UnsatisfiableQuantileError",
     "ah_params",
-    "atom_differences",
-    "auto_k_stride",
     "build_tx_prob_table",
-    "distribution_quantile",
-    "dominant_peaks",
     "kolmogorov_distance",
     "load_distribution",
     "merge_weighted",
@@ -87,11 +79,10 @@ __all__ = [
     "mixture_pb",
     "mixture_weights",
     "optimize_groups",
-    "plan_slot_duration",
     "run_chains",
     "simulate",
-    "state_time",
     "step_process_a",
     "step_process_b",
+    "write_distribution",
     "__version__",
 ]

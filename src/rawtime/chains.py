@@ -10,19 +10,17 @@ import numpy as np
 from .distribution import TimeDistribution
 from .layers import StateLayerA, StateLayerB, step_process_a, step_process_b
 from .params import ModelParams, SlotDurations
-from .txprob import TxProbTable, build_tx_prob_table
+from .txprob import build_tx_prob_table
 
 
-def state_time(c: int, s: int, t: int, durations: SlotDurations) -> int:
-    """Real time (microseconds) needed to traverse c collision, s success and
-    t - c - s empty virtual slots."""
-    if c < 0 or s < 0 or c + s > t:
-        raise ValueError(f"inconsistent slot counts c={c}, s={s}, t={t}")
-    return (
-        c * durations.t_collision
-        + s * durations.t_success
-        + (t - c - s) * durations.t_empty
-    )
+def _state_time(c, s, t: int, durations: SlotDurations):
+    """Real time (microseconds) needed to traverse ``c`` collision, ``s``
+    success and ``t - c - s`` empty virtual slots; ``c`` and ``s`` may be
+    integer arrays."""
+    empty = t - c - s
+    if np.any(empty < 0):
+        raise ValueError(f"more collision and success slots than the {t} slots")
+    return c * durations.t_collision + s * durations.t_success + empty * durations.t_empty
 
 
 class _AtomAccumulator:
@@ -88,14 +86,13 @@ def run_chains(
     durations: SlotDurations,
     *,
     compute_b: bool = True,
-    table: TxProbTable | None = None,
 ) -> ChainResult:
     """Run both chains until absorbed-plus-dropped mass reaches ``1 - epsilon``.
 
     Success absorption of the tagged station from state ``(t, c, s)`` lands at
-    duration ``state_time(c, s + 1, t + 1)`` -- its own successful slot counts.
+    duration ``_state_time(c, s + 1, t + 1)`` -- its own successful slot counts.
     Aggregate absorption from ``(t, c, N - 1)`` lands at
-    ``state_time(c, N, t + 1)``.
+    ``_state_time(c, N, t + 1)``.
 
     The loop also stops, with the remainder booked as deficit, when no further
     transmission is possible: every station resolves within
@@ -107,10 +104,7 @@ def run_chains(
     n = params.n_stations
     support = params.max_backoff_slots()
     cap = params.t_max_cap
-    if table is None:
-        table = build_tx_prob_table(params, min(cap, support) + 1)
-
-    te, ts, tc = durations.t_empty, durations.t_success, durations.t_collision
+    table = build_tx_prob_table(params, min(cap, support) + 1)
 
     layer_a = StateLayerA.initial()
     layer_b = StateLayerB.initial() if compute_b else None
@@ -147,12 +141,10 @@ def run_chains(
         if compute_b:
             layer_b = step_process_b(layer_b, table, layer_a, params)
             if layer_b.new_absorbed_p.size:
-                c_arr = layer_b.new_absorbed_c
-                taus = c_arr * tc + n * ts + (t + 1 - c_arr - n) * te
+                taus = _state_time(layer_b.new_absorbed_c, n, t + 1, durations)
                 atoms_b.add(taus, layer_b.new_absorbed_p)
         if next_a.new_success_p.size:
-            c_arr, s_arr = next_a.new_success_c, next_a.new_success_s
-            taus = c_arr * tc + (s_arr + 1) * ts + (t - c_arr - s_arr) * te
+            taus = _state_time(next_a.new_success_c, next_a.new_success_s + 1, t + 1, durations)
             atoms_a.add(taus, next_a.new_success_p)
         layer_a = next_a
 

@@ -7,6 +7,7 @@ above epsilon (model truncation), a mass-conservation error above
 
 from __future__ import annotations
 
+import functools
 import json
 import sys
 import time
@@ -21,8 +22,9 @@ from .distribution import (
     UnsatisfiableQuantileError,
     kolmogorov_distance,
     load_distribution,
+    write_distribution,
 )
-from .manifest import RunManifest, check_comparable, load_manifest
+from .manifest import check_comparable, load_manifest, write_manifests
 from .params import (
     AH_CW_MAX,
     AH_CW_MIN,
@@ -65,8 +67,47 @@ def _check_k_stride(ctx, param, value: str) -> int | str:
     return stride
 
 
-def _param_options(f):
-    options = [
+def _with_options(f, options):
+    for option in reversed(options):
+        f = option(f)
+    return f
+
+
+def _param_options(command):
+    """Add the options every command shares.  The command is called as
+    ``command(params, durations, out, fmt, **own_options)``, with ``out`` the
+    output prefix as a ``Path`` whose parent directory exists."""
+
+    @functools.wraps(command)
+    def resolved(*, n_stations, cw_min, cw_max, retry_limit, epsilon, t_max_cap, prune_floor,
+                 te_us, ts_us, tc_us, paper_params, out, fmt, **own_options):
+        if paper_params:
+            cw_min = AH_CW_MIN if cw_min is None else cw_min
+            cw_max = AH_CW_MAX if cw_max is None else cw_max
+            retry_limit = AH_RETRY_LIMIT if retry_limit is None else retry_limit
+            te_us = AH_SLOT_DURATIONS.t_empty if te_us is None else te_us
+            ts_us = AH_SLOT_DURATIONS.t_success if ts_us is None else ts_us
+            tc_us = AH_SLOT_DURATIONS.t_collision if tc_us is None else tc_us
+        missing = [name for name, value in (
+            ("--cw-min", cw_min), ("--cw-max", cw_max), ("--retry-limit", retry_limit),
+            ("--te-us", te_us), ("--ts-us", ts_us), ("--tc-us", tc_us),
+        ) if value is None]
+        if missing:
+            raise click.UsageError(
+                f"missing {', '.join(missing)} (set them explicitly or pass --paper-params)"
+            )
+        try:
+            params = ModelParams(
+                n_stations=n_stations, cw_min=cw_min, cw_max=cw_max, retry_limit=retry_limit,
+                epsilon=epsilon, t_max_cap=t_max_cap, prune_floor=prune_floor,
+            )
+            durations = SlotDurations(t_empty=te_us, t_success=ts_us, t_collision=tc_us)
+        except ConfigurationError as exc:
+            raise click.UsageError(str(exc)) from exc
+        out.parent.mkdir(parents=True, exist_ok=True)
+        return command(params, durations, out, fmt, **own_options)
+
+    return _with_options(resolved, [
         click.option("--n", "n_stations", type=int, required=True, help="Number of contending stations."),
         click.option("--cw-min", type=int, default=None, help="Initial contention window."),
         click.option("--cw-max", type=int, default=None, help="Contention window cap."),
@@ -82,54 +123,34 @@ def _param_options(f):
         click.option("--paper-params", is_flag=True,
                       help="Fill unset options with the 802.11ah reference setup "
                            "(CWmin 16, CWmax 1024, RL 7, Te 52 us, Ts = Tc = 2184 us)."),
-        click.option("--out", type=click.Path(), required=True, help="Output path prefix."),
+        click.option("--out", type=click.Path(path_type=Path), required=True, help="Output path prefix."),
         click.option("--format", "fmt", type=click.Choice(["csv", "json"]), default="csv",
                       show_default=True, help="Distribution file format."),
+    ])
+
+
+def _mixture_options(k_stride_default: str):
+    """The random-active-count options of ``plan`` and ``groups``."""
+    options = [
+        click.option("--p", "p_active", type=float, required=True,
+                     help="Probability a station holds a frame at the slot start."),
+        click.option("--q", "quantile", type=float, required=True, callback=_check_q,
+                     help="Required delivery probability."),
+        click.option("--conditioning", type=click.Choice([c.value for c in Conditioning]),
+                     default=Conditioning.TAGGED_HAS_PACKET.value, show_default=True,
+                     help="Mixture conditioning over the random active count."),
+        click.option("--k-stride", default=k_stride_default, show_default=True,
+                     callback=_check_k_stride,
+                     help="Mixture subsampling stride (positive integer or 'auto')."),
     ]
-    for option in reversed(options):
-        f = option(f)
-    return f
+    return lambda command: _with_options(command, options)
 
 
-def _resolve(n_stations, cw_min, cw_max, retry_limit, epsilon, t_max_cap, prune_floor,
-             te_us, ts_us, tc_us, paper_params) -> tuple[ModelParams, SlotDurations]:
-    if paper_params:
-        cw_min = AH_CW_MIN if cw_min is None else cw_min
-        cw_max = AH_CW_MAX if cw_max is None else cw_max
-        retry_limit = AH_RETRY_LIMIT if retry_limit is None else retry_limit
-        te_us = AH_SLOT_DURATIONS.t_empty if te_us is None else te_us
-        ts_us = AH_SLOT_DURATIONS.t_success if ts_us is None else ts_us
-        tc_us = AH_SLOT_DURATIONS.t_collision if tc_us is None else tc_us
-    missing = [name for name, value in (
-        ("--cw-min", cw_min), ("--cw-max", cw_max), ("--retry-limit", retry_limit),
-        ("--te-us", te_us), ("--ts-us", ts_us), ("--tc-us", tc_us),
-    ) if value is None]
-    if missing:
-        raise click.UsageError(
-            f"missing {', '.join(missing)} (set them explicitly or pass --paper-params)"
-        )
-    try:
-        params = ModelParams(
-            n_stations=n_stations, cw_min=cw_min, cw_max=cw_max, retry_limit=retry_limit,
-            epsilon=epsilon, t_max_cap=t_max_cap, prune_floor=prune_floor,
-        )
-        durations = SlotDurations(t_empty=te_us, t_success=ts_us, t_collision=tc_us)
-    except ConfigurationError as exc:
-        raise click.UsageError(str(exc)) from exc
-    return params, durations
+def _write_json(path: Path, payload) -> None:
+    path.write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
 
 
-def _write_distribution(dist: TimeDistribution, path: Path, fmt: str, extra: dict | None = None) -> Path:
-    if fmt == "csv":
-        dist.write_csv(path)
-    else:
-        payload = dist.to_json_dict()
-        payload.update(extra or {})
-        path.write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
-    return path
-
-
-def _quantile_rows(named: dict[str, TimeDistribution]) -> list[tuple[str, float, int | None]]:
+def _write_quantiles(named: dict[str, TimeDistribution], path: Path) -> None:
     rows = []
     for name, dist in named.items():
         for q in _QUANTILE_LEVELS:
@@ -137,19 +158,13 @@ def _quantile_rows(named: dict[str, TimeDistribution]) -> list[tuple[str, float,
                 rows.append((name, q, dist.quantile(q)))
             except UnsatisfiableQuantileError:
                 rows.append((name, q, None))
-    return rows
-
-
-def _write_quantiles(rows, path: Path, fmt: str) -> Path:
-    if fmt == "csv":
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write("distribution,q,duration_us\n")
-            for name, q, dur in rows:
-                fh.write(f"{name},{q},{'' if dur is None else dur}\n")
-    else:
-        payload = [{"distribution": n, "q": q, "duration_us": d} for n, q, d in rows]
-        path.write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
-    return path
+    if path.suffix == ".json":
+        _write_json(path, [{"distribution": n, "q": q, "duration_us": d} for n, q, d in rows])
+        return
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("distribution,q,duration_us\n")
+        for name, q, dur in rows:
+            fh.write(f"{name},{q},{'' if dur is None else dur}\n")
 
 
 @click.group()
@@ -160,30 +175,17 @@ def cli() -> None:
 
 @cli.command("model")
 @_param_options
-def cmd_model(n_stations, cw_min, cw_max, retry_limit, epsilon, t_max_cap, prune_floor,
-              te_us, ts_us, tc_us, paper_params, out, fmt) -> int:
+def cmd_model(params, durations, out, fmt) -> int:
     """Compute the delivery-time distributions for one and for all stations."""
-    params, durations = _resolve(n_stations, cw_min, cw_max, retry_limit, epsilon,
-                                 t_max_cap, prune_floor, te_us, ts_us, tc_us, paper_params)
     started = time.perf_counter()
     result = run_chains(params, durations)
     elapsed = time.perf_counter() - started
     diag = result.diagnostics
 
-    ext = fmt
-    out = Path(out)
-    out.parent.mkdir(parents=True, exist_ok=True)
-    pa_path = _write_distribution(
-        result.p_a, out.with_name(out.name + f".pa.{ext}"), fmt,
-        extra={"p_fail": result.p_fail_a},
-    )
-    pb_path = _write_distribution(result.p_b, out.with_name(out.name + f".pb.{ext}"), fmt)
-    q_path = _write_quantiles(
-        _quantile_rows({"pa": result.p_a, "pb": result.p_b}),
-        out.with_name(out.name + f".quantiles.{ext}"), fmt,
-    )
-
-    outputs = [pa_path, pb_path, q_path]
+    paths = {kind: Path(f"{out}.{kind}.{fmt}") for kind in ("pa", "pb", "quantiles")}
+    write_distribution(result.p_a, paths["pa"], extra={"p_fail": result.p_fail_a})
+    write_distribution(result.p_b, paths["pb"])
+    _write_quantiles({"pa": result.p_a, "pb": result.p_b}, paths["quantiles"])
     extra = {
         "p_fail_a": result.p_fail_a,
         "deficit_a": result.p_a.deficit,
@@ -193,14 +195,13 @@ def cmd_model(n_stations, cw_min, cw_max, retry_limit, epsilon, t_max_cap, prune
         "mass_error_a": diag.mass_error_a,
         "mass_error_b": diag.mass_error_b,
     }
-    for path, artifact in ((pa_path, "pa"), (pb_path, "pb"), (q_path, "quantiles")):
-        RunManifest.build("model", artifact, "model", params, durations, outputs,
-                          elapsed, extra=extra).write_for(path)
+    write_manifests("model", "model", paths, dict.fromkeys(paths, extra),
+                    params, durations, elapsed)
 
     click.echo(
         f"model: N={params.n_stations} t_stop={diag.t_stop} "
         f"mass_a={result.p_a.total_mass:.9f} p_fail_a={result.p_fail_a:.3e} "
-        f"mass_b={result.p_b.total_mass:.9f} -> {out}.{{pa,pb,quantiles}}.{ext}"
+        f"mass_b={result.p_b.total_mass:.9f} -> {out}.{{pa,pb,quantiles}}.{fmt}"
     )
     mass_error = max(diag.mass_error_a, diag.mass_error_b)
     if not mass_error <= MASS_ERROR_MAX:
@@ -223,36 +224,24 @@ def cmd_model(n_stations, cw_min, cw_max, retry_limit, epsilon, t_max_cap, prune
 @_param_options
 @click.option("--runs", type=int, required=True, help="Number of Monte-Carlo runs.")
 @click.option("--seed", type=int, required=True, help="RNG seed (64-bit).")
-def cmd_simulate(n_stations, cw_min, cw_max, retry_limit, epsilon, t_max_cap, prune_floor,
-                 te_us, ts_us, tc_us, paper_params, out, fmt, runs, seed) -> int:
+def cmd_simulate(params, durations, out, fmt, runs, seed) -> int:
     """Monte-Carlo the slotted backoff protocol and write empirical distributions."""
-    params, durations = _resolve(n_stations, cw_min, cw_max, retry_limit, epsilon,
-                                 t_max_cap, prune_floor, te_us, ts_us, tc_us, paper_params)
     config = SimConfig(params=params, durations=durations, runs=runs, seed=seed)
     started = time.perf_counter()
     emp_a, emp_b = simulate(config)
     elapsed = time.perf_counter() - started
 
-    ext = fmt
-    out = Path(out)
-    out.parent.mkdir(parents=True, exist_ok=True)
-    pa_path = _write_distribution(
-        emp_a.to_time_distribution(), out.with_name(out.name + f".pa.{ext}"), fmt,
-        extra={"runs": emp_a.runs, "failure_count": emp_a.failure_count},
-    )
-    pb_path = _write_distribution(
-        emp_b.to_time_distribution(), out.with_name(out.name + f".pb.{ext}"), fmt,
-        extra={"runs": emp_b.runs, "failure_count": emp_b.failure_count},
-    )
-    outputs = [pa_path, pb_path]
-    for path, artifact, emp in ((pa_path, "pa", emp_a), (pb_path, "pb", emp_b)):
-        RunManifest.build(
-            "simulate", artifact, "simulation", params, durations, outputs, elapsed,
-            seed=seed, runs=runs, extra={"failure_count": emp.failure_count},
-        ).write_for(path)
+    empirical = {"pa": emp_a, "pb": emp_b}
+    paths = {kind: Path(f"{out}.{kind}.{fmt}") for kind in empirical}
+    for kind, emp in empirical.items():
+        write_distribution(emp.to_time_distribution(), paths[kind],
+                           extra={"runs": emp.runs, "failure_count": emp.failure_count})
+    extras = {kind: {"failure_count": emp.failure_count} for kind, emp in empirical.items()}
+    write_manifests("simulate", "simulation", paths, extras, params, durations, elapsed,
+                    seed=seed, runs=runs)
     click.echo(
         f"simulate: N={params.n_stations} runs={runs} seed={seed} "
-        f"fail_a={emp_a.failure_count} fail_b={emp_b.failure_count} -> {out}.{{pa,pb}}.{ext}"
+        f"fail_a={emp_a.failure_count} fail_b={emp_b.failure_count} -> {out}.{{pa,pb}}.{fmt}"
     )
     return 0
 
@@ -269,14 +258,14 @@ def cmd_compare(model_file, sim_file, tolerance, report) -> int:
     try:
         model_manifest = load_manifest(model_file)
         sim_manifest = load_manifest(sim_file)
-    except FileNotFoundError as exc:
-        raise click.UsageError(str(exc)) from exc
-    if model_manifest.get("source") != "model":
-        raise click.UsageError(f"{model_file} is not a model output (source="
-                               f"{model_manifest.get('source')!r})")
-    if sim_manifest.get("source") != "simulation":
-        raise click.UsageError(f"{sim_file} is not a simulation output (source="
-                               f"{sim_manifest.get('source')!r})")
+    except (FileNotFoundError, ValueError) as exc:
+        click.echo(f"error: {exc}", err=True)
+        return 1
+    for path, manifest, source in ((model_file, model_manifest, "model"),
+                                   (sim_file, sim_manifest, "simulation")):
+        if manifest.get("source") != source:
+            raise click.UsageError(f"{path} is not a {source} output (source="
+                                   f"{manifest.get('source')!r})")
     problems = check_comparable(model_manifest, sim_manifest)
     if problems:
         for problem in problems:
@@ -300,53 +289,33 @@ def cmd_compare(model_file, sim_file, tolerance, report) -> int:
     click.echo(f"max_atom_abs_difference: {max_atom_diff:.6f}")
     click.echo(f"tolerance: {tolerance} -> {'PASS' if passed else 'FAIL'}")
     if report:
-        Path(report).write_text(json.dumps({
+        _write_json(Path(report), {
             "kolmogorov_distance": distance,
             "max_atom_abs_difference": max_atom_diff,
             "tolerance": tolerance,
             "passed": passed,
             "atom_differences": {str(d): v for d, v in diffs.items()},
-        }, indent=2) + "\n", encoding="utf-8")
+        })
     return 0 if passed else 2
 
 
 @cli.command("plan")
 @_param_options
-@click.option("--p", "p_active", type=float, required=True,
-              help="Probability a station holds a frame at the slot start.")
-@click.option("--q", "quantile", type=float, required=True, callback=_check_q,
-              help="Required delivery probability.")
-@click.option("--conditioning", type=click.Choice([c.value for c in Conditioning]),
-              default=Conditioning.TAGGED_HAS_PACKET.value, show_default=True,
-              help="Mixture conditioning over the random active count.")
-@click.option("--k-stride", default="1", show_default=True, callback=_check_k_stride,
-              help="Mixture subsampling stride (positive integer or 'auto').")
-def cmd_plan(n_stations, cw_min, cw_max, retry_limit, epsilon, t_max_cap, prune_floor,
-             te_us, ts_us, tc_us, paper_params, out, fmt, p_active, quantile,
-             conditioning, k_stride) -> int:
+@_mixture_options(k_stride_default="1")
+def cmd_plan(params, durations, out, fmt, p_active, quantile, conditioning, k_stride) -> int:
     """Minimal RAW slot duration for a population with a random active count."""
-    params, durations = _resolve(n_stations, cw_min, cw_max, retry_limit, epsilon,
-                                 t_max_cap, prune_floor, te_us, ts_us, tc_us, paper_params)
-    spec = MixtureSpec(n_total=n_stations, p_active=p_active,
+    spec = MixtureSpec(n_total=params.n_stations, p_active=p_active,
                        conditioning=Conditioning(conditioning))
     started = time.perf_counter()
     mixture = mixture_pa(spec, params, durations, k_stride=k_stride)
     elapsed = time.perf_counter() - started
 
-    ext = fmt
-    out = Path(out)
-    out.parent.mkdir(parents=True, exist_ok=True)
-    mix_path = _write_distribution(mixture, out.with_name(out.name + f".mixture.{ext}"), fmt)
-    cdf_path = out.with_name(out.name + ".cdf.csv")
-    with open(cdf_path, "w", encoding="utf-8") as fh:
+    paths = {"pa_mixture": Path(f"{out}.mixture.{fmt}"), "pa_mixture_cdf": Path(f"{out}.cdf.csv")}
+    write_distribution(mixture, paths["pa_mixture"])
+    with open(paths["pa_mixture_cdf"], "w", encoding="utf-8") as fh:
         fh.write("duration_us,cumulative_probability\n")
         for d, c in zip(mixture.durations, mixture.cumulative()):
             fh.write(f"{int(d)},{float(c)!r}\n")
-
-    extra = {"p_active": p_active, "q": quantile, "conditioning": conditioning,
-             "k_stride": str(k_stride), "total_mass": mixture.total_mass}
-    outputs = [mix_path, cdf_path]
-    plan_path = out.with_name(out.name + ".plan.json")
 
     try:
         slot = mixture.quantile(quantile)
@@ -355,53 +324,41 @@ def cmd_plan(n_stations, cw_min, cw_max, retry_limit, epsilon, t_max_cap, prune_
             f"error: q={quantile} unsatisfiable; achievable delivery probability "
             f"is {exc.total_mass:.9f}", err=True,
         )
-        for path, artifact in ((mix_path, "pa_mixture"), (cdf_path, "pa_mixture_cdf")):
-            RunManifest.build("plan", artifact, "planner", params, durations, outputs,
-                              elapsed, extra=extra).write_for(path)
+        slot = None
+    else:
+        paths["plan"] = Path(f"{out}.plan.json")
+        _write_json(paths["plan"], {
+            "q": quantile,
+            "slot_duration_us": slot,
+            "standard_compliant": slot <= MAX_RAW_SLOT_US,
+            "max_raw_slot_us": MAX_RAW_SLOT_US,
+            "total_mass": mixture.total_mass,
+            "deficit": mixture.deficit,
+        })
+    extra = {"p_active": p_active, "q": quantile, "conditioning": conditioning,
+             "k_stride": str(k_stride), "total_mass": mixture.total_mass}
+    write_manifests("plan", "planner", paths, dict.fromkeys(paths, extra),
+                    params, durations, elapsed)
+    if slot is None:
         return 3
-
-    compliant = slot <= MAX_RAW_SLOT_US
-    plan_path.write_text(json.dumps({
-        "q": quantile,
-        "slot_duration_us": slot,
-        "standard_compliant": compliant,
-        "max_raw_slot_us": MAX_RAW_SLOT_US,
-        "total_mass": mixture.total_mass,
-        "deficit": mixture.deficit,
-    }, indent=2) + "\n", encoding="utf-8")
-    outputs.append(plan_path)
-    for path, artifact in ((mix_path, "pa_mixture"), (cdf_path, "pa_mixture_cdf"),
-                           (plan_path, "plan")):
-        RunManifest.build("plan", artifact, "planner", params, durations, outputs,
-                          elapsed, extra=extra).write_for(path)
     click.echo(
-        f"plan: N={n_stations} p={p_active} q={quantile} -> slot {slot} us "
-        f"({slot / 1000:.2f} ms), standard_compliant={compliant}"
+        f"plan: N={params.n_stations} p={p_active} q={quantile} -> slot {slot} us "
+        f"({slot / 1000:.2f} ms), standard_compliant={slot <= MAX_RAW_SLOT_US}"
     )
     return 0
 
 
 @cli.command("groups")
 @_param_options
-@click.option("--p", "p_active", type=float, required=True,
-              help="Probability a station holds a frame at the slot start.")
-@click.option("--q", "quantile", type=float, required=True, callback=_check_q,
-              help="Required delivery probability.")
+@_mixture_options(k_stride_default="auto")
 @click.option("--g-min", type=int, required=True, help="Smallest group count to try.")
 @click.option("--g-max", type=int, required=True, help="Largest group count to try.")
 @click.option("--problem", type=click.Choice(["A", "B"]), default="A", show_default=True,
               help="A: one station delivers; B: all active stations deliver.")
-@click.option("--conditioning", type=click.Choice([c.value for c in Conditioning]),
-              default=Conditioning.TAGGED_HAS_PACKET.value, show_default=True)
-@click.option("--k-stride", default="auto", show_default=True, callback=_check_k_stride,
-              help="Mixture subsampling stride (positive integer or 'auto').")
-def cmd_groups(n_stations, cw_min, cw_max, retry_limit, epsilon, t_max_cap, prune_floor,
-               te_us, ts_us, tc_us, paper_params, out, fmt, p_active, quantile,
-               g_min, g_max, problem, conditioning, k_stride) -> int:
+def cmd_groups(params, durations, out, fmt, p_active, quantile, conditioning, k_stride,
+               g_min, g_max, problem) -> int:
     """Sweep group counts and report the one minimizing total reserved time."""
-    params, durations = _resolve(n_stations, cw_min, cw_max, retry_limit, epsilon,
-                                 t_max_cap, prune_floor, te_us, ts_us, tc_us, paper_params)
-    spec = MixtureSpec(n_total=n_stations, p_active=p_active,
+    spec = MixtureSpec(n_total=params.n_stations, p_active=p_active,
                        conditioning=Conditioning(conditioning))
     started = time.perf_counter()
     try:
@@ -415,11 +372,9 @@ def cmd_groups(n_stations, cw_min, cw_max, retry_limit, epsilon, t_max_cap, prun
         return 3
     elapsed = time.perf_counter() - started
 
-    out = Path(out)
-    out.parent.mkdir(parents=True, exist_ok=True)
-    sweep_path = out.with_name(out.name + ".groups.csv")
+    paths = {"groups": Path(f"{out}.groups.csv"), "groups_best": Path(f"{out}.best.json")}
     infeasible = [plan.group_count for plan in plans if not plan.feasible]
-    with open(sweep_path, "w", encoding="utf-8") as fh:
+    with open(paths["groups"], "w", encoding="utf-8") as fh:
         fh.write("g,group_size,slot_us,total_us,compliant\n")
         for plan in plans:
             if not plan.feasible:
@@ -428,8 +383,7 @@ def cmd_groups(n_stations, cw_min, cw_max, retry_limit, epsilon, t_max_cap, prun
                 f"{plan.group_count},{max(plan.group_sizes)},{plan.per_group_slot},"
                 f"{plan.total_reserved},{str(plan.standard_compliant).lower()}\n"
             )
-    best_path = out.with_name(out.name + ".best.json")
-    best_path.write_text(json.dumps({
+    _write_json(paths["groups_best"], {
         "g": best.group_count,
         "group_sizes": list(best.group_sizes),
         "per_group_slot_us": best.per_group_slot,
@@ -438,16 +392,14 @@ def cmd_groups(n_stations, cw_min, cw_max, retry_limit, epsilon, t_max_cap, prun
         "q": quantile,
         "problem": problem,
         "infeasible_group_counts": infeasible,
-    }, indent=2) + "\n", encoding="utf-8")
-
-    extra = {"p_active": p_active, "q": quantile, "problem": problem,
-             "g_min": g_min, "g_max": g_max, "k_stride": str(k_stride),
+    })
+    extra = {"p_active": p_active, "q": quantile, "conditioning": conditioning,
+             "problem": problem, "g_min": g_min, "g_max": g_max, "k_stride": str(k_stride),
              "infeasible_group_counts": infeasible}
-    for path, artifact in ((sweep_path, "groups"), (best_path, "groups_best")):
-        RunManifest.build("groups", artifact, "planner", params, durations,
-                          [sweep_path, best_path], elapsed, extra=extra).write_for(path)
+    write_manifests("groups", "planner", paths, dict.fromkeys(paths, extra),
+                    params, durations, elapsed)
     click.echo(
-        f"groups: N={n_stations} p={p_active} q={quantile} problem={problem} -> "
+        f"groups: N={params.n_stations} p={p_active} q={quantile} problem={problem} -> "
         f"best g={best.group_count} total {best.total_reserved} us "
         f"({best.total_reserved / 1000:.2f} ms)"
     )

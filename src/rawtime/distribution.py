@@ -92,44 +92,44 @@ class TimeDistribution:
             idx = self.durations.size - 1
         return int(self.durations[idx])
 
-    def cdf_at(self, duration: int) -> float:
-        """Probability of completion within ``duration`` microseconds."""
-        idx = int(np.searchsorted(self.durations, duration, side="right"))
-        return float(self.cumulative()[idx - 1]) if idx else 0.0
 
-    def to_json_dict(self) -> dict:
-        return {
-            "atoms": {str(int(d)): float(p) for d, p in zip(self.durations, self.probabilities)},
-            "total_mass": self.total_mass,
-            "deficit": self.deficit,
+def write_distribution(dist: TimeDistribution, path: Path, extra: dict | None = None) -> None:
+    """Write ``dist`` as CSV, or as JSON when ``path`` ends in ``.json``;
+    ``extra`` adds top-level keys to the JSON object."""
+    if path.suffix == ".json":
+        payload = {
+            "atoms": {str(int(d)): float(p) for d, p in zip(dist.durations, dist.probabilities)},
+            "total_mass": dist.total_mass,
+            "deficit": dist.deficit,
+            **(extra or {}),
         }
-
-    def write_csv(self, path: Path | str) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write("duration_us,probability\n")
-            for d, p in zip(self.durations, self.probabilities):
-                fh.write(f"{int(d)},{float(p)!r}\n")
-
-    def write_json(self, path: Path | str) -> None:
-        Path(path).write_text(json.dumps(self.to_json_dict(), indent=2) + "\n", encoding="utf-8")
-
-
-def distribution_quantile(dist: TimeDistribution, q: float) -> int:
-    """Smallest duration tau with cumulative mass >= q (see TimeDistribution.quantile)."""
-    return dist.quantile(q)
+        path.write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
+        return
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("duration_us,probability\n")
+        for d, p in zip(dist.durations, dist.probabilities):
+            fh.write(f"{int(d)},{float(p)!r}\n")
 
 
 def load_distribution(path: Path | str) -> TimeDistribution:
     """Read a distribution file written by this package (.csv or .json).
 
-    Raises ``ValueError`` on a duplicate duration or on a probability that is
-    not a positive finite number: such a file was not written by this package.
+    Raises ``ValueError`` on a file this package did not write: one that is
+    not valid JSON or has no ``atoms`` object, a duplicate duration, or a
+    probability that is not a positive finite number.
     """
     path = Path(path)
     if path.suffix == ".json":
-        # objects as key-value pair lists, so that a duplicate key stays visible
-        payload = json.loads(path.read_text(encoding="utf-8"), object_pairs_hook=list)
-        pairs = [(int(k), float(v)) for k, v in dict(payload)["atoms"]]
+        # objects as tuples of key-value pairs, so that a duplicate key stays
+        # visible and an array is not taken for an object
+        payload = json.loads(path.read_text(encoding="utf-8"), object_pairs_hook=tuple)
+        atoms = dict(payload).get("atoms") if isinstance(payload, tuple) else None
+        if not isinstance(atoms, tuple):
+            raise ValueError(f"{path}: no 'atoms' object")
+        try:
+            pairs = [(int(k), float(v)) for k, v in atoms]
+        except TypeError as exc:
+            raise ValueError(f"{path}: an atom probability is not a number") from exc
     else:
         pairs = []
         with open(path, encoding="utf-8") as fh:
@@ -161,34 +161,6 @@ def kolmogorov_distance(first: TimeDistribution, second: TimeDistribution) -> fl
         return cum[np.searchsorted(dist.durations, support, side="right")]
 
     return float(np.max(np.abs(cdf_on(first) - cdf_on(second))))
-
-
-def atom_differences(first: TimeDistribution, second: TimeDistribution) -> dict[int, float]:
-    """Signed per-atom probability differences on the union support."""
-    a, b = first.atoms, second.atoms
-    return {int(d): a.get(int(d), 0.0) - b.get(int(d), 0.0) for d in np.union1d(first.durations, second.durations)}
-
-
-def dominant_peaks(
-    dist: TimeDistribution, count: int, min_separation: int
-) -> list[int]:
-    """Durations of up to ``count`` highest-mass atoms, greedily kept at least
-    ``min_separation`` microseconds apart, returned in increasing duration order.
-
-    Ties in mass resolve toward the smaller duration, so the result is
-    deterministic.
-    """
-    if count < 1:
-        raise ValueError("count must be >= 1")
-    order = np.lexsort((dist.durations, -dist.probabilities))
-    chosen: list[int] = []
-    for idx in order:
-        d = int(dist.durations[idx])
-        if all(abs(d - kept) >= min_separation for kept in chosen):
-            chosen.append(d)
-            if len(chosen) == count:
-                break
-    return sorted(chosen)
 
 
 def merge_weighted(

@@ -28,39 +28,34 @@ class RunManifest:
     runs: int | None = None
     extra: dict = field(default_factory=dict)
 
-    @classmethod
-    def build(
-        cls,
-        command: str,
-        artifact: str,
-        source: str,
-        params: ModelParams,
-        durations: SlotDurations,
-        outputs: list[Path],
-        wall_clock_s: float,
-        seed: int | None = None,
-        runs: int | None = None,
-        extra: dict | None = None,
-    ) -> "RunManifest":
-        return cls(
-            command=command,
-            artifact=artifact,
-            source=source,
-            params=asdict(params),
-            durations=asdict(durations),
-            outputs=tuple(str(p) for p in outputs),
-            wall_clock_s=wall_clock_s,
-            seed=seed,
-            runs=runs,
-            extra=extra or {},
-        )
-
     def write_for(self, data_path: Path | str) -> Path:
         path = manifest_path(data_path)
         payload = asdict(self)
         payload["created_utc"] = time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())
         path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
         return path
+
+
+def write_manifests(
+    command: str,
+    source: str,
+    paths: dict[str, Path],
+    extras: dict[str, dict],
+    params: ModelParams,
+    durations: SlotDurations,
+    wall_clock_s: float,
+    seed: int | None = None,
+    runs: int | None = None,
+) -> None:
+    """Write the manifest sidecar of each output of one command (artifact
+    name -> path) with that artifact's ``extras``; each lists all the outputs."""
+    outputs = tuple(str(p) for p in paths.values())
+    for artifact, path in paths.items():
+        RunManifest(
+            command=command, artifact=artifact, source=source, params=asdict(params),
+            durations=asdict(durations), outputs=outputs, wall_clock_s=wall_clock_s,
+            seed=seed, runs=runs, extra=extras[artifact],
+        ).write_for(path)
 
 
 def manifest_path(data_path: Path | str) -> Path:
@@ -71,7 +66,13 @@ def load_manifest(data_path: Path | str) -> dict:
     path = manifest_path(data_path)
     if not path.exists():
         raise FileNotFoundError(f"no manifest next to {data_path} (expected {path})")
-    return json.loads(path.read_text(encoding="utf-8"))
+    try:
+        payload = json.loads(path.read_text(encoding="utf-8"))
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{path}: not valid JSON ({exc})") from exc
+    if not isinstance(payload, dict) or not isinstance(payload.get("params", {}), dict):
+        raise ValueError(f"{path}: not a manifest object")
+    return payload
 
 
 def check_comparable(model_manifest: dict, sim_manifest: dict) -> list[str]:

@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-from scipy.stats import binom
 
 from .chains import run_chains
 from .distribution import TimeDistribution, UnsatisfiableQuantileError, merge_weighted
@@ -80,14 +79,29 @@ class DistributionCache:
         return self._pb[k]
 
 
-def auto_k_stride(n: int, p: float) -> int:
-    """Grid stride for subsampled mixtures: about two grid points per binomial
-    standard deviation, so the mixture stays smooth while large sweeps reuse a
-    shared lattice of population sizes."""
-    return max(1, round(math.sqrt(n * p * (1.0 - p)) / 2.0))
+def _binom_pmf(n: int, p: float) -> np.ndarray:
+    """Binomial(n, p) probabilities of k = 0..n, each correctly rounded.
+
+    ``p`` is a binary fraction num/den, so ``comb(n, k) num^k (den-num)^(n-k)``
+    over ``den^n`` is a ratio of integers; successive numerators differ by the
+    exact factor ``(n-k) num / ((k+1) (den-num))``.
+    """
+    num, den = p.as_integer_ratio()
+    rest = den - num
+    if rest == 0:
+        return (np.arange(n + 1) == n).astype(float)
+    total, term = den**n, rest**n
+    out = np.empty(n + 1)
+    for k in range(n + 1):
+        out[k] = term / total
+        term = term * (n - k) * num // ((k + 1) * rest)
+    return out
 
 
 def _stride_from_weights(k_values: np.ndarray, weights: np.ndarray) -> int:
+    """Grid stride for subsampled mixtures: about two grid points per standard
+    deviation of the weights, so the mixture stays smooth while large sweeps
+    reuse a shared lattice of population sizes."""
     total = float(np.sum(weights))
     mean = float(np.dot(weights, k_values)) / total
     var = float(np.dot(weights, (k_values - mean) ** 2)) / total
@@ -97,15 +111,14 @@ def _stride_from_weights(k_values: np.ndarray, weights: np.ndarray) -> int:
 def mixture_weights(spec: MixtureSpec) -> np.ndarray:
     """Weights over active counts k = 1..n_total; sums to 1."""
     n, p = spec.n_total, spec.p_active
-    k = np.arange(1, n + 1)
     if spec.conditioning is Conditioning.TAGGED_HAS_PACKET:
-        return binom.pmf(k - 1, n - 1, p)
+        return _binom_pmf(n - 1, p)
     if p == 0.0:
         raise ConfigurationError(
             "population-wide conditioning with p_active=0 has empty support"
         )
     norm = 1.0 - (1.0 - p) ** n
-    return binom.pmf(k, n, p) / norm
+    return _binom_pmf(n, p)[1:] / norm
 
 
 def _grid_points(ks: np.ndarray, stride: int) -> np.ndarray:
@@ -185,23 +198,20 @@ def mixture_pa(
 
 
 def mixture_pb(
-    n_stations: int,
-    p_active: float,
+    spec: MixtureSpec,
     params: ModelParams,
     durations: SlotDurations,
     *,
     cache: DistributionCache | None = None,
     k_stride: int | str = 1,
 ) -> TimeDistribution:
-    """All-actives completion-time distribution under a Binomial(n, p) active
-    count; zero active stations complete instantly (atom at duration 0)."""
-    if n_stations < 1:
-        raise ConfigurationError(f"n_stations must be >= 1, got {n_stations}")
-    if not 0.0 <= p_active <= 1.0:
-        raise ConfigurationError(f"p_active must lie in [0, 1], got {p_active}")
+    """All-actives completion-time distribution under a Binomial(n_total,
+    p_active) active count; zero active stations complete instantly (atom at
+    duration 0).  Every station of the group is counted, so
+    ``spec.conditioning`` plays no part."""
     cache = cache or DistributionCache(params, durations)
-    weights = binom.pmf(np.arange(0, n_stations + 1), n_stations, p_active)
-    k_values = np.arange(0, n_stations + 1)
+    weights = _binom_pmf(spec.n_total, spec.p_active)
+    k_values = np.arange(0, spec.n_total + 1)
 
     def component(k: int) -> TimeDistribution:
         if k == 0:
@@ -209,11 +219,6 @@ def mixture_pb(
         return cache.pb(k)
 
     return _mixture(weights, k_values, component, k_stride)
-
-
-def plan_slot_duration(dist: TimeDistribution, q: float) -> int:
-    """Minimal slot duration (microseconds) delivering with probability >= q."""
-    return dist.quantile(q)
 
 
 @dataclass(frozen=True)
@@ -282,18 +287,14 @@ def optimize_groups(
     def slot_for(size: int) -> int | None:
         nonlocal best_achievable
         if size not in slot_by_size:
-            if problem == "A":
-                dist = mixture_pa(
-                    MixtureSpec(size, spec.p_active, spec.conditioning),
-                    params,
-                    durations,
-                    cache=cache,
-                    k_stride=k_stride,
-                )
-            else:
-                dist = mixture_pb(
-                    size, spec.p_active, params, durations, cache=cache, k_stride=k_stride
-                )
+            mixture = mixture_pa if problem == "A" else mixture_pb
+            dist = mixture(
+                MixtureSpec(size, spec.p_active, spec.conditioning),
+                params,
+                durations,
+                cache=cache,
+                k_stride=k_stride,
+            )
             best_achievable = max(best_achievable, dist.total_mass)
             try:
                 slot_by_size[size] = dist.quantile(q)

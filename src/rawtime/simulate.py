@@ -8,9 +8,10 @@ virtual slot, matching the abstraction the analytical chains use -- this is
 the independent oracle for exactly the quantities they predict.
 
 Randomness comes from Philox (counter-based) streams keyed by
-``SeedSequence((seed, batch_index))`` over fixed-size run batches, so results
-are bit-identical for a given configuration and batches may be executed in
-any order or in parallel.
+``SeedSequence((seed, batch_index))`` over run batches whose size follows
+from the station count, so results are bit-identical for a given
+configuration and batches may be executed in any order or in parallel.
+Station 0 is the tagged station.
 """
 
 from __future__ import annotations
@@ -26,38 +27,24 @@ from .params import ConfigurationError, ModelParams, SlotDurations
 _BATCH_CELL_BUDGET = 2_000_000  # stations x runs per batch
 
 
-def _auto_batch_runs(n_stations: int) -> int:
+def _batch_runs(n_stations: int) -> int:
+    """Runs per batch; part of the random-stream layout, so changing it
+    changes the (still deterministic) sample."""
     return max(64, min(8192, _BATCH_CELL_BUDGET // n_stations))
 
 
 @dataclass(frozen=True)
 class SimConfig:
-    """One reproducible simulation campaign.
-
-    ``batch_runs=None`` derives the batch size from ``n_stations``; the batch
-    size is part of the random-stream layout, so changing it changes the
-    (still deterministic) sample.
-    """
+    """One reproducible simulation campaign."""
 
     params: ModelParams
     durations: SlotDurations
     runs: int
     seed: int
-    tagged_station_index: int = 0
-    batch_runs: int | None = None
 
     def __post_init__(self) -> None:
         if self.runs < 1:
             raise ConfigurationError(f"runs must be >= 1, got {self.runs}")
-        if not 0 <= self.tagged_station_index < self.params.n_stations:
-            raise ConfigurationError(
-                f"tagged_station_index {self.tagged_station_index} outside "
-                f"[0, {self.params.n_stations})"
-            )
-        if self.batch_runs is None:
-            object.__setattr__(self, "batch_runs", _auto_batch_runs(self.params.n_stations))
-        if self.batch_runs < 1:
-            raise ConfigurationError("batch_runs must be >= 1")
 
 
 @dataclass(eq=False)
@@ -75,20 +62,10 @@ class EmpiricalDistribution:
     runs: int
     failure_count: int
 
-    def total_count(self) -> int:
-        return sum(self.atoms.values())
-
     def to_time_distribution(self) -> TimeDistribution:
         return TimeDistribution.from_atoms(
             {d: c / self.runs for d, c in self.atoms.items()}
         )
-
-    def to_json_dict(self) -> dict:
-        dist = self.to_time_distribution()
-        payload = dist.to_json_dict()
-        payload["runs"] = self.runs
-        payload["failure_count"] = self.failure_count
-        return payload
 
 
 @dataclass
@@ -113,7 +90,6 @@ def _simulate_batch(config: SimConfig, batch_index: int, batch_runs: int) -> _Ba
     rl = params.retry_limit
     windows = np.asarray(params.contention_windows(), dtype=np.int64)
     te, ts, tc = durations.t_empty, durations.t_success, durations.t_collision
-    tagged = config.tagged_station_index
 
     seed = config.seed & 0xFFFFFFFFFFFFFFFF
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence((seed, batch_index))))
@@ -150,7 +126,7 @@ def _simulate_batch(config: SimConfig, batch_index: int, batch_runs: int) -> _Ba
             winner = np.argmax(tx[success], axis=1)
             alive[success, winner] = False
             last_success[success] = elapsed[success]
-            hit = success[winner == tagged]
+            hit = success[winner == 0]
             tagged_time[hit] = elapsed[hit]
 
         collision = ntx >= 2
@@ -160,7 +136,7 @@ def _simulate_batch(config: SimConfig, batch_index: int, batch_runs: int) -> _Ba
             dead = colliders & (retries >= rl)
             alive[dead] = False
             any_failed |= dead.any(axis=1)
-            tagged_failed |= dead[:, tagged]
+            tagged_failed |= dead[:, 0]
             redraw = colliders & (retries < rl)
             idx = np.nonzero(redraw)
             if idx[0].size:
@@ -210,7 +186,7 @@ def simulate(config: SimConfig) -> tuple[EmpiricalDistribution, EmpiricalDistrib
         for v, c in zip(values.tolist(), counts.tolist()):
             target[v] = target.get(v, 0) + c
 
-    for batch_index, batch_runs in _batches(config.runs, config.batch_runs):
+    for batch_index, batch_runs in _batches(config.runs, _batch_runs(config.params.n_stations)):
         outcome = _simulate_batch(config, batch_index, batch_runs)
         _merge(counts_a, outcome.tagged_times)
         _merge(counts_b, outcome.finish_times)

@@ -33,12 +33,6 @@ class TxProbTable:
     p_tx: np.ndarray
     t_extent: int
 
-    def tx_prob(self, t: int, r: int) -> float:
-        """Conditional transmission probability at slot ``t``, retry count ``r``."""
-        if not 0 <= t < self.t_extent:
-            raise IndexError(f"slot {t} outside materialized range [0, {self.t_extent})")
-        return float(self.p_tx[t, r])
-
     def p_tx_row(self, t: int) -> np.ndarray:
         if not 0 <= t < self.t_extent:
             raise IndexError(f"slot {t} outside materialized range [0, {self.t_extent})")

@@ -24,7 +24,6 @@ from rawtime import (
     mixture_pa,
     mixture_weights,
     optimize_groups,
-    plan_slot_duration,
     run_chains,
     simulate,
 )
@@ -170,7 +169,7 @@ def test_criterion_7_thousand_station_slot_exceeds_standard(ah_cache):
     with _Timer() as timer:
         mixture = mixture_pa(MixtureSpec(1000, 0.3), ah_cache.params,
                              ah_cache.durations, cache=ah_cache, k_stride="auto")
-        slot = plan_slot_duration(mixture, 0.9)
+        slot = mixture.quantile(0.9)
         compliant = slot <= MAX_RAW_SLOT_US
         ok = slot > MAX_RAW_SLOT_US and not compliant
     _report("7 (N=1000 slot exceeds standard maximum)", ok, timer, 600.0,

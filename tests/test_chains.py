@@ -12,10 +12,10 @@ from rawtime import (
     ah_params,
     build_tx_prob_table,
     run_chains,
-    state_time,
     step_process_a,
     step_process_b,
 )
+from rawtime.chains import _state_time
 from rawtime.layers import _cell_prob
 
 from reference import DenseChainReference
@@ -74,20 +74,24 @@ def harsh_params(n):
 
 class TestStateTime:
     def test_origin(self):
-        assert state_time(0, 0, 0, SMALL) == 0
+        assert _state_time(0, 0, 0, SMALL) == 0
 
     def test_reference_values(self):
-        assert state_time(1, 2, 5, SMALL) == 1 * 2184 + 2 * 2184 + 2 * 52 == 6656
+        assert _state_time(1, 2, 5, SMALL) == 1 * 2184 + 2 * 2184 + 2 * 52 == 6656
+        c, s = np.array([0, 1, 3]), np.array([0, 2, 1])
+        assert _state_time(c, s, 5, SMALL).tolist() == [5 * 52, 6656, 4 * 2184 + 52]
 
     def test_swapping_empty_for_busy_never_decreases(self):
         for c, s in [(0, 0), (1, 2), (3, 1)]:
-            base = state_time(c, s, 8, SMALL)
-            assert state_time(c + 1, s, 8, SMALL) >= base
-            assert state_time(c, s + 1, 8, SMALL) >= base
+            base = _state_time(c, s, 8, SMALL)
+            assert _state_time(c + 1, s, 8, SMALL) >= base
+            assert _state_time(c, s + 1, 8, SMALL) >= base
 
     def test_contract_violation(self):
         with pytest.raises(ValueError):
-            state_time(3, 3, 5, SMALL)
+            _state_time(3, 3, 5, SMALL)
+        with pytest.raises(ValueError):
+            _state_time(np.array([0, 3]), np.array([0, 3]), 5, SMALL)
 
 
 class TestCondTxProb:
@@ -177,7 +181,7 @@ class TestStepProcessA:
         table = build_tx_prob_table(params, 10)
         layer = layer_a(3, {(0, 6, 0): 1.0})
         nxt = step_process_a(layer, table, params)
-        q = table.tx_prob(3, 0)
+        q = float(table.p_tx[3, 0])
         assert success_records(nxt) == pytest.approx({(3, 0, 6): q}, abs=1e-15)
         assert mass_a(nxt) == pytest.approx({(0, 6, 0): 1.0 - q}, abs=1e-15)
 

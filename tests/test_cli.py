@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import rawtime
 from rawtime.cli import main
 from rawtime.distribution import load_distribution
 from rawtime.manifest import load_manifest
@@ -68,6 +73,8 @@ def test_compare_model_vs_simulation_single_station(tmp_path, capsys):
     payload = json.loads(report.read_text())
     assert payload["passed"]
     assert payload["kolmogorov_distance"] < 0.005
+    assert set(payload) == {"kolmogorov_distance", "max_atom_abs_difference", "tolerance",
+                            "passed", "atom_differences"}
 
 
 def test_compare_rejects_mismatched_population(tmp_path, capsys):
@@ -129,6 +136,8 @@ def test_groups_sweep_csv_schema(tmp_path):
     assert best["g"] >= 1
     totals = [int(line.split(",")[3]) for line in lines[1:]]
     assert best["total_reserved_us"] == min(totals)
+    extra = load_manifest(f"{out}.groups.csv")["extra"]
+    assert extra["conditioning"] == "tagged-has-packet"
 
 
 def test_unknown_command_is_usage_error(capsys):
@@ -199,12 +208,105 @@ def test_model_conservation_error_exit_code(tmp_path, capsys, monkeypatch):
     "duration_us,probability\n10,0.5\n20,0.0\n",
     "duration_us,probability\n10,0.5\n30,-0.1\n",
     "duration_us,probability\n10,0.9\n20,0.5\n",
+    '{"total_mass": 0.5}',
+    '{"atoms": 0.5}',
+    '{"atoms": [["10", 0.5]]}',
+    '{"atoms": {"10": null}}',
+    '[{"atoms": {"10": 0.5}}]',
+    '{"atoms": {"10": 0.5}',
 ])
 def test_compare_rejects_corrupt_distribution(tmp_path, capsys, body):
+    fmt = "json" if body[0] in "{[" else "csv"
+    assert main(["model", "--n", "1", "--paper-params", "--out", str(tmp_path / "m")]) == 0
+    assert main(["simulate", "--n", "1", "--paper-params", "--runs", "100", "--seed", "1",
+                 "--format", fmt, "--out", str(tmp_path / "s")]) == 0
+    (tmp_path / f"s.pa.{fmt}").write_text(body)
+    assert main(["compare", f"{tmp_path}/m.pa.csv", f"{tmp_path}/s.pa.{fmt}"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and len(err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize("body", [
+    '{"source": "simulation"',
+    '["simulation"]',
+    '{"source": "simulation", "params": 5}',
+])
+def test_compare_rejects_corrupt_manifest(tmp_path, capsys, body):
     assert main(["model", "--n", "1", "--paper-params", "--out", str(tmp_path / "m")]) == 0
     assert main(["simulate", "--n", "1", "--paper-params", "--runs", "100", "--seed", "1",
                  "--out", str(tmp_path / "s")]) == 0
-    (tmp_path / "s.pa.csv").write_text(body)
+    (tmp_path / "s.pa.csv.manifest.json").write_text(body)
     assert main(["compare", f"{tmp_path}/m.pa.csv", f"{tmp_path}/s.pa.csv"]) == 1
     err = capsys.readouterr().err
-    assert err.startswith("error: ") and "Traceback" not in err
+    assert err.startswith("error: ") and len(err.strip().splitlines()) == 1
+
+
+def test_cli_import_loads_no_scipy():
+    code = "import sys, rawtime.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    env = dict(os.environ, PYTHONPATH=str(Path(rawtime.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=60, check=True)
+    assert proc.stdout.strip() == "[]"
+
+
+_MANIFEST_KEYS = {"artifact", "command", "created_utc", "durations", "extra", "outputs",
+                  "params", "runs", "seed", "source", "version", "wall_clock_s"}
+_DIST_KEYS = {"atoms", "total_mass", "deficit"}
+_PLANNER_EXTRA = {"p_active", "q", "conditioning", "k_stride"}
+
+# command -> (argv, {output suffix: CSV header or top-level JSON keys},
+#             manifest extra keys); "{fmt}" is the --format value
+_SCHEMAS = {
+    "model": (
+        ["model", "--n", "2"],
+        {".pa.{fmt}": ("duration_us,probability", _DIST_KEYS | {"p_fail"}),
+         ".pb.{fmt}": ("duration_us,probability", _DIST_KEYS),
+         ".quantiles.{fmt}": ("distribution,q,duration_us", {"distribution", "q", "duration_us"})},
+        {"p_fail_a", "deficit_a", "deficit_b", "truncated", "t_stop",
+         "mass_error_a", "mass_error_b"},
+    ),
+    "simulate": (
+        ["simulate", "--n", "2", "--runs", "200", "--seed", "3"],
+        {".pa.{fmt}": ("duration_us,probability", _DIST_KEYS | {"runs", "failure_count"}),
+         ".pb.{fmt}": ("duration_us,probability", _DIST_KEYS | {"runs", "failure_count"})},
+        {"failure_count"},
+    ),
+    "plan": (
+        ["plan", "--n", "4", "--p", "0.5", "--q", "0.9"],
+        {".mixture.{fmt}": ("duration_us,probability", _DIST_KEYS),
+         ".cdf.csv": ("duration_us,cumulative_probability", None),
+         ".plan.json": (None, {"q", "slot_duration_us", "standard_compliant",
+                               "max_raw_slot_us", "total_mass", "deficit"})},
+        _PLANNER_EXTRA | {"total_mass"},
+    ),
+    "groups": (
+        ["groups", "--n", "6", "--p", "0.5", "--q", "0.9", "--g-min", "1", "--g-max", "2"],
+        {".groups.csv": ("g,group_size,slot_us,total_us,compliant", None),
+         ".best.json": (None, {"g", "group_sizes", "per_group_slot_us", "total_reserved_us",
+                               "standard_compliant", "q", "problem",
+                               "infeasible_group_counts"})},
+        _PLANNER_EXTRA | {"problem", "g_min", "g_max", "infeasible_group_counts"},
+    ),
+}
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("command", sorted(_SCHEMAS))
+def test_output_schema(tmp_path, command, fmt):
+    argv, outputs, extra_keys = _SCHEMAS[command]
+    out = tmp_path / "o"
+    assert main([*argv, "--paper-params", "--format", fmt, "--out", str(out)]) == 0
+    names = {"o" + suffix.format(fmt=fmt) for suffix in outputs}
+    assert {p.name for p in tmp_path.iterdir()} == names | {n + ".manifest.json" for n in names}
+    for suffix, (header, keys) in outputs.items():
+        path = tmp_path / ("o" + suffix.format(fmt=fmt))
+        if path.suffix == ".csv":
+            assert path.read_text().splitlines()[0] == header
+        else:  # the quantile table is a list of rows
+            payload = json.loads(path.read_text())
+            assert set(payload[0] if isinstance(payload, list) else payload) == keys
+        manifest = load_manifest(path)
+        assert set(manifest) == _MANIFEST_KEYS
+        assert set(manifest["extra"]) == extra_keys
+        assert manifest["command"] == command
+        assert set(manifest["outputs"]) == {str(tmp_path / n) for n in names}

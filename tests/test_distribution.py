@@ -11,12 +11,11 @@ from rawtime import (
     TimeDistribution,
     UnsatisfiableQuantileError,
     ah_params,
-    distribution_quantile,
-    dominant_peaks,
     kolmogorov_distance,
     load_distribution,
     merge_weighted,
     run_chains,
+    write_distribution,
 )
 
 UNIFORM16 = TimeDistribution.from_atoms({k * 52 + 2184: 1 / 16 for k in range(16)})
@@ -44,9 +43,6 @@ class TestQuantile:
         with pytest.raises(UnsatisfiableQuantileError) as err:
             dist.quantile(0.9)
         assert err.value.total_mass == pytest.approx(0.75)
-
-    def test_module_level_alias(self):
-        assert distribution_quantile(UNIFORM16, 0.5) == UNIFORM16.quantile(0.5)
 
     def test_against_large_simulation_tail_quantile(self):
         model = run_chains(ah_params(7), AH_SLOT_DURATIONS, compute_b=False).p_a
@@ -83,22 +79,22 @@ class TestBookkeeping:
 class TestSerialization:
     def test_csv_round_trip(self, tmp_path):
         path = tmp_path / "d.csv"
-        UNIFORM16.write_csv(path)
+        write_distribution(UNIFORM16, path)
         again = load_distribution(path)
         assert again.atoms == UNIFORM16.atoms
 
     def test_json_round_trip(self, tmp_path):
         path = tmp_path / "d.json"
-        UNIFORM16.write_json(path)
+        write_distribution(UNIFORM16, path, extra={"runs": 16})
         again = load_distribution(path)
         assert again.atoms == UNIFORM16.atoms
         payload = json.loads(path.read_text())
-        assert set(payload) == {"atoms", "total_mass", "deficit"}
+        assert list(payload) == ["atoms", "total_mass", "deficit", "runs"]
 
     def test_write_is_deterministic(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-        UNIFORM16.write_csv(a)
-        UNIFORM16.write_csv(b)
+        write_distribution(UNIFORM16, a)
+        write_distribution(UNIFORM16, b)
         assert a.read_bytes() == b.read_bytes()
 
     def test_bad_header_rejected(self, tmp_path):
@@ -121,16 +117,6 @@ class TestKolmogorov:
         a = TimeDistribution.from_atoms({1: 1.0})
         b = TimeDistribution.from_atoms({1: 0.9})
         assert kolmogorov_distance(a, b) == pytest.approx(0.1)
-
-
-class TestDominantPeaks:
-    def test_separation_respected(self):
-        dist = TimeDistribution.from_atoms({0: 0.5, 10: 0.4, 100: 0.1})
-        assert dominant_peaks(dist, 2, min_separation=50) == [0, 100]
-
-    def test_tie_breaks_toward_smaller_duration(self):
-        dist = TimeDistribution.from_atoms({100: 0.3, 200: 0.3, 300: 0.4})
-        assert dominant_peaks(dist, 2, min_separation=150) == [100, 300]
 
 
 class TestMergeWeighted:

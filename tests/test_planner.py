@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -11,15 +12,14 @@ from rawtime import (
     SimConfig,
     UnsatisfiableQuantileError,
     ah_params,
-    auto_k_stride,
     mixture_pa,
     mixture_pb,
     mixture_weights,
     optimize_groups,
-    plan_slot_duration,
     run_chains,
     simulate,
 )
+from rawtime.planner import _binom_pmf, _stride_from_weights
 
 PARAMS = ah_params(1)
 DUR = AH_SLOT_DURATIONS
@@ -46,6 +46,30 @@ class TestWeights:
     def test_p_zero_population_wide_is_empty_support(self):
         with pytest.raises(ConfigurationError):
             mixture_weights(MixtureSpec(5, 0.0, Conditioning.POPULATION_WIDE))
+
+    @pytest.mark.parametrize("n, p", [(7, 0.5), (40, 0.29), (120, 0.3), (1000, 0.3)])
+    def test_weights_match_exact_binomial(self, n, p):
+        def exact(m):
+            f = Fraction(p)
+            return [math.comb(m, k) * f**k * (1 - f) ** (m - k) for k in range(m + 1)]
+
+        def check(weights, expected):
+            expected = np.array([float(x) for x in expected])
+            big = expected >= 1e-10 * expected.max()
+            assert np.all(np.abs(weights[big] - expected[big]) <= 2e-13 * expected[big])
+
+        check(mixture_weights(MixtureSpec(n, p)), exact(n - 1))
+        norm = 1 - (1 - Fraction(p)) ** n
+        check(mixture_weights(MixtureSpec(n, p, Conditioning.POPULATION_WIDE)),
+              [x / norm for x in exact(n)[1:]])
+        check(_binom_pmf(n, p), exact(n))  # the weights of mixture_pb
+
+    def test_certain_activity_weights_exact(self):
+        assert _binom_pmf(4, 0.0).tolist() == [1.0, 0.0, 0.0, 0.0, 0.0]
+        assert _binom_pmf(4, 1.0).tolist() == [0.0, 0.0, 0.0, 0.0, 1.0]
+        for conditioning in Conditioning:
+            w = mixture_weights(MixtureSpec(4, 1.0, conditioning))
+            assert w.tolist() == [0.0, 0.0, 0.0, 1.0]
 
 
 class TestMixturePa:
@@ -85,40 +109,41 @@ class TestMixturePa:
             assert abs(coarse.quantile(q) - exact.quantile(q)) <= 2 * 2184
 
     def test_auto_stride_scales_with_spread(self):
-        assert auto_k_stride(10, 0.3) == 1
-        assert auto_k_stride(999, 0.3) == 7
+        for n, stride in [(10, 1), (1000, 7)]:
+            weights = mixture_weights(MixtureSpec(n, 0.3))
+            assert _stride_from_weights(np.arange(1, n + 1), weights) == stride
 
 
 class TestMixturePb:
     def test_no_active_stations_complete_instantly(self, ah_cache):
-        mix = mixture_pb(3, 0.0, PARAMS, DUR, cache=ah_cache)
+        mix = mixture_pb(MixtureSpec(3, 0.0), PARAMS, DUR, cache=ah_cache)
         assert mix.atoms == pytest.approx({0: 1.0})
 
     def test_all_active_matches_fixed_population(self, ah_cache):
-        mix = mixture_pb(3, 1.0, PARAMS, DUR, cache=ah_cache)
+        mix = mixture_pb(MixtureSpec(3, 1.0), PARAMS, DUR, cache=ah_cache)
         fixed = ah_cache.pb(3)
         assert mix.atoms == pytest.approx(fixed.atoms, abs=1e-15)
 
     def test_intermediate_mixes_in_instant_atom(self, ah_cache):
-        mix = mixture_pb(2, 0.5, PARAMS, DUR, cache=ah_cache)
+        mix = mixture_pb(MixtureSpec(2, 0.5), PARAMS, DUR, cache=ah_cache)
         assert mix.atoms[0] == pytest.approx(0.25, abs=1e-12)
 
 
 class TestPlanSlotDuration:
     def test_single_station_worst_case(self):
         dist = run_chains(ah_params(1), DUR).p_a
-        assert plan_slot_duration(dist, 1 - 1e-9) == 15 * 52 + 2184
+        assert dist.quantile(1 - 1e-9) == 15 * 52 + 2184
 
     def test_median_matches_simulation(self, ah_cache):
-        model_median = plan_slot_duration(ah_cache.pa(7), 0.5)
+        model_median = ah_cache.pa(7).quantile(0.5)
         emp = simulate(SimConfig(params=ah_params(7), durations=DUR, runs=10**5, seed=42))[0]
         sim_median = emp.to_time_distribution().quantile(0.5)
         assert abs(model_median - sim_median) <= 2184
 
     def test_unsatisfiable_reports_achievable(self, ah_cache):
-        dist = mixture_pb(2, 0.5, PARAMS, DUR, cache=ah_cache)
+        dist = mixture_pb(MixtureSpec(2, 0.5), PARAMS, DUR, cache=ah_cache)
         with pytest.raises(UnsatisfiableQuantileError) as err:
-            plan_slot_duration(dist, 1.0 - 1e-12)
+            dist.quantile(1.0 - 1e-12)
         assert err.value.total_mass < 1.0
 
 
@@ -126,7 +151,7 @@ class TestOptimizeGroups:
     def test_one_group_equals_ungrouped_plan(self, ah_cache):
         spec = MixtureSpec(12, 0.5)
         plans, _ = optimize_groups(spec, PARAMS, DUR, 0.9, (1, 4), "A", cache=ah_cache)
-        ungrouped = plan_slot_duration(mixture_pa(spec, PARAMS, DUR, cache=ah_cache), 0.9)
+        ungrouped = mixture_pa(spec, PARAMS, DUR, cache=ah_cache).quantile(0.9)
         assert plans[0].group_count == 1
         assert plans[0].per_group_slot == plans[0].total_reserved == ungrouped
 
@@ -145,7 +170,7 @@ class TestOptimizeGroups:
             MixtureSpec(n, 0.5), PARAMS, DUR, 0.9, (n, n), "A", cache=ah_cache
         )
         plan = plans[0]
-        single = plan_slot_duration(mixture_pa(MixtureSpec(1, 0.5), PARAMS, DUR, cache=ah_cache), 0.9)
+        single = mixture_pa(MixtureSpec(1, 0.5), PARAMS, DUR, cache=ah_cache).quantile(0.9)
         assert plan.per_group_slot == single
         assert plan.total_reserved == n * single
 

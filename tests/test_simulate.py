@@ -13,6 +13,7 @@ from rawtime import (
     ah_params,
     simulate,
 )
+from rawtime.simulate import _batch_runs
 
 from reference import enumerate_protocol
 
@@ -80,7 +81,7 @@ def test_matches_exhaustive_protocol_enumeration():
         assert abs(count - runs * prob) <= 5 * noise, (tau, prob, count)
     assert abs(emp_b.failure_count - runs * any_fail) <= 5 * fail_noise
     # runs in which every station failed contribute no completion atom
-    all_failed_runs = runs - emp_b.total_count()
+    all_failed_runs = runs - sum(emp_b.atoms.values())
     assert abs(all_failed_runs - runs * all_fail) <= 5 * math.sqrt(runs * all_fail)
 
 
@@ -88,8 +89,8 @@ def test_counts_conserve_runs():
     params = ModelParams(n_stations=3, cw_min=4, cw_max=4, retry_limit=2)
     cfg = SimConfig(params=params, durations=SMALL, runs=50_000, seed=5)
     emp_a, emp_b = simulate(cfg)
-    assert emp_a.total_count() + emp_a.failure_count == cfg.runs
-    assert emp_b.total_count() <= cfg.runs
+    assert sum(emp_a.atoms.values()) + emp_a.failure_count == cfg.runs
+    assert sum(emp_b.atoms.values()) <= cfg.runs
     assert emp_b.failure_count > 0  # harsh parameters do fail sometimes
 
 
@@ -109,17 +110,18 @@ def test_peak_comb_spacing_reference_setup():
 
 
 def test_batch_layout_is_part_of_config():
-    base = dict(params=ah_params(2), durations=AH_SLOT_DURATIONS, runs=10_000, seed=4)
-    auto = SimConfig(**base)
-    explicit = SimConfig(batch_runs=auto.batch_runs, **base)
-    assert simulate(auto)[0].atoms == simulate(explicit)[0].atoms
+    # the batch size follows from the station count, so one run more than a
+    # full batch replays that batch exactly and adds a single run
+    base = dict(params=ah_params(2), durations=AH_SLOT_DURATIONS, seed=4)
+    runs = _batch_runs(2)
+    short = simulate(SimConfig(runs=runs, **base))[0]
+    longer = simulate(SimConfig(runs=runs + 1, **base))[0]
+    added = {d: longer.atoms.get(d, 0) - short.atoms.get(d, 0)
+             for d in longer.atoms.keys() | short.atoms.keys()}
+    assert all(count >= 0 for count in added.values())
+    assert sum(added.values()) + longer.failure_count - short.failure_count == 1
 
 
 def test_invalid_config_rejected():
     with pytest.raises(ConfigurationError):
         SimConfig(params=ah_params(2), durations=AH_SLOT_DURATIONS, runs=0, seed=1)
-    with pytest.raises(ConfigurationError):
-        SimConfig(
-            params=ah_params(2), durations=AH_SLOT_DURATIONS, runs=10, seed=1,
-            tagged_station_index=2,
-        )

@@ -12,12 +12,12 @@ def test_first_slot_fresh_backoff():
     table = build_tx_prob_table(ah_params(7), 20)
     assert table.a[0, 0] == 1 / 16
     assert table.b[0, 0] == 1.0
-    assert table.tx_prob(0, 0) == 1 / 16
+    assert table.p_tx[0, 0] == 1 / 16
 
 
 def test_forced_transmission_at_window_end():
     table = build_tx_prob_table(ah_params(7), 20)
-    assert table.tx_prob(15, 0) == 1.0
+    assert table.p_tx[15, 0] == 1.0
 
 
 def test_initial_window_closed_form_is_exact():
