@@ -37,6 +37,7 @@ from .params import (
 from .planner import (
     MAX_RAW_SLOT_US,
     Conditioning,
+    DistributionCache,
     MixtureSpec,
     mixture_pa,
     optimize_groups,
@@ -306,8 +307,9 @@ def cmd_plan(params, durations, out, fmt, p_active, quantile, conditioning, k_st
     """Minimal RAW slot duration for a population with a random active count."""
     spec = MixtureSpec(n_total=params.n_stations, p_active=p_active,
                        conditioning=Conditioning(conditioning))
+    cache = DistributionCache(params, durations)
     started = time.perf_counter()
-    mixture = mixture_pa(spec, params, durations, k_stride=k_stride)
+    mixture = mixture_pa(spec, params, durations, cache=cache, k_stride=k_stride)
     elapsed = time.perf_counter() - started
 
     paths = {"pa_mixture": Path(f"{out}.mixture.{fmt}"), "pa_mixture_cdf": Path(f"{out}.cdf.csv")}
@@ -336,7 +338,7 @@ def cmd_plan(params, durations, out, fmt, p_active, quantile, conditioning, k_st
             "deficit": mixture.deficit,
         })
     extra = {"p_active": p_active, "q": quantile, "conditioning": conditioning,
-             "k_stride": str(k_stride), "total_mass": mixture.total_mass}
+             "k_stride": str(k_stride), "total_mass": mixture.total_mass, **cache.counters()}
     write_manifests("plan", "planner", paths, dict.fromkeys(paths, extra),
                     params, durations, elapsed)
     if slot is None:
@@ -360,10 +362,11 @@ def cmd_groups(params, durations, out, fmt, p_active, quantile, conditioning, k_
     """Sweep group counts and report the one minimizing total reserved time."""
     spec = MixtureSpec(n_total=params.n_stations, p_active=p_active,
                        conditioning=Conditioning(conditioning))
+    cache = DistributionCache(params, durations)
     started = time.perf_counter()
     try:
-        plans, best = optimize_groups(spec, params, durations, quantile,
-                                      (g_min, g_max), problem, k_stride=k_stride)
+        plans, best = optimize_groups(spec, params, durations, quantile, (g_min, g_max),
+                                      problem, cache=cache, k_stride=k_stride)
     except UnsatisfiableQuantileError as exc:
         click.echo(
             f"error: q={quantile} unsatisfiable for every group count; best "
@@ -395,7 +398,7 @@ def cmd_groups(params, durations, out, fmt, p_active, quantile, conditioning, k_
     })
     extra = {"p_active": p_active, "q": quantile, "conditioning": conditioning,
              "problem": problem, "g_min": g_min, "g_max": g_max, "k_stride": str(k_stride),
-             "infeasible_group_counts": infeasible}
+             "infeasible_group_counts": infeasible, **cache.counters()}
     write_manifests("groups", "planner", paths, dict.fromkeys(paths, extra),
                     params, durations, elapsed)
     click.echo(

@@ -63,7 +63,8 @@ class _Layer:
 
 @dataclass(eq=False)
 class StateLayerA(_Layer):
-    """Tagged-station layer ``p[r, c - c0, s - s0]``; ``new_success_*``: last step's absorptions."""
+    """Tagged-station layer ``p[r, c - c0, s - s0]``; ``new_success_*``: last step's absorptions;
+    ``cell_prob``: the cell mixture over the box, set when process A steps from this layer."""
 
     _ndim = 3
     new_success_c: np.ndarray = field(default_factory=lambda: _EMPTY_I)
@@ -73,6 +74,7 @@ class StateLayerA(_Layer):
     absorbed_failure: float = 0.0
     _succ_comp: float = 0.0
     _fail_comp: float = 0.0
+    cell_prob: np.ndarray | None = field(default=None, init=False, repr=False)
 
 
 @dataclass(eq=False)
@@ -133,7 +135,8 @@ def step_process_a(layer: StateLayerA, table: TxProbTable, params: ModelParams) 
     q = table.p_tx_row(layer.t)[:n_r, None, None]
     silent_m, tx_m = m * (1.0 - q), m * q
     peers = params.n_stations - 1 - (layer.s0 + np.arange(n_s))
-    pi_empty, pi_peer_succ, pi_peer_coll = _slot_probs(_cell_prob(m, tx_m), peers)
+    layer.cell_prob = _cell_prob(m, tx_m)  # process B's step at the same t slices it
+    pi_empty, pi_peer_succ, pi_peer_coll = _slot_probs(layer.cell_prob, peers)
     coll_tagged = tx_m * (1.0 - pi_empty)
     r_out = min(n_r + 1, rl)
     out = np.zeros((r_out, n_c + 1, n_s + 1))
@@ -179,8 +182,10 @@ def step_process_b(
     w = min(layer.s0 + n_s, layer_a.s0 + a.shape[2]) - s_lo
     if h > 0 and w > 0:
         ia, ja, i, j = c_lo - layer_a.c0, s_lo - layer_a.s0, c_lo - layer.c0, s_lo - layer.s0
-        a, sub = a[:, ia : ia + h, ja : ja + w], m[i : i + h, j : j + w]
-        peer_prob = _cell_prob(a, a * table.p_tx_row(layer_a.t)[: a.shape[0], None, None])
+        cell = layer_a.cell_prob
+        if cell is None:  # process A has not stepped from this layer yet
+            cell = _cell_prob(a, a * table.p_tx_row(layer_a.t)[: a.shape[0], None, None])
+        peer_prob, sub = cell[ia : ia + h, ja : ja + w], m[i : i + h, j : j + w]
         pi_empty, pi_succ, pi_coll = _slot_probs(peer_prob, n - np.arange(s_lo, s_lo + w))
         succ = sub * pi_succ
         if s_lo + w == n:  # successes from s == N - 1 absorb

@@ -10,8 +10,11 @@ minimize total reserved channel time.
 from __future__ import annotations
 
 import math
+import os
+import time
 from dataclasses import dataclass
 from enum import Enum
+from itertools import repeat
 
 import numpy as np
 
@@ -53,29 +56,89 @@ class MixtureSpec:
         object.__setattr__(self, "conditioning", Conditioning(self.conditioning))
 
 
+def _usable_cpus() -> int:
+    """CPUs this process may run on: its affinity mask where the platform has one."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _chain_run(params: ModelParams, durations: SlotDurations, compute_b: bool):
+    """One cold chain run: (P_A, P_B or None, seconds the run took where it ran).
+
+    Module-level so a process pool can send it by name; it looks up
+    ``run_chains`` in this module at call time.
+    """
+    started = time.perf_counter()
+    result = run_chains(params, durations, compute_b=compute_b)
+    return result.p_a, result.p_b, time.perf_counter() - started
+
+
 class DistributionCache:
     """Memoizes per-population chain runs across planner sweeps.
 
     ``params.n_stations`` is ignored; the population comes from the lookup key.
+    ``chain_runs`` counts cold runs, ``cache_hits`` the ``pa``/``pb`` lookups
+    served without one and ``chain_run_s`` sums the runs' own durations.
     """
 
     def __init__(self, params: ModelParams, durations: SlotDurations):
         self.params = params
         self.durations = durations
         self._pa: dict[int, TimeDistribution] = {}
-        self._pb: dict[int, TimeDistribution] = {}
+        # zero active stations complete instantly
+        self._pb: dict[int, TimeDistribution] = {0: TimeDistribution.from_atoms({0: 1.0})}
+        self.chain_runs = 0
+        self.cache_hits = 0
+        self.chain_run_s = 0.0
+
+    def counters(self) -> dict:
+        return {"chain_runs": self.chain_runs, "cache_hits": self.cache_hits,
+                "chain_run_s": self.chain_run_s}
+
+    def fill(self, ks, compute_b: bool) -> None:
+        """Run every population in ``ks`` that ``pa`` (or ``pb`` when
+        ``compute_b``) would miss, in one batch.
+
+        The runs are independent, so with more than one usable CPU they go to
+        a process pool of at most one worker per CPU, largest population (the
+        longest run) first.  Results are stored exactly as serial lookups
+        would store them.
+        """
+        have = self._pb if compute_b else self._pa
+        missing = sorted({int(k) for k in ks} - have.keys(), reverse=True)
+        jobs = (map(self.params.with_stations, missing), repeat(self.durations),
+                repeat(compute_b))
+        workers = min(_usable_cpus(), len(missing))
+        if workers > 1:
+            from concurrent.futures import ProcessPoolExecutor
+            from multiprocessing import get_context
+
+            with ProcessPoolExecutor(workers, mp_context=get_context("spawn")) as pool:
+                results = list(pool.map(_chain_run, *jobs))
+        else:
+            results = list(map(_chain_run, *jobs))
+        for k, (p_a, p_b, seconds) in zip(missing, results):
+            if compute_b:
+                self._pa.setdefault(k, p_a)
+                self._pb[k] = p_b
+            else:
+                self._pa[k] = p_a
+            self.chain_runs += 1
+            self.chain_run_s += seconds
 
     def pa(self, k: int) -> TimeDistribution:
-        if k not in self._pa:
-            result = run_chains(self.params.with_stations(k), self.durations, compute_b=False)
-            self._pa[k] = result.p_a
+        if k in self._pa:
+            self.cache_hits += 1
+        else:
+            self.fill([k], compute_b=False)
         return self._pa[k]
 
     def pb(self, k: int) -> TimeDistribution:
-        if k not in self._pb:
-            result = run_chains(self.params.with_stations(k), self.durations)
-            self._pa.setdefault(k, result.p_a)
-            self._pb[k] = result.p_b
+        if k in self._pb:
+            self.cache_hits += 1
+        else:
+            self.fill([k], compute_b=True)
         return self._pb[k]
 
 
@@ -149,18 +212,17 @@ def _subsample_weights(ks: np.ndarray, weights: np.ndarray, stride: int) -> tupl
     return grid, out
 
 
-def _mixture(
-    weights: np.ndarray,
-    k_values: np.ndarray,
-    component,  # k -> TimeDistribution
-    k_stride: int | str,
-) -> TimeDistribution:
+def _lattice(
+    weights: np.ndarray, k_values: np.ndarray, k_stride: int | str
+) -> tuple[np.ndarray, np.ndarray]:
+    """Populations a mixture evaluates and their weights: positive weights,
+    negligible binomial tails trimmed (the trimmed weight lands in the
+    deficit), then subsampled onto the stride's lattice."""
     keep = weights > 0.0
     k_values, weights = k_values[keep], weights[keep]
     if k_values.size == 0:
         raise ConfigurationError("mixture has no components with positive weight")
 
-    # Trim negligible binomial tails; the trimmed weight lands in the deficit.
     cum = np.cumsum(weights)
     lo = int(np.searchsorted(cum, _WEIGHT_TAIL))
     hi = int(np.searchsorted(cum, cum[-1] - _WEIGHT_TAIL, side="right"))
@@ -169,10 +231,35 @@ def _mixture(
     stride = _stride_from_weights(k_values, weights) if k_stride == "auto" else int(k_stride)
     if stride > 1 and k_values.size > 2:
         k_values, weights = _subsample_weights(k_values, weights, stride)
+    return k_values, weights
 
-    return merge_weighted(
-        (float(w), component(int(k))) for k, w in zip(k_values, weights)
-    )
+
+def _spec_lattice(
+    spec: MixtureSpec, problem_b: bool, k_stride: int | str
+) -> tuple[np.ndarray, np.ndarray]:
+    """The lattice of P_A's mixture over k = 1..n_total, or of P_B's
+    Binomial(n_total, p_active) mixture over k = 0..n_total."""
+    if problem_b:
+        weights, k0 = _binom_pmf(spec.n_total, spec.p_active), 0
+    else:
+        weights, k0 = mixture_weights(spec), 1
+    return _lattice(weights, np.arange(k0, spec.n_total + 1), k_stride)
+
+
+def _merge(
+    lattice: tuple[np.ndarray, np.ndarray], cache: DistributionCache, problem_b: bool
+) -> TimeDistribution:
+    """The mixture over a lattice whose populations are all in ``cache``."""
+    component = cache.pb if problem_b else cache.pa
+    return merge_weighted((float(w), component(int(k))) for k, w in zip(*lattice))
+
+
+def _mixture(
+    spec: MixtureSpec, cache: DistributionCache, k_stride: int | str, problem_b: bool
+) -> TimeDistribution:
+    lattice = _spec_lattice(spec, problem_b, k_stride)
+    cache.fill(lattice[0], compute_b=problem_b)
+    return _merge(lattice, cache, problem_b)
 
 
 def mixture_pa(
@@ -191,10 +278,7 @@ def mixture_pa(
     multiples of the stride so sweeps share runs.  ``params.n_stations`` is
     overridden by each component's population.
     """
-    cache = cache or DistributionCache(params, durations)
-    weights = mixture_weights(spec)
-    k_values = np.arange(1, spec.n_total + 1)
-    return _mixture(weights, k_values, cache.pa, k_stride)
+    return _mixture(spec, cache or DistributionCache(params, durations), k_stride, False)
 
 
 def mixture_pb(
@@ -209,16 +293,7 @@ def mixture_pb(
     p_active) active count; zero active stations complete instantly (atom at
     duration 0).  Every station of the group is counted, so
     ``spec.conditioning`` plays no part."""
-    cache = cache or DistributionCache(params, durations)
-    weights = _binom_pmf(spec.n_total, spec.p_active)
-    k_values = np.arange(0, spec.n_total + 1)
-
-    def component(k: int) -> TimeDistribution:
-        if k == 0:
-            return TimeDistribution.from_atoms({0: 1.0})
-        return cache.pb(k)
-
-    return _mixture(weights, k_values, component, k_stride)
+    return _mixture(spec, cache or DistributionCache(params, durations), k_stride, True)
 
 
 @dataclass(frozen=True)
@@ -280,37 +355,36 @@ def optimize_groups(
             f"group range [{g_min}, {g_max}] must lie within [1, {spec.n_total}]"
         )
     cache = cache or DistributionCache(params, durations)
+    problem_b = problem == "B"
+
+    # Every population any group size needs, run in one batch before the sweep.
+    sizes = {size for g in range(g_min, g_max + 1) for size in _even_split(spec.n_total, g)}
+    lattices = {
+        size: _spec_lattice(MixtureSpec(size, spec.p_active, spec.conditioning),
+                            problem_b, k_stride)
+        for size in sorted(sizes)
+    }
+    cache.fill(np.concatenate([ks for ks, _ in lattices.values()]), compute_b=problem_b)
 
     slot_by_size: dict[int, int | None] = {}
     best_achievable = 0.0
-
-    def slot_for(size: int) -> int | None:
-        nonlocal best_achievable
-        if size not in slot_by_size:
-            mixture = mixture_pa if problem == "A" else mixture_pb
-            dist = mixture(
-                MixtureSpec(size, spec.p_active, spec.conditioning),
-                params,
-                durations,
-                cache=cache,
-                k_stride=k_stride,
-            )
-            best_achievable = max(best_achievable, dist.total_mass)
-            try:
-                slot_by_size[size] = dist.quantile(q)
-            except UnsatisfiableQuantileError:
-                slot_by_size[size] = None
-        return slot_by_size[size]
+    for size, lattice in lattices.items():
+        dist = _merge(lattice, cache, problem_b)
+        best_achievable = max(best_achievable, dist.total_mass)
+        try:
+            slot_by_size[size] = dist.quantile(q)
+        except UnsatisfiableQuantileError:
+            slot_by_size[size] = None
 
     plans: list[GroupPlan] = []
     for g in range(g_min, g_max + 1):
         sizes = _even_split(spec.n_total, g)
-        per_size = {size: slot_for(size) for size in set(sizes)}
-        if any(slot is None for slot in per_size.values()):
+        slots = [slot_by_size[size] for size in sizes]
+        if None in slots:
             plans.append(GroupPlan.infeasible(g, sizes, q))
             continue
-        total = sum(per_size[size] for size in sizes)
-        largest = per_size[sizes[0]]
+        total = sum(slots)
+        largest = slots[0]
         plans.append(
             GroupPlan(
                 group_count=g,

@@ -242,7 +242,9 @@ def test_compare_rejects_corrupt_manifest(tmp_path, capsys, body):
 
 
 def test_cli_import_loads_no_scipy():
-    code = "import sys, rawtime.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    # neither scipy nor the planner's process pool may load at import time
+    code = ("import sys, rawtime.cli; print(sorted(m for m in sys.modules if m.split('.')[0] "
+            "in ('scipy', 'multiprocessing') or m == 'concurrent.futures.process'))")
     env = dict(os.environ, PYTHONPATH=str(Path(rawtime.__file__).parents[1]))
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                           text=True, timeout=60, check=True)
@@ -252,7 +254,8 @@ def test_cli_import_loads_no_scipy():
 _MANIFEST_KEYS = {"artifact", "command", "created_utc", "durations", "extra", "outputs",
                   "params", "runs", "seed", "source", "version", "wall_clock_s"}
 _DIST_KEYS = {"atoms", "total_mass", "deficit"}
-_PLANNER_EXTRA = {"p_active", "q", "conditioning", "k_stride"}
+_PLANNER_EXTRA = {"p_active", "q", "conditioning", "k_stride", "chain_runs", "cache_hits",
+                  "chain_run_s"}
 
 # command -> (argv, {output suffix: CSV header or top-level JSON keys},
 #             manifest extra keys); "{fmt}" is the --format value

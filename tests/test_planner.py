@@ -1,5 +1,7 @@
+import concurrent.futures
 import math
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -8,8 +10,11 @@ from rawtime import (
     AH_SLOT_DURATIONS,
     ConfigurationError,
     Conditioning,
+    DistributionCache,
     MixtureSpec,
+    ModelParams,
     SimConfig,
+    SlotDurations,
     UnsatisfiableQuantileError,
     ah_params,
     mixture_pa,
@@ -19,6 +24,7 @@ from rawtime import (
     run_chains,
     simulate,
 )
+from rawtime import planner
 from rawtime.planner import _binom_pmf, _stride_from_weights
 
 PARAMS = ah_params(1)
@@ -218,6 +224,75 @@ class TestOptimizeGroups:
         )
         for plan in plans:
             assert plan.standard_compliant == (plan.per_group_slot <= 246_140)
+
+
+# Small enough that a whole batch of cold runs takes well under a second.
+SMALL = ModelParams(n_stations=1, cw_min=4, cw_max=8, retry_limit=3)
+SMALL_DUR = SlotDurations(t_empty=1, t_success=5, t_collision=4)
+SMALL_SPEC = MixtureSpec(12, 0.4)
+
+
+def _assert_same_bits(dist, expected):
+    assert np.array_equal(dist.durations, expected.durations)
+    assert np.array_equal(dist.probabilities, expected.probabilities)
+
+
+class TestBatchedRuns:
+    def test_mixture_pa_components_equal_direct_runs(self):
+        cache = DistributionCache(SMALL, SMALL_DUR)
+        mixture_pa(SMALL_SPEC, SMALL, SMALL_DUR, cache=cache)
+        assert cache.chain_runs == 12
+        for k in range(1, 13):
+            direct = run_chains(SMALL.with_stations(k), SMALL_DUR, compute_b=False)
+            _assert_same_bits(cache.pa(k), direct.p_a)
+
+    def test_problem_b_sweep_components_equal_direct_runs(self):
+        cache = DistributionCache(SMALL, SMALL_DUR)
+        optimize_groups(SMALL_SPEC, SMALL, SMALL_DUR, 0.9, (1, 6), "B", cache=cache)
+        assert cache.chain_runs == 12
+        for k in range(1, 13):
+            direct = run_chains(SMALL.with_stations(k), SMALL_DUR)
+            _assert_same_bits(cache.pb(k), direct.p_b)
+            _assert_same_bits(cache.pa(k), direct.p_a)
+        assert cache.chain_runs == 12
+
+    def test_filled_sweep_makes_no_further_runs(self, monkeypatch):
+        cache = DistributionCache(SMALL, SMALL_DUR)
+        runs_after_fill = []
+        fill = cache.fill
+
+        def recording_fill(ks, compute_b):
+            fill(ks, compute_b)
+            runs_after_fill.append(cache.chain_runs)
+
+        monkeypatch.setattr(cache, "fill", recording_fill)
+        first = optimize_groups(SMALL_SPEC, SMALL, SMALL_DUR, 0.9, (1, 6), "A", cache=cache)
+        assert runs_after_fill == [12]
+        assert cache.chain_runs == 12 and cache.cache_hits > 0
+        assert cache.chain_run_s > 0.0
+        again = optimize_groups(SMALL_SPEC, SMALL, SMALL_DUR, 0.9, (1, 6), "A", cache=cache)
+        assert again == first and cache.chain_runs == 12
+
+    def test_one_usable_cpu_runs_serially_with_same_bits(self, monkeypatch):
+        pooled = DistributionCache(SMALL, SMALL_DUR)
+        expected = mixture_pa(SMALL_SPEC, SMALL, SMALL_DUR, cache=pooled)
+
+        def no_executor(*args, **kwargs):
+            raise AssertionError("a process pool was built")
+
+        monkeypatch.setattr(planner, "_usable_cpus", lambda: 1)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_executor)
+        serial = DistributionCache(SMALL, SMALL_DUR)
+        _assert_same_bits(mixture_pa(SMALL_SPEC, SMALL, SMALL_DUR, cache=serial), expected)
+        for k in range(1, 13):
+            _assert_same_bits(serial.pa(k), pooled.pa(k))
+        assert serial.chain_runs == pooled.chain_runs == 12
+
+    def test_worker_exception_reaches_caller(self):
+        cache = DistributionCache(SMALL, SimpleNamespace())  # no slot durations
+        with pytest.raises(AttributeError, match="has no attribute"):
+            cache.fill([1, 2, 3], compute_b=False)
+        assert cache.chain_runs == 0
 
 
 def test_group_optimum_cross_checked_by_simulation(ah_cache):
