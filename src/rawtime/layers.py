@@ -64,7 +64,7 @@ class _Layer:
 @dataclass(eq=False)
 class StateLayerA(_Layer):
     """Tagged-station layer ``p[r, c - c0, s - s0]``; ``new_success_*``: last step's absorptions;
-    ``cell_prob``: the cell mixture over the box, set when process A steps from this layer."""
+    ``cell_prob``: the layer's cell mixture once ``_cell_prob`` has computed it."""
 
     _ndim = 3
     new_success_c: np.ndarray = field(default_factory=lambda: _EMPTY_I)
@@ -88,11 +88,18 @@ class StateLayerB(_Layer):
     _abs_comp: float = 0.0
 
 
-def _cell_prob(p: np.ndarray, pq: np.ndarray) -> np.ndarray:
-    """Per-cell retry-count mixture ``sum_r p q_r / sum_r p`` (0 on empty cells)."""
-    den = reduce(np.add, p)  # row by row: ``p.sum(0)`` may sum pairwise
-    prob = np.divide(reduce(np.add, pq), den, out=np.zeros_like(den), where=den > 0.0)
-    return np.clip(prob, 0.0, 1.0, out=prob)
+def _cell_prob(layer: StateLayerA, table: TxProbTable, pq: np.ndarray | None = None) -> np.ndarray:
+    """Per-cell retry-count mixture ``sum_r p q_r / sum_r p`` of a process-A layer
+    (0 on empty cells); both processes step from it, so it is kept on the layer.
+    ``pq``: the product ``p q_r`` where the caller has it already."""
+    if layer.cell_prob is None:
+        p = layer.p
+        if pq is None:
+            pq = p * table.p_tx_row(layer.t)[: p.shape[0], None, None]
+        den = reduce(np.add, p)  # row by row: ``p.sum(0)`` may sum pairwise
+        prob = np.divide(reduce(np.add, pq), den, out=np.zeros_like(den), where=den > 0.0)
+        layer.cell_prob = np.clip(prob, 0.0, 1.0, out=prob)
+    return layer.cell_prob
 
 
 def _slot_probs(prob: np.ndarray, k: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -135,8 +142,7 @@ def step_process_a(layer: StateLayerA, table: TxProbTable, params: ModelParams) 
     q = table.p_tx_row(layer.t)[:n_r, None, None]
     silent_m, tx_m = m * (1.0 - q), m * q
     peers = params.n_stations - 1 - (layer.s0 + np.arange(n_s))
-    layer.cell_prob = _cell_prob(m, tx_m)  # process B's step at the same t slices it
-    pi_empty, pi_peer_succ, pi_peer_coll = _slot_probs(layer.cell_prob, peers)
+    pi_empty, pi_peer_succ, pi_peer_coll = _slot_probs(_cell_prob(layer, table, tx_m), peers)
     coll_tagged = tx_m * (1.0 - pi_empty)
     r_out = min(n_r + 1, rl)
     out = np.zeros((r_out, n_c + 1, n_s + 1))
@@ -182,10 +188,8 @@ def step_process_b(
     w = min(layer.s0 + n_s, layer_a.s0 + a.shape[2]) - s_lo
     if h > 0 and w > 0:
         ia, ja, i, j = c_lo - layer_a.c0, s_lo - layer_a.s0, c_lo - layer.c0, s_lo - layer.s0
-        cell = layer_a.cell_prob
-        if cell is None:  # process A has not stepped from this layer yet
-            cell = _cell_prob(a, a * table.p_tx_row(layer_a.t)[: a.shape[0], None, None])
-        peer_prob, sub = cell[ia : ia + h, ja : ja + w], m[i : i + h, j : j + w]
+        peer_prob = _cell_prob(layer_a, table)[ia : ia + h, ja : ja + w]
+        sub = m[i : i + h, j : j + w]
         pi_empty, pi_succ, pi_coll = _slot_probs(peer_prob, n - np.arange(s_lo, s_lo + w))
         succ = sub * pi_succ
         if s_lo + w == n:  # successes from s == N - 1 absorb

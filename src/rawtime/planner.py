@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 import os
+import sys
 import time
 from dataclasses import dataclass
 from enum import Enum
@@ -63,6 +64,25 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
+def _fork_context():
+    """The ``fork`` start method where it is safe, else None (run serially).
+
+    Forked workers inherit the loaded modules, so a pool starts in
+    milliseconds and never re-runs the caller's main script, as ``spawn`` and
+    ``forkserver`` children do; a script without an ``if __name__ ==
+    "__main__":`` guard therefore works.  ``fork`` is not safe on macOS, and
+    not in a caller running threads of its own, which might hold a lock the
+    child then waits on for ever.
+    """
+    import multiprocessing
+    import threading
+
+    if (sys.platform == "darwin" or threading.active_count() > 1
+            or "fork" not in multiprocessing.get_all_start_methods()):
+        return None
+    return multiprocessing.get_context("fork")
+
+
 def _chain_run(params: ModelParams, durations: SlotDurations, compute_b: bool):
     """One cold chain run: (P_A, P_B or None, seconds the run took where it ran).
 
@@ -100,21 +120,21 @@ class DistributionCache:
         """Run every population in ``ks`` that ``pa`` (or ``pb`` when
         ``compute_b``) would miss, in one batch.
 
-        The runs are independent, so with more than one usable CPU they go to
-        a process pool of at most one worker per CPU, largest population (the
-        longest run) first.  Results are stored exactly as serial lookups
-        would store them.
+        The runs are independent, so with more than one usable CPU and a
+        forking platform they go to a process pool of at most one worker per
+        CPU, largest population (the longest run) first.  Results are stored
+        exactly as serial lookups would store them.
         """
         have = self._pb if compute_b else self._pa
         missing = sorted({int(k) for k in ks} - have.keys(), reverse=True)
         jobs = (map(self.params.with_stations, missing), repeat(self.durations),
                 repeat(compute_b))
         workers = min(_usable_cpus(), len(missing))
-        if workers > 1:
+        context = _fork_context() if workers > 1 else None
+        if context is not None:
             from concurrent.futures import ProcessPoolExecutor
-            from multiprocessing import get_context
 
-            with ProcessPoolExecutor(workers, mp_context=get_context("spawn")) as pool:
+            with ProcessPoolExecutor(workers, mp_context=context) as pool:
                 results = list(pool.map(_chain_run, *jobs))
         else:
             results = list(map(_chain_run, *jobs))

@@ -60,8 +60,7 @@ def absorbed_records(layer):
 def cond_tx(layer, table, c, s):
     """Transmission probability the layer's (c, s) cell mixture gives a
     contending station; 0 outside the layer's box."""
-    p = layer.p
-    prob = _cell_prob(p, p * table.p_tx_row(layer.t)[: p.shape[0], None, None])
+    prob = _cell_prob(layer, table)
     i, j = c - layer.c0, s - layer.s0
     inside = 0 <= i < prob.shape[0] and 0 <= j < prob.shape[1]
     return float(prob[i, j]) if inside else 0.0

@@ -165,6 +165,8 @@ def test_planner_input_rejected_before_chain_runs(
     tmp_path, capsys, monkeypatch, command, flag, value, named
 ):
     monkeypatch.setattr("rawtime.planner.run_chains", _fail_if_called)
+    # pool workers of a batch may not see the patch above; the batch entry does
+    monkeypatch.setattr("rawtime.planner.DistributionCache.fill", _fail_if_called)
     args = {"--n": "4", "--p": "0.5", "--q": "0.9", flag: value}
     argv = [command, "--paper-params", "--out", str(tmp_path / "x")]
     if command == "groups":

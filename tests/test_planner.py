@@ -1,6 +1,11 @@
 import concurrent.futures
 import math
+import os
+import subprocess
+import sys
+import threading
 from fractions import Fraction
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -273,20 +278,54 @@ class TestBatchedRuns:
         again = optimize_groups(SMALL_SPEC, SMALL, SMALL_DUR, 0.9, (1, 6), "A", cache=cache)
         assert again == first and cache.chain_runs == 12
 
-    def test_one_usable_cpu_runs_serially_with_same_bits(self, monkeypatch):
+    @pytest.mark.parametrize("serial_because", ["one usable CPU", "macOS", "caller thread"])
+    def test_runs_serially_with_same_bits(self, monkeypatch, serial_because):
         pooled = DistributionCache(SMALL, SMALL_DUR)
         expected = mixture_pa(SMALL_SPEC, SMALL, SMALL_DUR, cache=pooled)
 
         def no_executor(*args, **kwargs):
             raise AssertionError("a process pool was built")
 
-        monkeypatch.setattr(planner, "_usable_cpus", lambda: 1)
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_executor)
+        if serial_because == "one usable CPU":
+            monkeypatch.setattr(planner, "_usable_cpus", lambda: 1)
+        else:
+            monkeypatch.setattr(planner, "_usable_cpus", lambda: 2)
+        if serial_because == "macOS":
+            monkeypatch.setattr(sys, "platform", "darwin")
+        stop = threading.Event()
+        if serial_because == "caller thread":
+            threading.Thread(target=stop.wait, daemon=True).start()
         serial = DistributionCache(SMALL, SMALL_DUR)
-        _assert_same_bits(mixture_pa(SMALL_SPEC, SMALL, SMALL_DUR, cache=serial), expected)
+        try:
+            _assert_same_bits(mixture_pa(SMALL_SPEC, SMALL, SMALL_DUR, cache=serial), expected)
+        finally:
+            stop.set()
         for k in range(1, 13):
             _assert_same_bits(serial.pa(k), pooled.pa(k))
         assert serial.chain_runs == pooled.chain_runs == 12
+
+    def test_library_call_from_unguarded_script(self, tmp_path):
+        # a script without an ``if __name__ == "__main__":`` guard, like the
+        # README's planning example; workers must not run it again
+        script = tmp_path / "plan_script.py"
+        script.write_text(
+            "from rawtime import DistributionCache, MixtureSpec, ModelParams, SlotDurations\n"
+            "from rawtime import mixture_pa, optimize_groups\n"
+            "params = ModelParams(n_stations=1, cw_min=4, cw_max=8, retry_limit=3)\n"
+            "dur = SlotDurations(t_empty=1, t_success=5, t_collision=4)\n"
+            "cache = DistributionCache(params, dur)\n"
+            "spec = MixtureSpec(12, 0.4)\n"
+            "slot = mixture_pa(spec, params, dur, cache=cache).quantile(0.5)\n"
+            "plans, best = optimize_groups(spec, params, dur, 0.9, (1, 6), 'B', cache=cache)\n"
+            "print(slot, best.group_count, cache.chain_runs)\n")
+        env = dict(os.environ, PYTHONPATH=str(Path(planner.__file__).parents[1]))
+        proc = subprocess.run([sys.executable, str(script)], env=env, capture_output=True,
+                              text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        slot = mixture_pa(SMALL_SPEC, SMALL, SMALL_DUR).quantile(0.5)
+        assert proc.stdout.split()[0] == str(slot)
+        assert proc.stdout.split()[2] == "24"  # 12 runs for P_A, 12 for P_B
 
     def test_worker_exception_reaches_caller(self):
         cache = DistributionCache(SMALL, SimpleNamespace())  # no slot durations
