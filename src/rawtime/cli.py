@@ -224,7 +224,7 @@ def cmd_model(params, durations, out, fmt) -> int:
 @cli.command("simulate")
 @_param_options
 @click.option("--runs", type=int, required=True, help="Number of Monte-Carlo runs.")
-@click.option("--seed", type=int, required=True, help="RNG seed (64-bit).")
+@click.option("--seed", type=int, required=True, help="RNG seed in [0, 2**64).")
 def cmd_simulate(params, durations, out, fmt, runs, seed) -> int:
     """Monte-Carlo the slotted backoff protocol and write empirical distributions."""
     config = SimConfig(params=params, durations=durations, runs=runs, seed=seed)
@@ -237,7 +237,8 @@ def cmd_simulate(params, durations, out, fmt, runs, seed) -> int:
     for kind, emp in empirical.items():
         write_distribution(emp.to_time_distribution(), paths[kind],
                            extra={"runs": emp.runs, "failure_count": emp.failure_count})
-    extras = {kind: {"failure_count": emp.failure_count} for kind, emp in empirical.items()}
+    extras = {kind: {"failure_count": emp.failure_count, "batches": emp.batches,
+                     "batch_s": emp.batch_s} for kind, emp in empirical.items()}
     write_manifests("simulate", "simulation", paths, extras, params, durations, elapsed,
                     seed=seed, runs=runs)
     click.echo(

@@ -10,8 +10,6 @@ minimize total reserved channel time.
 from __future__ import annotations
 
 import math
-import os
-import sys
 import time
 from dataclasses import dataclass
 from enum import Enum
@@ -22,6 +20,7 @@ import numpy as np
 from .chains import run_chains
 from .distribution import TimeDistribution, UnsatisfiableQuantileError, merge_weighted
 from .params import ConfigurationError, ModelParams, SlotDurations
+from .pool import map_jobs
 
 #: Longest RAW slot the 802.11ah signalling can encode, in microseconds.
 MAX_RAW_SLOT_US = 246_140
@@ -55,32 +54,6 @@ class MixtureSpec:
         if not 0.0 <= self.p_active <= 1.0:
             raise ConfigurationError(f"p_active must lie in [0, 1], got {self.p_active}")
         object.__setattr__(self, "conditioning", Conditioning(self.conditioning))
-
-
-def _usable_cpus() -> int:
-    """CPUs this process may run on: its affinity mask where the platform has one."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
-def _fork_context():
-    """The ``fork`` start method where it is safe, else None (run serially).
-
-    Forked workers inherit the loaded modules, so a pool starts in
-    milliseconds and never re-runs the caller's main script, as ``spawn`` and
-    ``forkserver`` children do; a script without an ``if __name__ ==
-    "__main__":`` guard therefore works.  ``fork`` is not safe on macOS, and
-    not in a caller running threads of its own, which might hold a lock the
-    child then waits on for ever.
-    """
-    import multiprocessing
-    import threading
-
-    if (sys.platform == "darwin" or threading.active_count() > 1
-            or "fork" not in multiprocessing.get_all_start_methods()):
-        return None
-    return multiprocessing.get_context("fork")
 
 
 def _chain_run(params: ModelParams, durations: SlotDurations, compute_b: bool):
@@ -127,17 +100,8 @@ class DistributionCache:
         """
         have = self._pb if compute_b else self._pa
         missing = sorted({int(k) for k in ks} - have.keys(), reverse=True)
-        jobs = (map(self.params.with_stations, missing), repeat(self.durations),
-                repeat(compute_b))
-        workers = min(_usable_cpus(), len(missing))
-        context = _fork_context() if workers > 1 else None
-        if context is not None:
-            from concurrent.futures import ProcessPoolExecutor
-
-            with ProcessPoolExecutor(workers, mp_context=context) as pool:
-                results = list(pool.map(_chain_run, *jobs))
-        else:
-            results = list(map(_chain_run, *jobs))
+        results = map_jobs(_chain_run, map(self.params.with_stations, missing),
+                           repeat(self.durations), repeat(compute_b))
         for k, (p_a, p_b, seconds) in zip(missing, results):
             if compute_b:
                 self._pa.setdefault(k, p_a)

@@ -60,6 +60,19 @@ def test_simulate_deterministic_files(tmp_path):
     assert (tmp_path / "s1.pb.csv").read_bytes() == (tmp_path / "s2.pb.csv").read_bytes()
 
 
+@pytest.mark.parametrize("seed, code", [("-1", 1), ("0", 0), (str(2**64 - 1), 0), (str(2**64), 1)])
+def test_simulate_seed_must_fit_64_bits(tmp_path, capsys, seed, code):
+    assert main(["simulate", "--n", "2", "--paper-params", "--runs", "10", "--seed", seed,
+                 "--out", str(tmp_path / "s")]) == code
+    err = capsys.readouterr().err
+    if code:
+        assert err.startswith("error: ") and "seed" in err
+        assert len(err.strip().splitlines()) == 1
+        assert not list(tmp_path.iterdir())
+    else:
+        assert load_manifest(f"{tmp_path}/s.pa.csv")["seed"] == int(seed)
+
+
 def test_compare_model_vs_simulation_single_station(tmp_path, capsys):
     model_out = tmp_path / "model"
     sim_out = tmp_path / "sim"
@@ -244,7 +257,7 @@ def test_compare_rejects_corrupt_manifest(tmp_path, capsys, body):
 
 
 def test_cli_import_loads_no_scipy():
-    # neither scipy nor the planner's process pool may load at import time
+    # neither scipy nor the worker pool may load at import time
     code = ("import sys, rawtime.cli; print(sorted(m for m in sys.modules if m.split('.')[0] "
             "in ('scipy', 'multiprocessing') or m == 'concurrent.futures.process'))")
     env = dict(os.environ, PYTHONPATH=str(Path(rawtime.__file__).parents[1]))
@@ -274,7 +287,7 @@ _SCHEMAS = {
         ["simulate", "--n", "2", "--runs", "200", "--seed", "3"],
         {".pa.{fmt}": ("duration_us,probability", _DIST_KEYS | {"runs", "failure_count"}),
          ".pb.{fmt}": ("duration_us,probability", _DIST_KEYS | {"runs", "failure_count"})},
-        {"failure_count"},
+        {"failure_count", "batches", "batch_s"},
     ),
     "plan": (
         ["plan", "--n", "4", "--p", "0.5", "--q", "0.9"],

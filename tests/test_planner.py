@@ -4,7 +4,8 @@ import os
 import subprocess
 import sys
 import threading
-from fractions import Fraction
+from itertools import accumulate, repeat
+from operator import mul
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -29,7 +30,7 @@ from rawtime import (
     run_chains,
     simulate,
 )
-from rawtime import planner
+from rawtime import planner, pool
 from rawtime.planner import _binom_pmf, _stride_from_weights
 
 PARAMS = ah_params(1)
@@ -60,20 +61,25 @@ class TestWeights:
 
     @pytest.mark.parametrize("n, p", [(7, 0.5), (40, 0.29), (120, 0.3), (1000, 0.3)])
     def test_weights_match_exact_binomial(self, n, p):
-        def exact(m):
-            f = Fraction(p)
-            return [math.comb(m, k) * f**k * (1 - f) ** (m - k) for k in range(m + 1)]
+        # p is a binary fraction num/den, so each weight is a ratio of integers,
+        # rounded once by the division
+        num, den = p.as_integer_ratio()
 
-        def check(weights, expected):
-            expected = np.array([float(x) for x in expected])
+        def numerators(m):
+            up = list(accumulate(repeat(num, m), mul, initial=1))  # num**k
+            down = list(accumulate(repeat(den - num, m), mul, initial=1))
+            return [math.comb(m, k) * up[k] * down[m - k] for k in range(m + 1)]
+
+        def check(weights, numers, denominator):
+            expected = np.array([x / denominator for x in numers])
             big = expected >= 1e-10 * expected.max()
             assert np.all(np.abs(weights[big] - expected[big]) <= 2e-13 * expected[big])
 
-        check(mixture_weights(MixtureSpec(n, p)), exact(n - 1))
-        norm = 1 - (1 - Fraction(p)) ** n
+        check(mixture_weights(MixtureSpec(n, p)), numerators(n - 1), den ** (n - 1))
+        whole = numerators(n)
         check(mixture_weights(MixtureSpec(n, p, Conditioning.POPULATION_WIDE)),
-              [x / norm for x in exact(n)[1:]])
-        check(_binom_pmf(n, p), exact(n))  # the weights of mixture_pb
+              whole[1:], den**n - (den - num) ** n)
+        check(_binom_pmf(n, p), whole, den**n)  # the weights of mixture_pb
 
     def test_certain_activity_weights_exact(self):
         assert _binom_pmf(4, 0.0).tolist() == [1.0, 0.0, 0.0, 0.0, 0.0]
@@ -288,9 +294,9 @@ class TestBatchedRuns:
 
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_executor)
         if serial_because == "one usable CPU":
-            monkeypatch.setattr(planner, "_usable_cpus", lambda: 1)
+            monkeypatch.setattr(pool, "_usable_cpus", lambda: 1)
         else:
-            monkeypatch.setattr(planner, "_usable_cpus", lambda: 2)
+            monkeypatch.setattr(pool, "_usable_cpus", lambda: 2)
         if serial_because == "macOS":
             monkeypatch.setattr(sys, "platform", "darwin")
         stop = threading.Event()

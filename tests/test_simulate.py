@@ -1,4 +1,9 @@
+import concurrent.futures
+import hashlib
+import json
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -13,6 +18,7 @@ from rawtime import (
     ah_params,
     simulate,
 )
+from rawtime import pool
 from rawtime.simulate import _batch_runs
 
 from reference import enumerate_protocol
@@ -48,6 +54,64 @@ def test_deterministic_for_fixed_seed():
     assert first[1].atoms == second[1].atoms
     assert first[0].failure_count == second[0].failure_count
     assert first[1].failure_count == second[1].failure_count
+
+
+# Three batches, so a pool runs it wherever fork is safe and two CPUs are usable.
+PINNED = SimConfig(params=ah_params(5), durations=AH_SLOT_DURATIONS, runs=20_000, seed=99)
+
+
+def _digest(emp):
+    return hashlib.sha256(json.dumps(sorted(emp.atoms.items())).encode()).hexdigest()
+
+
+def test_counts_pinned_for_fixed_seed():
+    # recorded from the run-major simulator, before the (station, run)
+    # layout; a reordered draw in the random stream changes them
+    emp_a, emp_b = simulate(PINNED)
+    assert _digest(emp_a) == "25b29266ddd7f787c1587b2c4286e7fbe6cc6925d00021b9ff339c85292608a4"
+    assert _digest(emp_b) == "5b0ecbfc7d300ad5ea6690845205c3bd1882024aac401d0ec5361963080b4680"
+    assert emp_a.failure_count == emp_b.failure_count == 0
+
+    params = ModelParams(n_stations=3, cw_min=4, cw_max=4, retry_limit=2)
+    emp_a, emp_b = simulate(SimConfig(params=params, durations=SMALL, runs=50_000, seed=5))
+    assert emp_a.atoms == {
+        2184: 6781, 2236: 3116, 2288: 780, 4368: 4260, 4420: 4407, 4472: 893, 4524: 179,
+        4576: 47, 4628: 17, 6552: 2573, 6604: 6849, 6656: 2542, 6708: 1285, 6760: 451,
+        6812: 63, 8736: 475, 8788: 1610, 8840: 2070, 8892: 1879, 8944: 1176,
+    }
+    assert emp_a.failure_count == 8547
+    assert emp_b.atoms == {
+        2184: 1762, 2236: 1107, 2288: 591, 4368: 499, 4420: 915, 4472: 1129, 4524: 209,
+        4576: 120, 4628: 40, 6552: 4903, 6604: 14554, 6656: 436, 6708: 461, 6760: 380,
+        6812: 217, 8736: 1425, 8788: 4725, 8840: 6120, 8892: 5641, 8944: 3515,
+    }
+    assert emp_b.failure_count == 14280
+
+
+@pytest.mark.parametrize("serial_because", ["one usable CPU", "macOS", "caller thread"])
+def test_runs_serially_with_same_counts(monkeypatch, serial_because):
+    monkeypatch.setattr(pool, "_usable_cpus", lambda: 2)
+    pooled = simulate(PINNED)
+
+    def no_executor(*args, **kwargs):
+        raise AssertionError("a process pool was built")
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_executor)
+    if serial_because == "one usable CPU":
+        monkeypatch.setattr(pool, "_usable_cpus", lambda: 1)
+    if serial_because == "macOS":
+        monkeypatch.setattr(sys, "platform", "darwin")
+    stop = threading.Event()
+    if serial_because == "caller thread":
+        threading.Thread(target=stop.wait, daemon=True).start()
+    try:
+        serial = simulate(PINNED)
+    finally:
+        stop.set()
+    for got, expected in zip(serial, pooled):
+        assert got.atoms == expected.atoms
+        assert got.failure_count == expected.failure_count
+        assert got.batches == expected.batches == 3
 
 
 def test_seed_changes_sample():
@@ -125,3 +189,17 @@ def test_batch_layout_is_part_of_config():
 def test_invalid_config_rejected():
     with pytest.raises(ConfigurationError):
         SimConfig(params=ah_params(2), durations=AH_SLOT_DURATIONS, runs=0, seed=1)
+
+
+@pytest.mark.parametrize("seed", [-1, 2**64])
+def test_seed_outside_64_bits_rejected(seed):
+    with pytest.raises(ConfigurationError, match="seed"):
+        SimConfig(params=ah_params(2), durations=AH_SLOT_DURATIONS, runs=10, seed=seed)
+
+
+def test_seeds_at_both_ends_of_range_differ():
+    base = dict(params=ah_params(3), durations=AH_SLOT_DURATIONS, runs=2000)
+    low = simulate(SimConfig(seed=0, **base))[0]
+    high = simulate(SimConfig(seed=2**64 - 1, **base))[0]
+    assert sum(low.atoms.values()) == sum(high.atoms.values()) == 2000
+    assert low.atoms != high.atoms
