@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -24,37 +25,26 @@ def _state_time(c, s, t: int, durations: SlotDurations):
 
 
 class _AtomAccumulator:
-    """Collects (duration, mass) batches; compacts periodically to bound memory."""
+    """Sums (duration, mass) batches into a float64 array indexed by ``duration // g``,
+    ``g = gcd(Te, Ts, Tc)``, in arrival order (``np.add.at``): the order, and so the bits,
+    of ``TimeDistribution.from_arrays`` over the concatenated batches.  The array grows
+    to the largest index seen: at most ``t_stop * max(T) / g + 1`` entries, about 85k
+    for 802.11ah."""
 
-    def __init__(self, compact_above: int = 1_500_000):
-        self._taus: list[np.ndarray] = []
-        self._masses: list[np.ndarray] = []
-        self._pending = 0
-        self._compact_above = compact_above
+    def __init__(self, durations: SlotDurations):
+        self._g = math.gcd(durations.t_empty, durations.t_success, durations.t_collision)
+        self._mass = np.zeros(0)
 
     def add(self, taus: np.ndarray, masses: np.ndarray) -> None:
-        if taus.size == 0:
-            return
-        self._taus.append(taus)
-        self._masses.append(masses)
-        self._pending += taus.size
-        if self._pending > self._compact_above:
-            self._compact()
-
-    def _compact(self) -> None:
-        taus = np.concatenate(self._taus)
-        uniq, inverse = np.unique(taus, return_inverse=True)
-        summed = np.bincount(inverse, weights=np.concatenate(self._masses), minlength=uniq.size)
-        self._taus = [uniq]
-        self._masses = [summed]
-        self._pending = uniq.size
+        idx = taus // self._g
+        top = int(idx.max(initial=-1)) + 1
+        if top > self._mass.size:
+            self._mass.resize(top, refcheck=False)
+        np.add.at(self._mass, idx, masses)
 
     def finish(self) -> TimeDistribution:
-        if not self._taus:
-            return TimeDistribution.from_atoms({})
-        return TimeDistribution.from_arrays(
-            np.concatenate(self._taus), np.concatenate(self._masses)
-        )
+        idx = np.flatnonzero(self._mass)
+        return TimeDistribution(idx * self._g, self._mass[idx])
 
 
 @dataclass(frozen=True)
@@ -108,8 +98,8 @@ def run_chains(
 
     layer_a = StateLayerA.initial()
     layer_b = StateLayerB.initial() if compute_b else None
-    atoms_a = _AtomAccumulator()
-    atoms_b = _AtomAccumulator()
+    atoms_a = _AtomAccumulator(durations)
+    atoms_b = _AtomAccumulator(durations)
 
     threshold = 1.0 - params.epsilon
     truncated = False
@@ -140,12 +130,10 @@ def run_chains(
         next_a = step_process_a(layer_a, table, params)
         if compute_b:
             layer_b = step_process_b(layer_b, table, layer_a, params)
-            if layer_b.new_absorbed_p.size:
-                taus = _state_time(layer_b.new_absorbed_c, n, t + 1, durations)
-                atoms_b.add(taus, layer_b.new_absorbed_p)
-        if next_a.new_success_p.size:
-            taus = _state_time(next_a.new_success_c, next_a.new_success_s + 1, t + 1, durations)
-            atoms_a.add(taus, next_a.new_success_p)
+            taus = _state_time(layer_b.new_absorbed_c, n, t + 1, durations)
+            atoms_b.add(taus, layer_b.new_absorbed_p)
+        taus = _state_time(next_a.new_success_c, next_a.new_success_s + 1, t + 1, durations)
+        atoms_a.add(taus, next_a.new_success_p)
         layer_a = next_a
 
     p_a = atoms_a.finish()

@@ -7,10 +7,11 @@ all ``n_stations`` have delivered (``s == N``).
 
 Every transition moves a state by a fixed offset in ``(c, s, r)``, so a layer
 is a dense float64 array over the bounding box of its live cells,
-``StateLayerA.p[r, c - c0, s - s0]`` and ``StateLayerB.p[c - c0, s - s0]``.
-A step writes each route into a box one larger in ``c`` and ``s`` by a
+``StateLayerA.p[r - r0, c - c0, s - s0]`` and ``StateLayerB.p[c - c0, s - s0]``.
+A step writes each route into a box one larger in ``r``, ``c`` and ``s`` by a
 shifted slice-add, zeroes the cells below ``prune_floor`` into the dropped
-mass and trims the box to what is left.
+mass and trims the box to what is left on every axis: retry counts never
+decrease, so rows below ``r0`` stay empty for the rest of the run.
 
 Each floating-point sum has a fixed order, so a run gives the same bits
 whatever the extent of its boxes: a cell receives its routes in the order
@@ -63,10 +64,11 @@ class _Layer:
 
 @dataclass(eq=False)
 class StateLayerA(_Layer):
-    """Tagged-station layer ``p[r, c - c0, s - s0]``; ``new_success_*``: last step's absorptions;
-    ``cell_prob``: the layer's cell mixture once ``_cell_prob`` has computed it."""
+    """Tagged-station layer ``p[r - r0, c - c0, s - s0]``; ``new_success_*``: last step's
+    absorptions; ``cell_prob``: the layer's cell mixture once ``_cell_prob`` has computed it."""
 
     _ndim = 3
+    r0: int = 0
     new_success_c: np.ndarray = field(default_factory=lambda: _EMPTY_I)
     new_success_s: np.ndarray = field(default_factory=lambda: _EMPTY_I)
     new_success_p: np.ndarray = field(default_factory=lambda: _EMPTY_F)
@@ -95,7 +97,7 @@ def _cell_prob(layer: StateLayerA, table: TxProbTable, pq: np.ndarray | None = N
     if layer.cell_prob is None:
         p = layer.p
         if pq is None:
-            pq = p * table.p_tx_row(layer.t)[: p.shape[0], None, None]
+            pq = p * table.p_tx_row(layer.t)[layer.r0 : layer.r0 + p.shape[0], None, None]
         den = reduce(np.add, p)  # row by row: ``p.sum(0)`` may sum pairwise
         prob = np.divide(reduce(np.add, pq), den, out=np.zeros_like(den), where=den > 0.0)
         layer.cell_prob = np.clip(prob, 0.0, 1.0, out=prob)
@@ -111,19 +113,25 @@ def _slot_probs(prob: np.ndarray, k: np.ndarray) -> tuple[np.ndarray, ...]:
 
 
 def _advance(layer: _Layer, out: np.ndarray, floor: float) -> dict:
-    """Fields of the layer after ``layer``, whose routed mass is ``out`` (last axes ``c, s``):
-    cells below ``floor`` are zeroed into the dropped mass, the box is trimmed to the rest."""
+    """Fields of the layer after ``layer``, whose routed mass is ``out`` (axes ``[r,] c, s``,
+    origin ``layer``'s): cells below ``floor`` are zeroed into the dropped mass, the box is
+    trimmed to the rest on every axis."""
     n_c, n_s = out.shape[-2:]
     flat = np.flatnonzero((out > 0.0) & (out < floor))
     r, cs = np.divmod(flat, n_c * n_s)
     low = out.ravel()[flat[np.argsort(cs * (out.size // (n_c * n_s)) + r)]]
     out.ravel()[flat] = 0.0
-    live = (out != 0.0).reshape(-1, n_c, n_s).any(axis=0)
-    cs, ss = np.flatnonzero(live.any(axis=1)), np.flatnonzero(live.any(axis=0))
+    live = (out != 0.0).reshape(-1, n_c, n_s)
+    cells = live.any(axis=0)
+    rs, cs, ss = map(np.flatnonzero, (live.any(axis=(1, 2)), cells.any(axis=1), cells.any(axis=0)))
+    r_lo, c_lo, s_lo = (rs[0], cs[0], ss[0]) if cs.size else (0, 0, 0)
+    r_hi, c_hi, s_hi = (rs[-1] + 1, cs[-1] + 1, ss[-1] + 1) if cs.size else (0, 0, 0)
     dropped = _kahan_add(layer.dropped_mass, layer._drop_comp, float(np.sum(low)))
-    c_lo, c_hi, s_lo, s_hi = (cs[0], cs[-1] + 1, ss[0], ss[-1] + 1) if cs.size else (0,) * 4
-    return dict(t=layer.t + 1, p=out[..., c_lo:c_hi, s_lo:s_hi], c0=layer.c0 + int(c_lo),
-                s0=layer.s0 + int(s_lo), dropped_mass=dropped[0], _drop_comp=dropped[1])
+    fields = dict(t=layer.t + 1, p=out[..., c_lo:c_hi, s_lo:s_hi], c0=layer.c0 + int(c_lo),
+                  s0=layer.s0 + int(s_lo), dropped_mass=dropped[0], _drop_comp=dropped[1])
+    if out.ndim == 3:  # process A: trim the retry axis too
+        fields.update(p=fields["p"][r_lo:r_hi], r0=layer.r0 + int(r_lo))
+    return fields
 
 
 def step_process_a(layer: StateLayerA, table: TxProbTable, params: ModelParams) -> StateLayerA:
@@ -137,20 +145,23 @@ def step_process_a(layer: StateLayerA, table: TxProbTable, params: ModelParams) 
     * tagged transmits and is not alone  -> (t+1, c+1, s, r+1) or retry-limit failure
     * peers collide without tagged       -> (t+1, c+1, s, r)
     """
-    m, rl = layer.p, params.retry_limit
+    m, rl, r0 = layer.p, params.retry_limit, layer.r0
+    if m.size == 0:
+        return replace(layer, t=layer.t + 1, new_success_c=_EMPTY_I, new_success_s=_EMPTY_I,
+                       new_success_p=_EMPTY_F)
     n_r, n_c, n_s = m.shape
-    q = table.p_tx_row(layer.t)[:n_r, None, None]
+    q = table.p_tx_row(layer.t)[r0 : r0 + n_r, None, None]
     silent_m, tx_m = m * (1.0 - q), m * q
     peers = params.n_stations - 1 - (layer.s0 + np.arange(n_s))
     pi_empty, pi_peer_succ, pi_peer_coll = _slot_probs(_cell_prob(layer, table, tx_m), peers)
     coll_tagged = tx_m * (1.0 - pi_empty)
-    r_out = min(n_r + 1, rl)
+    r_out = min(n_r + 1, rl - r0)
     out = np.zeros((r_out, n_c + 1, n_s + 1))
     out[:n_r, :n_c, :n_s] += silent_m * pi_empty
     out[:n_r, :n_c, 1:] += silent_m * pi_peer_succ
     out[:n_r, 1:, :n_s] += silent_m * pi_peer_coll
     out[1:, 1:, :n_s] += coll_tagged[: r_out - 1]
-    new_failure = float(np.sum(coll_tagged[-1][m[-1] > 0.0])) if n_r == rl else 0.0
+    new_failure = float(np.sum(coll_tagged[-1][m[-1] > 0.0])) if r0 + n_r == rl else 0.0
     succ = reduce(np.add, tx_m * pi_empty)
     succ_c, succ_s = np.nonzero(succ > 0.0)
     succ_p = succ[succ_c, succ_s]

@@ -24,6 +24,7 @@ merged in batch order; the counts are the same whatever the worker count.
 from __future__ import annotations
 
 import math
+import numbers
 import time
 from dataclasses import dataclass
 from itertools import repeat
@@ -54,6 +55,10 @@ class SimConfig:
     seed: int
 
     def __post_init__(self) -> None:
+        for name in ("runs", "seed"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ConfigurationError(f"{name} must be an integer, got {value!r}")
         if self.runs < 1:
             raise ConfigurationError(f"runs must be >= 1, got {self.runs}")
         if not 0 <= self.seed < 2**64:

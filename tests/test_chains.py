@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,12 +12,13 @@ from rawtime import (
     StateLayerA,
     StateLayerB,
     ah_params,
+    TimeDistribution,
     build_tx_prob_table,
     run_chains,
     step_process_a,
     step_process_b,
 )
-from rawtime.chains import _state_time
+from rawtime.chains import _AtomAccumulator, _state_time
 from rawtime.layers import _cell_prob
 
 from reference import DenseChainReference
@@ -24,7 +27,7 @@ SMALL = SlotDurations(t_empty=52, t_success=2184, t_collision=2184)
 
 
 def layer_a(t, mass):
-    """Process-A layer at time ``t`` holding ``mass``, keyed (c, s, r)."""
+    """Process-A layer at time ``t`` holding ``mass``, keyed (c, s, r); its box starts at r = 0."""
     c0 = min(c for c, _, _ in mass)
     s0 = min(s for _, s, _ in mass)
     shape = [max(key[i] for key in mass) + 1 - lo for i, lo in ((2, 0), (0, c0), (1, s0))]
@@ -37,7 +40,7 @@ def layer_a(t, mass):
 def mass_a(layer):
     """Carried mass of a process-A layer, keyed (c, s, r)."""
     return {
-        (layer.c0 + int(c), layer.s0 + int(s), int(r)): float(layer.p[r, c, s])
+        (layer.c0 + int(c), layer.s0 + int(s), layer.r0 + int(r)): float(layer.p[r, c, s])
         for r, c, s in zip(*np.nonzero(layer.p))
     }
 
@@ -184,6 +187,42 @@ class TestStepProcessA:
         assert success_records(nxt) == pytest.approx({(3, 0, 6): q}, abs=1e-15)
         assert mass_a(nxt) == pytest.approx({(0, 6, 0): 1.0 - q}, abs=1e-15)
 
+    def test_emptied_retry_rows_are_trimmed(self):
+        # every fresh backoff ends within the first window, so row r = 0 empties
+        params = ah_params(7)
+        table = build_tx_prob_table(params, 40)
+        layer = StateLayerA.initial()
+        for _ in range(params.cw_min):
+            assert layer.r0 == 0
+            layer = step_process_a(layer, table, params)
+        assert layer.r0 >= 1
+        assert min(r for _, _, r in mass_a(layer)) == layer.r0
+        assert np.any(layer.p[0])
+
+    def test_box_of_dead_rows_trims_to_nothing(self):
+        params = ModelParams(n_stations=3, cw_min=4, cw_max=8, retry_limit=3, prune_floor=1e-9)
+        table = build_tx_prob_table(params, 10)
+        layer = layer_a(2, {(0, 0, 0): 1e-12, (1, 0, 1): 1e-12, (2, 1, 2): 1e-12})
+        nxt = step_process_a(layer, table, params)
+        assert nxt.p.shape == (0, 0, 0)
+        resolved = nxt.absorbed_success_total + nxt.absorbed_failure + nxt.dropped_mass
+        assert resolved == pytest.approx(3e-12, rel=1e-12)
+
+    def test_failure_booked_only_from_last_retry_row(self):
+        params = ModelParams(n_stations=3, cw_min=4, cw_max=8, retry_limit=3, prune_floor=1e-6)
+        table = build_tx_prob_table(params, 10)
+        # the top row's mass is too small to outlive one step
+        layer = layer_a(2, {(0, 0, 0): 1.0, (2, 0, 2): 1e-9})
+        nxt = step_process_a(layer, table, params)
+        assert 0.0 < nxt.absorbed_failure < 1e-9
+        assert (nxt.r0, nxt.p.shape[0]) == (0, 2)
+        # row 1's tagged collisions move up into row rl - 1 and fail nothing yet
+        after = step_process_a(nxt, table, params)
+        assert after.absorbed_failure == nxt.absorbed_failure
+        assert any(r == 2 for _, _, r in mass_a(after))
+        last = step_process_a(after, table, params)
+        assert last.absorbed_failure > after.absorbed_failure
+
 
 class TestStepProcessB:
     def test_single_station_matches_process_a(self):
@@ -280,6 +319,57 @@ class TestRunChains:
             dist = run_chains(ah_params(n), AH_SLOT_DURATIONS, compute_b=False).p_a
             quantiles.append([dist.quantile(q) for q in (0.5, 0.95)])
         assert quantiles == sorted(quantiles)
+
+
+def chain_digest(result):
+    """SHA-256 of a run's P_A and P_B atoms and its diagnostics."""
+    h = hashlib.sha256()
+    for dist in (result.p_a, result.p_b):
+        h.update(dist.durations.astype("<i8").tobytes())
+        h.update(dist.probabilities.astype("<f8").tobytes())
+    h.update(repr(result.diagnostics).encode())
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize(
+    "params, digest",
+    [
+        (ah_params(7), "a757de198053aa1ca51fd13e82f7941905cd176af599fffc233ed8b4cbbea7a0"),
+        (
+            ModelParams(20, cw_min=4, cw_max=8, retry_limit=3),
+            "dc473fc0443a01bcd64872836768d100b90b1793e8f38e41da0f2be6b2b34282",
+        ),
+    ],
+    ids=["ah7", "cw4-8-rl3"],
+)
+def test_chain_output_pinned(params, digest):
+    # a change to the layer storage or the atom bookkeeping must keep every bit
+    assert chain_digest(run_chains(params, AH_SLOT_DURATIONS)) == digest
+
+
+class TestAtomAccumulator:
+    @pytest.mark.parametrize("durations", [AH_SLOT_DURATIONS, SlotDurations(3, 7, 10)])
+    def test_equals_from_arrays_over_all_batches(self, durations):
+        rng = np.random.default_rng(3)
+        acc, taus, masses = _AtomAccumulator(durations), [], []
+        for t in range(1, 40):
+            c = rng.integers(0, t // 2 + 1, size=rng.integers(0, 30))
+            s = rng.integers(0, t - c + 1)
+            batch_taus = _state_time(c, s, t, durations)
+            batch_masses = rng.random(c.size) * 1e-3
+            acc.add(batch_taus, batch_masses)
+            taus.append(batch_taus)
+            masses.append(batch_masses)
+        got = acc.finish()
+        want = TimeDistribution.from_arrays(np.concatenate(taus), np.concatenate(masses))
+        assert np.unique(np.concatenate(taus)).size < sum(map(len, taus))  # durations repeat
+        assert np.array_equal(got.durations, want.durations)
+        assert got.probabilities.tobytes() == want.probabilities.tobytes()
+
+    def test_empty_run_gives_empty_distribution(self):
+        dist = _AtomAccumulator(AH_SLOT_DURATIONS).finish()
+        assert dist.durations.size == 0
+        assert dist.total_mass == 0.0
 
 
 @st.composite

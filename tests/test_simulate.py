@@ -197,6 +197,24 @@ def test_seed_outside_64_bits_rejected(seed):
         SimConfig(params=ah_params(2), durations=AH_SLOT_DURATIONS, runs=10, seed=seed)
 
 
+@pytest.mark.parametrize(
+    "field, value", [("seed", 1.5), ("seed", True), ("runs", 10.5), ("runs", True)]
+)
+def test_non_integer_seed_or_runs_rejected(field, value):
+    kwargs = dict(runs=10, seed=1) | {field: value}
+    with pytest.raises(ConfigurationError, match=f"{field} must be an integer"):
+        SimConfig(params=ah_params(2), durations=AH_SLOT_DURATIONS, **kwargs)
+
+
+def test_numpy_integer_seed_runs_as_int():
+    base = dict(params=ah_params(2), durations=AH_SLOT_DURATIONS, runs=10)
+    counts = [
+        [(emp.atoms, emp.failure_count) for emp in simulate(SimConfig(seed=seed, **base))]
+        for seed in (np.uint64(7), 7)
+    ]
+    assert counts[0] == counts[1]
+
+
 def test_seeds_at_both_ends_of_range_differ():
     base = dict(params=ah_params(3), durations=AH_SLOT_DURATIONS, runs=2000)
     low = simulate(SimConfig(seed=0, **base))[0]
