@@ -18,10 +18,10 @@ def _state_time(c, s, t: int, durations: SlotDurations):
     """Real time (microseconds) needed to traverse ``c`` collision, ``s``
     success and ``t - c - s`` empty virtual slots; ``c`` and ``s`` may be
     integer arrays."""
-    empty = t - c - s
-    if np.any(empty < 0):
+    if np.add(c, s).max(initial=0) > t:
         raise ValueError(f"more collision and success slots than the {t} slots")
-    return c * durations.t_collision + s * durations.t_success + empty * durations.t_empty
+    t_empty = durations.t_empty
+    return c * (durations.t_collision - t_empty) + s * (durations.t_success - t_empty) + t * t_empty
 
 
 class _AtomAccumulator:
@@ -38,8 +38,8 @@ class _AtomAccumulator:
     def add(self, taus: np.ndarray, masses: np.ndarray) -> None:
         idx = taus // self._g
         top = int(idx.max(initial=-1)) + 1
-        if top > self._mass.size:
-            self._mass.resize(top, refcheck=False)
+        if top > self._mass.size:  # grow geometrically: a run adds a few new indices per step
+            self._mass.resize(max(top, 2 * self._mass.size), refcheck=False)
         np.add.at(self._mass, idx, masses)
 
     def finish(self) -> TimeDistribution:
@@ -130,10 +130,12 @@ def run_chains(
         next_a = step_process_a(layer_a, table, params)
         if compute_b:
             layer_b = step_process_b(layer_b, table, layer_a, params)
-            taus = _state_time(layer_b.new_absorbed_c, n, t + 1, durations)
-            atoms_b.add(taus, layer_b.new_absorbed_p)
-        taus = _state_time(next_a.new_success_c, next_a.new_success_s + 1, t + 1, durations)
-        atoms_a.add(taus, next_a.new_success_p)
+            if layer_b.new_absorbed_p.size:
+                taus = _state_time(layer_b.new_absorbed_c, n, t + 1, durations)
+                atoms_b.add(taus, layer_b.new_absorbed_p)
+        if next_a.new_success_p.size:
+            taus = _state_time(next_a.new_success_c, next_a.new_success_s + 1, t + 1, durations)
+            atoms_a.add(taus, next_a.new_success_p)
         layer_a = next_a
 
     p_a = atoms_a.finish()

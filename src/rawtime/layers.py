@@ -33,6 +33,7 @@ from .params import ModelParams
 from .txprob import TxProbTable
 
 _EMPTY_I, _EMPTY_F = np.empty(0, dtype=np.int64), np.empty(0, dtype=np.float64)
+_TINY = float(np.nextafter(0.0, 1.0))  # the least positive float64
 
 
 def _kahan_add(total: float, comp: float, x: float) -> tuple[float, float]:
@@ -90,47 +91,71 @@ class StateLayerB(_Layer):
     _abs_comp: float = 0.0
 
 
-def _cell_prob(layer: StateLayerA, table: TxProbTable, pq: np.ndarray | None = None) -> np.ndarray:
+def _split(layer: StateLayerA, table: TxProbTable) -> np.ndarray:
+    """``w[r, 0]``, ``w[r, 1]``, ``w[r, 2]``: a process-A layer's silent mass, its mass and
+    its transmitting mass on retry row ``r``, from one product with ``table.split``."""
+    m, r0 = layer.p, layer.r0
+    return m[:, None] * table.split_row(layer.t)[r0 : r0 + m.shape[0], :, None, None]
+
+
+def _cell_prob(layer: StateLayerA, table: TxProbTable, w: np.ndarray | None = None) -> np.ndarray:
     """Per-cell retry-count mixture ``sum_r p q_r / sum_r p`` of a process-A layer
     (0 on empty cells); both processes step from it, so it is kept on the layer.
-    ``pq``: the product ``p q_r`` where the caller has it already."""
+    ``w``: the layer's ``_split`` where the caller has it already."""
     if layer.cell_prob is None:
-        p = layer.p
-        if pq is None:
-            pq = p * table.p_tx_row(layer.t)[layer.r0 : layer.r0 + p.shape[0], None, None]
-        den = reduce(np.add, p)  # row by row: ``p.sum(0)`` may sum pairwise
-        prob = np.divide(reduce(np.add, pq), den, out=np.zeros_like(den), where=den > 0.0)
-        layer.cell_prob = np.clip(prob, 0.0, 1.0, out=prob)
+        # Both sums row by row (``p.sum(0)`` may sum pairwise).  Where ``den`` is 0
+        # so is ``num``, and dividing by the least subnormal instead leaves the 0.
+        sums = reduce(np.add, (_split(layer, table) if w is None else w)[:, 1:])
+        prob = np.divide(sums[1], np.maximum(sums[0], _TINY))
+        layer.cell_prob = np.minimum(prob, 1.0, out=prob)
     return layer.cell_prob
 
 
-def _slot_probs(prob: np.ndarray, k: np.ndarray) -> tuple[np.ndarray, ...]:
-    """P(empty), P(one transmission), P(collision) for ``k`` stations sending w.p. ``prob``."""
+def _slot_probs(prob: np.ndarray, k0: int) -> np.ndarray:
+    """Slot-type probabilities for ``k0, k0 - 1, ...`` stations (along the last axis of
+    ``prob``) each sending w.p. ``prob``, stacked as P(one transmission), P(collision),
+    P(empty), 1 - P(empty)."""
+    # The counts and the counts less one (0 where the count is 0), as floats: mixed
+    # int/float arithmetic would cast through a buffer on every call.
+    k = np.arange(k0, k0 - prob.shape[-1] - 1, -1.0)
+    np.maximum(k, 0.0, out=k)
     silent = 1.0 - prob
-    empty = silent**k
-    one = np.where(k > 0, k * prob * silent ** np.maximum(k - 1, 0), 0.0)
-    return empty, one, np.maximum(1.0 - empty - one, 0.0)
+    pi = np.empty((4, *prob.shape))
+    one, coll, empty, busy = pi[0], pi[1], pi[2], pi[3]
+    np.power(silent, k[:-1], out=empty)
+    np.multiply(k[:-1], prob, out=one)  # exactly 0 where the count is 0
+    one *= silent ** k[1:]
+    np.subtract(1.0, empty, out=busy)
+    np.subtract(busy, one, out=coll)
+    np.maximum(coll, 0.0, out=coll)
+    return pi
+
+
+def _span(any_: np.ndarray) -> tuple[int, int]:
+    """First and one past the last true index of ``any_``; ``(0, 0)`` when none is true."""
+    nz = any_.nonzero()[0]
+    return (int(nz[0]), int(nz[-1]) + 1) if nz.size else (0, 0)
 
 
 def _advance(layer: _Layer, out: np.ndarray, floor: float) -> dict:
     """Fields of the layer after ``layer``, whose routed mass is ``out`` (axes ``[r,] c, s``,
     origin ``layer``'s): cells below ``floor`` are zeroed into the dropped mass, the box is
     trimmed to the rest on every axis."""
-    n_c, n_s = out.shape[-2:]
-    flat = np.flatnonzero((out > 0.0) & (out < floor))
-    r, cs = np.divmod(flat, n_c * n_s)
-    low = out.ravel()[flat[np.argsort(cs * (out.size // (n_c * n_s)) + r)]]
-    out.ravel()[flat] = 0.0
-    live = (out != 0.0).reshape(-1, n_c, n_s)
-    cells = live.any(axis=0)
-    rs, cs, ss = map(np.flatnonzero, (live.any(axis=(1, 2)), cells.any(axis=1), cells.any(axis=0)))
-    r_lo, c_lo, s_lo = (rs[0], cs[0], ss[0]) if cs.size else (0, 0, 0)
-    r_hi, c_hi, s_hi = (rs[-1] + 1, cs[-1] + 1, ss[-1] + 1) if cs.size else (0, 0, 0)
-    dropped = _kahan_add(layer.dropped_mass, layer._drop_comp, float(np.sum(low)))
-    fields = dict(t=layer.t + 1, p=out[..., c_lo:c_hi, s_lo:s_hi], c0=layer.c0 + int(c_lo),
-                  s0=layer.s0 + int(s_lo), dropped_mass=dropped[0], _drop_comp=dropped[1])
+    flat = ((out < floor) & (out > 0.0)).ravel().nonzero()[0]  # pruned, in (r, c, s) order
+    if out.ndim == 3:  # a stable sort on the (c, s) index puts them in (c, s, r) order
+        flat = flat[(flat % (out.shape[1] * out.shape[2])).argsort(kind="stable")]
+    low = out.take(flat)
+    out.put(flat, 0.0)
+    cells = out
     if out.ndim == 3:  # process A: trim the retry axis too
-        fields.update(p=fields["p"][r_lo:r_hi], r0=layer.r0 + int(r_lo))
+        r_any, cells = out.any(axis=(1, 2)), out.any(axis=0)
+    (c_lo, c_hi), (s_lo, s_hi) = _span(cells.any(axis=1)), _span(cells.any(axis=0))
+    dropped = _kahan_add(layer.dropped_mass, layer._drop_comp, float(low.sum()))
+    fields = dict(t=layer.t + 1, p=out[..., c_lo:c_hi, s_lo:s_hi], c0=layer.c0 + c_lo,
+                  s0=layer.s0 + s_lo, dropped_mass=dropped[0], _drop_comp=dropped[1])
+    if out.ndim == 3:
+        r_lo, r_hi = _span(r_any)
+        fields.update(p=fields["p"][r_lo:r_hi], r0=layer.r0 + r_lo)
     return fields
 
 
@@ -150,23 +175,27 @@ def step_process_a(layer: StateLayerA, table: TxProbTable, params: ModelParams) 
         return replace(layer, t=layer.t + 1, new_success_c=_EMPTY_I, new_success_s=_EMPTY_I,
                        new_success_p=_EMPTY_F)
     n_r, n_c, n_s = m.shape
-    q = table.p_tx_row(layer.t)[r0 : r0 + n_r, None, None]
-    silent_m, tx_m = m * (1.0 - q), m * q
-    peers = params.n_stations - 1 - (layer.s0 + np.arange(n_s))
-    pi_empty, pi_peer_succ, pi_peer_coll = _slot_probs(_cell_prob(layer, table, tx_m), peers)
-    coll_tagged = tx_m * (1.0 - pi_empty)
+    w = _split(layer, table)
+    pi = _slot_probs(_cell_prob(layer, table, w), params.n_stations - 1 - layer.s0)
+    # One product gives the silent share times (P(one), P(collision)) and the
+    # transmitting share times (P(empty), 1 - P(empty)): [r, share, slot type].
+    routes = w[:, ::2, None] * pi.reshape(2, 2, n_c, n_s)
     r_out = min(n_r + 1, rl - r0)
     out = np.zeros((r_out, n_c + 1, n_s + 1))
-    out[:n_r, :n_c, :n_s] += silent_m * pi_empty
-    out[:n_r, :n_c, 1:] += silent_m * pi_peer_succ
-    out[:n_r, 1:, :n_s] += silent_m * pi_peer_coll
-    out[1:, 1:, :n_s] += coll_tagged[: r_out - 1]
-    new_failure = float(np.sum(coll_tagged[-1][m[-1] > 0.0])) if r0 + n_r == rl else 0.0
-    succ = reduce(np.add, tx_m * pi_empty)
-    succ_c, succ_s = np.nonzero(succ > 0.0)
-    succ_p = succ[succ_c, succ_s]
+    # A cell receives stay, peer success, other collision, tagged collision, in
+    # that order; the stay route is written straight into the zeroed box.
+    np.multiply(w[:, 0], pi[2], out=out[:n_r, :n_c, :n_s])
+    out[:n_r, :n_c, 1:] += routes[:, 0, 0]
+    out[:n_r, 1:, :n_s] += routes[:, 0, 1]
+    tagged_coll = routes[:, 1, 1]
+    out[1:, 1:, :n_s] += tagged_coll[: r_out - 1]
+    new_failure = float(tagged_coll[-1][m[-1] > 0.0].sum()) if r0 + n_r == rl else 0.0
+    succ = reduce(np.add, routes[:, 1, 0])
+    hit = succ > 0.0
+    succ_p = succ[hit]
+    succ_c, succ_s = hit.nonzero()
     succ_total, succ_comp = _kahan_add(
-        layer.absorbed_success_total, layer._succ_comp, float(np.sum(succ_p)))
+        layer.absorbed_success_total, layer._succ_comp, float(succ_p.sum()))
     fail_total, fail_comp = _kahan_add(layer.absorbed_failure, layer._fail_comp, new_failure)
     return StateLayerA(
         **_advance(layer, out, params.prune_floor), new_success_c=layer.c0 + succ_c,
@@ -193,7 +222,7 @@ def step_process_b(
     # stays; only the overlap with A's box needs the slot-type powers.
     out = np.zeros((n_c + 1, n_s + 1))
     out[:n_c, :n_s] = m
-    absorbed = _EMPTY_F
+    abs_c, abs_p, abs_x = _EMPTY_I, _EMPTY_F, 0.0
     c_lo, s_lo = max(layer.c0, layer_a.c0), max(layer.s0, layer_a.s0)
     h = min(layer.c0 + n_c, layer_a.c0 + a.shape[1]) - c_lo
     w = min(layer.s0 + n_s, layer_a.s0 + a.shape[2]) - s_lo
@@ -201,17 +230,17 @@ def step_process_b(
         ia, ja, i, j = c_lo - layer_a.c0, s_lo - layer_a.s0, c_lo - layer.c0, s_lo - layer.s0
         peer_prob = _cell_prob(layer_a, table)[ia : ia + h, ja : ja + w]
         sub = m[i : i + h, j : j + w]
-        pi_empty, pi_succ, pi_coll = _slot_probs(peer_prob, n - np.arange(s_lo, s_lo + w))
-        succ = sub * pi_succ
+        pi = _slot_probs(peer_prob, n - s_lo)
+        np.multiply(sub, pi[2], out=out[i : i + h, j : j + w])
+        succ, coll = sub * pi[:2]
         if s_lo + w == n:  # successes from s == N - 1 absorb
-            absorbed = succ[:, -1].copy()
+            abs_c = np.flatnonzero(succ[:, -1] > 0.0)
+            abs_p = succ[abs_c, -1]
+            abs_x = float(abs_p.sum())
             succ[:, -1] = 0.0
-        out[i : i + h, j : j + w] = sub * pi_empty
         out[i : i + h, j + 1 : j + w + 1] += succ
-        out[i + 1 : i + h + 1, j : j + w] += sub * pi_coll
-    abs_c = np.flatnonzero(absorbed > 0.0)
-    abs_p = absorbed[abs_c]
-    abs_total, abs_comp = _kahan_add(layer.absorbed_total, layer._abs_comp, float(np.sum(abs_p)))
+        out[i + 1 : i + h + 1, j : j + w] += coll
+    abs_total, abs_comp = _kahan_add(layer.absorbed_total, layer._abs_comp, abs_x)
     return StateLayerB(
         **_advance(layer, out, params.prune_floor), new_absorbed_c=c_lo + abs_c,
         new_absorbed_p=abs_p, absorbed_total=abs_total, _abs_comp=abs_comp,

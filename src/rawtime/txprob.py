@@ -17,7 +17,7 @@ closes the recursion for a single station:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -26,17 +26,27 @@ from .params import ConfigurationError, ModelParams
 
 @dataclass(frozen=True, eq=False)
 class TxProbTable:
-    """Arrays indexed ``[t, r]`` for ``t < t_extent`` and ``r < retry_limit``."""
+    """Arrays indexed ``[t, r]`` for ``t < t_extent`` and ``r < retry_limit``.
+
+    ``split[t, r]`` holds ``(1 - p_tx, 1, p_tx)``: one product with it splits a
+    layer's mass into its silent share, itself and its transmitting share.
+    """
 
     a: np.ndarray
     b: np.ndarray
     p_tx: np.ndarray
     t_extent: int
+    split: np.ndarray = field(init=False, repr=False)
 
-    def p_tx_row(self, t: int) -> np.ndarray:
+    def __post_init__(self) -> None:
+        split = np.stack([1.0 - self.p_tx, np.ones_like(self.p_tx), self.p_tx], axis=-1)
+        split.setflags(write=False)
+        object.__setattr__(self, "split", split)
+
+    def split_row(self, t: int) -> np.ndarray:
         if not 0 <= t < self.t_extent:
             raise IndexError(f"slot {t} outside materialized range [0, {self.t_extent})")
-        return self.p_tx[t]
+        return self.split[t]
 
 
 def build_tx_prob_table(params: ModelParams, t_extent: int) -> TxProbTable:

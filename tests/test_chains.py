@@ -1,4 +1,5 @@
 import hashlib
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -208,6 +209,28 @@ class TestStepProcessA:
         resolved = nxt.absorbed_success_total + nxt.absorbed_failure + nxt.dropped_mass
         assert resolved == pytest.approx(3e-12, rel=1e-12)
 
+    def test_pruned_mass_sums_in_c_s_r_order(self):
+        # sub-floor cells over several c, s and r, of magnitudes for which the
+        # summation order changes the last bit
+        floor = 1e-6
+        params = ModelParams(n_stations=6, cw_min=4, cw_max=8, retry_limit=3, prune_floor=floor)
+        table = build_tx_prob_table(params, 10)
+        mass = {
+            (c, s, r): (1 + 0.41 * c + 0.11 * s + 0.53 * r) * 10.0 ** -(6 + (c + 2 * s + r) % 5)
+            for c in range(3) for s in range(3) for r in range(3)
+        }
+        mass[(0, 0, 0)] = 1.0
+        layer = layer_a(2, mass)
+        routed = mass_a(step_process_a(layer, table, replace(params, prune_floor=0.0)))
+        low = sorted((key, m) for key, m in routed.items() if m < floor)
+        assert all(len({key[i] for key, _ in low}) >= 3 for i in range(3))
+        by_csr = np.sum([m for _, m in low])
+        by_rcs = np.sum([m for _, m in sorted(low, key=lambda km: km[0][2:] + km[0][:2])])
+        assert by_csr != by_rcs
+        nxt = step_process_a(layer, table, params)
+        assert nxt.dropped_mass == by_csr
+        assert all(m >= floor for m in mass_a(nxt).values())
+
     def test_failure_booked_only_from_last_retry_row(self):
         params = ModelParams(n_stations=3, cw_min=4, cw_max=8, retry_limit=3, prune_floor=1e-6)
         table = build_tx_prob_table(params, 10)
@@ -339,8 +362,10 @@ def chain_digest(result):
             ModelParams(20, cw_min=4, cw_max=8, retry_limit=3),
             "dc473fc0443a01bcd64872836768d100b90b1793e8f38e41da0f2be6b2b34282",
         ),
+        # several live retry rows; process A prunes on 1300 of its 1813 steps
+        (ah_params(30), "d0d72515f78fecaf7122927430dc2a56933050f9e8c79e19529fc6aeb92695d1"),
     ],
-    ids=["ah7", "cw4-8-rl3"],
+    ids=["ah7", "cw4-8-rl3", "ah30"],
 )
 def test_chain_output_pinned(params, digest):
     # a change to the layer storage or the atom bookkeeping must keep every bit
@@ -373,7 +398,7 @@ class TestAtomAccumulator:
 
 
 @st.composite
-def small_configs(draw):
+def small_configs(draw, prune_floors=(0.0,)):
     cw_min = draw(st.sampled_from([2, 4]))
     params = ModelParams(
         n_stations=draw(st.integers(1, 4)),
@@ -381,7 +406,7 @@ def small_configs(draw):
         cw_max=draw(st.sampled_from([w for w in (2, 4, 8) if w >= cw_min])),
         retry_limit=draw(st.integers(1, 3)),
         epsilon=1e-15,
-        prune_floor=0.0,
+        prune_floor=draw(st.sampled_from(prune_floors)),
     )
     t_empty = draw(st.integers(1, 60))
     durations = SlotDurations(
@@ -392,10 +417,10 @@ def small_configs(draw):
     return params, durations
 
 
-@settings(max_examples=40, deadline=None)
-@given(small_configs())
-def test_random_small_configs_equal_dense_reference(config):
-    params, durations = config
+def conserving_steps(params):
+    """Step both processes over the backoff support, checking at every step that the
+    carried mass equals the next layer's plus what it absorbed, failed and pruned;
+    yields each pair of new layers."""
     support = params.max_backoff_slots()
     table = build_tx_prob_table(params, support + 1)
     la, lb = StateLayerA.initial(), StateLayerB.initial()
@@ -409,16 +434,47 @@ def test_random_small_configs_equal_dense_reference(config):
         assert na.carried_mass() + resolved_a == pytest.approx(la.carried_mass(), abs=1e-12)
         resolved_b = (nb.absorbed_total - lb.absorbed_total) + (nb.dropped_mass - lb.dropped_mass)
         assert nb.carried_mass() + resolved_b == pytest.approx(lb.carried_mass(), abs=1e-12)
+        yield na, nb
         la, lb = na, nb
+
+
+@settings(max_examples=40, deadline=None)
+@given(small_configs())
+def test_random_small_configs_equal_dense_reference(config):
+    params, durations = config
+    for _ in conserving_steps(params):
+        pass
 
     ref = DenseChainReference(
         params.n_stations, params.cw_min, params.cw_max, params.retry_limit, durations
     )
-    ref.run(support)
+    ref.run(params.max_backoff_slots())
     result = run_chains(params, durations)
     for got, want in ((result.p_a.atoms, ref.pa_atoms), (result.p_b.atoms, ref.pb_atoms)):
         for tau in set(got) | set(want):
             assert got.get(tau, 0.0) == pytest.approx(want.get(tau, 0.0), abs=1e-12)
     assert result.p_fail_a == pytest.approx(ref.fail_a, abs=1e-12)
+    assert result.diagnostics.mass_error_a < 1e-12
+    assert result.diagnostics.mass_error_b < 1e-12
+
+
+def assert_tight_box(p, floor):
+    """No cell of ``p`` lies in (0, floor) and every face of the box holds a live cell."""
+    assert not np.any((p > 0.0) & (p < floor))
+    for axis in range(p.ndim):
+        if p.size:
+            faces = np.moveaxis(p, axis, 0)
+            assert np.any(faces[0]) and np.any(faces[-1])
+
+
+@settings(max_examples=40, deadline=None)
+@given(small_configs(prune_floors=(1e-6, 1e-3)))
+def test_random_small_configs_prune_conserving_tight_boxes(config):
+    # the pruning path, which the dense reference does not model
+    params, durations = config
+    for na, nb in conserving_steps(params):
+        assert_tight_box(na.p, params.prune_floor)
+        assert_tight_box(nb.p, params.prune_floor)
+    result = run_chains(params, durations)
     assert result.diagnostics.mass_error_a < 1e-12
     assert result.diagnostics.mass_error_b < 1e-12
