@@ -18,7 +18,21 @@ whatever the extent of its boxes: a cell receives its routes in the order
 stay, peer success, other collision, tagged collision; sums over ``r`` add
 rows in increasing ``r``; the pruned, absorbed and failed totals sum live
 cells only, in ``(c, s, r)`` order, since the zeros of dead cells would
-regroup the pairwise summation of ``np.sum``.
+regroup the pairwise summation of ``np.sum``.  The pruned cells are found in
+the box's own ``(r, c, s)`` order by one ``nonzero`` and put in ``(c, s, r)``
+order by a stable sort of their ``(c, s)`` index, which keeps ``r`` rising
+within a cell; a boolean index of the box viewed with ``r`` last needs no
+sort but walks the box ``n_r`` cells at a time, which is slower from a few
+thousand cells on.
+
+For the planner's populations (k <= 70, boxes of tens to a few thousand
+cells) a step costs mostly a fixed number of numpy calls, not arithmetic, so
+each step makes as few as it can: one product with ``TxProbTable.split``
+gives a layer's silent mass, its mass and its transmitting mass; one
+row-by-row pass sums the mixture's numerator and denominator; one product
+with the stacked slot-type probabilities gives four of the five routes.  On
+a 2-vCPU Xeon VM this cut a process-A step at k = 10, 30 and 60 from 218,
+259 and 344 to 169, 201 and 268 µs (CPU time over a whole run).
 """
 
 from __future__ import annotations
