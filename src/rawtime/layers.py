@@ -25,6 +25,20 @@ within a cell; a boolean index of the box viewed with ``r`` last needs no
 sort but walks the box ``n_r`` cells at a time, which is slower from a few
 thousand cells on.
 
+A process-B cell transmits with process A's cell mixture, which is 0 where A
+holds no mass.  A's ``c0`` and ``s0`` never fall, so a B cell below either can
+never move again: each B step first cuts those strips from the box and keeps
+their non-zero values in ``StateLayerB.stalled``.  ``carried_mass`` sums box
+and store with ``math.fsum``, which is correctly rounded, so the split moves
+no bit; frozen cells never change and are never pruned, so the pruned mass
+keeps its order too.  Summed over a run, frozen cells were 43%, 83%, 88% and
+89% of B's box at N = 7, 30, 100 and 200.  B's P(one) for the ``N - s``
+stations of a cell needs ``(1 - q)^(N - 1 - s)``, bit for bit process A's
+P(empty) on the same cell, so B reads it from A's cached slot-type
+probabilities and raises ``1 - q`` to one power instead of two.  At N = 200
+this cut B's box from 38.3k to 4.2k cells per step and a B step from
+340-380 to 150-215 µs (CPU time, medians of three runs).
+
 For the planner's populations (k <= 70, boxes of tens to a few thousand
 cells) a step costs mostly a fixed number of numpy calls, not arithmetic, so
 each step makes as few as it can: one product with ``TxProbTable.split``
@@ -80,7 +94,8 @@ class _Layer:
 @dataclass(eq=False)
 class StateLayerA(_Layer):
     """Tagged-station layer ``p[r - r0, c - c0, s - s0]``; ``new_success_*``: last step's
-    absorptions; ``cell_prob``: the layer's cell mixture once ``_cell_prob`` has computed it."""
+    absorptions; ``cell_prob``, ``slot_probs``: the layer's cell mixture and its peers'
+    slot-type probabilities once ``_cell_prob`` and ``_peer_slot_probs`` have computed them."""
 
     _ndim = 3
     r0: int = 0
@@ -92,17 +107,27 @@ class StateLayerA(_Layer):
     _succ_comp: float = 0.0
     _fail_comp: float = 0.0
     cell_prob: np.ndarray | None = field(default=None, init=False, repr=False)
+    slot_probs: np.ndarray | None = field(default=None, init=False, repr=False)
 
 
 @dataclass(eq=False)
 class StateLayerB(_Layer):
-    """Aggregate layer ``p[c - c0, s - s0]``; ``new_absorbed_*``: last step's absorptions."""
+    """Aggregate layer ``p[c - c0, s - s0]``; ``new_absorbed_*``: last step's absorptions;
+    ``stalled``: the non-zero mass of the cells retired from the box; ``a_c0``, ``a_s0``: the
+    process-A origin they were last retired against."""
 
     _ndim = 2
     new_absorbed_c: np.ndarray = field(default_factory=lambda: _EMPTY_I)
     new_absorbed_p: np.ndarray = field(default_factory=lambda: _EMPTY_F)
     absorbed_total: float = 0.0
     _abs_comp: float = 0.0
+    stalled: tuple[np.ndarray, ...] = ()
+    a_c0: int = 0
+    a_s0: int = 0
+
+    def carried_mass(self) -> float:
+        # fsum is correctly rounded, so splitting the cells between box and store keeps every bit
+        return math.fsum(np.concatenate((self.p.ravel(), *self.stalled)).tolist())
 
 
 def _split(layer: StateLayerA, table: TxProbTable) -> np.ndarray:
@@ -123,6 +148,15 @@ def _cell_prob(layer: StateLayerA, table: TxProbTable, w: np.ndarray | None = No
         prob = np.divide(sums[1], np.maximum(sums[0], _TINY))
         layer.cell_prob = np.minimum(prob, 1.0, out=prob)
     return layer.cell_prob
+
+
+def _peer_slot_probs(layer: StateLayerA, table: TxProbTable, n_stations: int,
+                     w: np.ndarray | None = None) -> np.ndarray:
+    """``_slot_probs`` of a process-A layer's cell mixture for the ``N - 1 - s`` peers of each
+    cell, kept on the layer: process B reads its P(empty).  ``w``: as for ``_cell_prob``."""
+    if layer.slot_probs is None:
+        layer.slot_probs = _slot_probs(_cell_prob(layer, table, w), n_stations - 1 - layer.s0)
+    return layer.slot_probs
 
 
 def _slot_probs(prob: np.ndarray, k0: int) -> np.ndarray:
@@ -190,7 +224,7 @@ def step_process_a(layer: StateLayerA, table: TxProbTable, params: ModelParams) 
                        new_success_p=_EMPTY_F)
     n_r, n_c, n_s = m.shape
     w = _split(layer, table)
-    pi = _slot_probs(_cell_prob(layer, table, w), params.n_stations - 1 - layer.s0)
+    pi = _peer_slot_probs(layer, table, params.n_stations, w)
     # One product gives the silent share times (P(one), P(collision)) and the
     # transmitting share times (P(empty), 1 - P(empty)): [r, share, slot type].
     routes = w[:, ::2, None] * pi.reshape(2, 2, n_c, n_s)
@@ -225,37 +259,63 @@ def step_process_b(
     Each cell transmits with process A's cell mixture at the same time; where A
     holds no mass that is 0 and the cell self-loops through empty slots until
     mass arrives (or never, once A has resolved: the some-station-failed tail).
+    A's ``c0`` and ``s0`` never fall, so a cell below either can never move
+    again: it is retired from the box into ``stalled`` before the step.
     """
-    n, m, a = params.n_stations, layer.p, layer_a.p
+    n, a, a_c0, a_s0 = params.n_stations, layer_a.p, layer_a.c0, layer_a.s0
     if layer_a.t != layer.t:
         raise ValueError(f"process A layer at t={layer_a.t}, process B at t={layer.t}")
+    if a_c0 < layer.a_c0 or a_s0 < layer.a_s0:
+        raise ValueError(f"process A origin (c0, s0) = ({a_c0}, {a_s0}) fell below the "
+                         f"({layer.a_c0}, {layer.a_s0}) process B was retired against")
+    dc, ds = max(a_c0 - layer.c0, 0), max(a_s0 - layer.s0, 0)
+    if dc or ds:
+        m = layer.p
+        frozen = np.concatenate((m[:dc].ravel(), m[dc:, :ds].ravel()))
+        frozen = frozen[frozen > 0.0]
+        layer = replace(layer, p=m[dc:, ds:], c0=layer.c0 + dc, s0=layer.s0 + ds,
+                        stalled=layer.stalled + (frozen,) if frozen.size else layer.stalled)
+    m, c0, s0 = layer.p, layer.c0, layer.s0
     if m.size == 0:
-        return replace(layer, t=layer.t + 1, new_absorbed_c=_EMPTY_I, new_absorbed_p=_EMPTY_F)
+        return replace(layer, t=layer.t + 1, a_c0=a_c0, a_s0=a_s0, new_absorbed_c=_EMPTY_I,
+                       new_absorbed_p=_EMPTY_F)
     n_c, n_s = m.shape
-    # Outside process A's box P = 0, so pi_empty = 1 exactly and all mass
-    # stays; only the overlap with A's box needs the slot-type powers.
+    # The box now starts at or above A's origin, so its overlap with A's box is
+    # the corner [:h, :w].  Outside it P = 0, so P(empty) = 1 exactly and all
+    # mass stays; only the overlap needs the slot-type probabilities.
+    ia, ja = c0 - a_c0, s0 - a_s0
+    h, w = max(min(n_c, a.shape[1] - ia), 0), max(min(n_s, a.shape[2] - ja), 0)
     out = np.zeros((n_c + 1, n_s + 1))
-    out[:n_c, :n_s] = m
+    out[h:n_c, :n_s] = m[h:]
+    out[:h, w:n_s] = m[:h, w:]
     abs_c, abs_p, abs_x = _EMPTY_I, _EMPTY_F, 0.0
-    c_lo, s_lo = max(layer.c0, layer_a.c0), max(layer.s0, layer_a.s0)
-    h = min(layer.c0 + n_c, layer_a.c0 + a.shape[1]) - c_lo
-    w = min(layer.s0 + n_s, layer_a.s0 + a.shape[2]) - s_lo
-    if h > 0 and w > 0:
-        ia, ja, i, j = c_lo - layer_a.c0, s_lo - layer_a.s0, c_lo - layer.c0, s_lo - layer.s0
-        peer_prob = _cell_prob(layer_a, table)[ia : ia + h, ja : ja + w]
-        sub = m[i : i + h, j : j + w]
-        pi = _slot_probs(peer_prob, n - s_lo)
-        np.multiply(sub, pi[2], out=out[i : i + h, j : j + w])
-        succ, coll = sub * pi[:2]
-        if s_lo + w == n:  # successes from s == N - 1 absorb
+    if h and w:
+        # With k = N - s contenders, P(one) = k q (1 - q)^(k - 1), and (1 - q)^(k - 1)
+        # is process A's P(empty) for the N - 1 - s peers of the same cell.
+        prob = _cell_prob(layer_a, table)[ia : ia + h, ja : ja + w]
+        empty_a = _peer_slot_probs(layer_a, table, n)[2, ia : ia + h, ja : ja + w]
+        k = np.arange(n - s0, n - s0 - w, -1.0)
+        empty = np.power(1.0 - prob, k)
+        pi = np.empty((2, h, w))
+        p_one, p_coll = pi
+        np.multiply(k, prob, out=p_one)
+        p_one *= empty_a
+        np.subtract(1.0, empty, out=p_coll)
+        p_coll -= p_one
+        np.maximum(p_coll, 0.0, out=p_coll)
+        sub = m[:h, :w]
+        np.multiply(sub, empty, out=out[:h, :w])
+        succ, coll = sub * pi
+        if s0 + w == n:  # successes from s == N - 1 absorb
             abs_c = np.flatnonzero(succ[:, -1] > 0.0)
             abs_p = succ[abs_c, -1]
             abs_x = float(abs_p.sum())
             succ[:, -1] = 0.0
-        out[i : i + h, j + 1 : j + w + 1] += succ
-        out[i + 1 : i + h + 1, j : j + w] += coll
+        out[:h, 1 : w + 1] += succ
+        out[1 : h + 1, :w] += coll
     abs_total, abs_comp = _kahan_add(layer.absorbed_total, layer._abs_comp, abs_x)
     return StateLayerB(
-        **_advance(layer, out, params.prune_floor), new_absorbed_c=c_lo + abs_c,
+        **_advance(layer, out, params.prune_floor), new_absorbed_c=c0 + abs_c,
         new_absorbed_p=abs_p, absorbed_total=abs_total, _abs_comp=abs_comp,
+        stalled=layer.stalled, a_c0=a_c0, a_s0=a_s0,
     )

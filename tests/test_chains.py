@@ -277,6 +277,33 @@ class TestStepProcessB:
         with pytest.raises(ValueError):
             step_process_b(StateLayerB.initial(), table, la, params)
 
+    def test_cells_below_process_a_origin_retire(self):
+        params = ah_params(3)
+        table = build_tx_prob_table(params, 10)
+        lb = StateLayerB(t=2, p=np.array([[0.25, 0.0], [0.25, 0.5]]))
+        nxt = step_process_b(lb, table, layer_a(2, {(1, 1, 0): 1.0}), params)
+        # (0, 0) lies below A's c0 and (1, 0) below its s0: both stall, unmoved
+        assert sorted(np.concatenate(nxt.stalled).tolist()) == [0.25, 0.25]
+        assert (nxt.c0, nxt.s0) == (1, 1)
+        resolved = nxt.absorbed_total + nxt.dropped_mass
+        assert nxt.carried_mass() + resolved == pytest.approx(1.0, abs=1e-15)
+        # retirement assumes A's origin never falls, so a layer whose does is refused
+        for c, s in ((0, 1), (1, 0)):
+            with pytest.raises(ValueError, match="fell below"):
+                step_process_b(nxt, table, layer_a(3, {(c, s, 0): 1.0}), params)
+
+    def test_box_above_process_a_origin(self):
+        # B's box may start above A's; each cell still reads A's mixture at its own (c, s)
+        params = ah_params(3)
+        table = build_tx_prob_table(params, 10)
+        la = layer_a(2, {(0, 1, 1): 0.5, (1, 1, 0): 0.5})
+        nxt = step_process_b(StateLayerB(t=2, p=np.ones((1, 1)), c0=1, s0=1), table, la, params)
+        q = float(table.p_tx[2, 0])
+        assert float(table.p_tx[2, 1]) != q  # A's (0, 1) cell would give other routes
+        got = {(nxt.c0 + c, nxt.s0 + s): float(nxt.p[c, s]) for c, s in zip(*np.nonzero(nxt.p))}
+        stay, one = (1 - q) ** 2, 2 * q * (1 - q)
+        assert got == pytest.approx({(1, 1): stay, (1, 2): one, (2, 1): 1 - stay - one}, abs=1e-15)
+
 
 class TestRunChains:
     def test_single_station_closed_form(self):
@@ -364,8 +391,13 @@ def chain_digest(result):
         ),
         # several live retry rows; process A prunes on 1300 of its 1813 steps
         (ah_params(30), "d0d72515f78fecaf7122927430dc2a56933050f9e8c79e19529fc6aeb92695d1"),
+        # process B's mass ends fully stalled: unresolved_b = 1.0, b_stalled
+        (
+            ModelParams(50, cw_min=4, cw_max=8, retry_limit=3),
+            "52691d3fa5846e915cedbe6644d2e6b503f930f86dce237c5d518d84522dddcc",
+        ),
     ],
-    ids=["ah7", "cw4-8-rl3", "ah30"],
+    ids=["ah7", "cw4-8-rl3", "ah30", "cw4-8-rl3-n50"],
 )
 def test_chain_output_pinned(params, digest):
     # a change to the layer storage or the atom bookkeeping must keep every bit
@@ -420,7 +452,7 @@ def small_configs(draw, prune_floors=(0.0,)):
 def conserving_steps(params):
     """Step both processes over the backoff support, checking at every step that the
     carried mass equals the next layer's plus what it absorbed, failed and pruned;
-    yields each pair of new layers."""
+    yields each pair of new layers after the process-A layer both were stepped from."""
     support = params.max_backoff_slots()
     table = build_tx_prob_table(params, support + 1)
     la, lb = StateLayerA.initial(), StateLayerB.initial()
@@ -434,7 +466,7 @@ def conserving_steps(params):
         assert na.carried_mass() + resolved_a == pytest.approx(la.carried_mass(), abs=1e-12)
         resolved_b = (nb.absorbed_total - lb.absorbed_total) + (nb.dropped_mass - lb.dropped_mass)
         assert nb.carried_mass() + resolved_b == pytest.approx(lb.carried_mass(), abs=1e-12)
-        yield na, nb
+        yield la, na, nb
         la, lb = na, nb
 
 
@@ -472,9 +504,12 @@ def assert_tight_box(p, floor):
 def test_random_small_configs_prune_conserving_tight_boxes(config):
     # the pruning path, which the dense reference does not model
     params, durations = config
-    for na, nb in conserving_steps(params):
+    for la, na, nb in conserving_steps(params):
         assert_tight_box(na.p, params.prune_floor)
         assert_tight_box(nb.p, params.prune_floor)
+        # process B retires the cells below A's origin, which must never fall
+        assert na.c0 >= la.c0 and na.s0 >= la.s0
+        assert nb.p.size == 0 or (nb.c0 >= la.c0 and nb.s0 >= la.s0)
     result = run_chains(params, durations)
     assert result.diagnostics.mass_error_a < 1e-12
     assert result.diagnostics.mass_error_b < 1e-12
