@@ -238,7 +238,8 @@ def cmd_simulate(params, durations, out, fmt, runs, seed) -> int:
         write_distribution(emp.to_time_distribution(), paths[kind],
                            extra={"runs": emp.runs, "failure_count": emp.failure_count})
     extras = {kind: {"failure_count": emp.failure_count, "batches": emp.batches,
-                     "batch_s": emp.batch_s} for kind, emp in empirical.items()}
+                     "slots": emp.slots, "batch_s": emp.batch_s}
+              for kind, emp in empirical.items()}
     write_manifests("simulate", "simulation", paths, extras, params, durations, elapsed,
                     seed=seed, runs=runs)
     click.echo(

@@ -12,13 +12,20 @@ Randomness comes from Philox (counter-based) streams keyed by
 from the station count, so results are bit-identical for a given
 configuration.  Station 0 is the tagged station.
 
-A batch holds its per-station state as ``(station, run)`` arrays and reduces
-over the station axis; each slot updates every run at once by arithmetic on
-masks.  The draws keep their (run, station) order in the stream: the initial
-counters are drawn as a ``(runs, stations)`` array and transposed, and the
-redraws after a collision are taken run by run.  Batches are independent, so
-they run on one forked worker per usable CPU (see ``pool.map_jobs``) and are
-merged in batch order; the counts are the same whatever the worker count.
+A batch keeps, for each station still contending, the virtual slot of its
+next transmission, in flat run-major arrays, and visits only the slots in
+which some run of the batch transmits: one compare finds that slot's
+transmitters, already in (run, station) order, and a run with one of them
+delivers while a run with more collides.  A run's elapsed time follows from
+the slot index and its success and collision counts alone.  The draws keep
+their (run, station) order in the stream: the initial slots are drawn as a
+``(runs, stations)`` array and raveled, and the redraws after a collision
+are taken in transmitter order.  A slot in which no run transmits draws
+nothing, so jumping over it keeps every draw in place; a jump per run would
+not, as runs would then take their redraws in another order.  Batches
+are independent, so they run on one forked worker per usable CPU (see
+``pool.map_jobs``) and are merged in batch order; the counts are the same
+whatever the worker count.
 """
 
 from __future__ import annotations
@@ -74,14 +81,16 @@ class EmpiricalDistribution:
     atoms record the completion time of the last successful station (runs in
     which every station failed contribute no atom) and ``failure_count``
     counts runs where at least one station failed.  ``batches`` is the
-    campaign's batch count and ``batch_s`` its batches' own run times, summed
-    over the processes they ran in.
+    campaign's batch count, ``slots`` the event slots its batches visited (slots
+    in which some run of the batch transmits), and ``batch_s`` its batches' own
+    run times, summed over the processes they ran in.
     """
 
     atoms: dict[int, int]
     runs: int
     failure_count: int
     batches: int
+    slots: int
     batch_s: float
 
     def to_time_distribution(self) -> TimeDistribution:
@@ -96,6 +105,7 @@ class _BatchOutcome:
     tagged_failures: int
     finish_times: np.ndarray  # last-success time per run with >= 1 success
     any_failure: int
+    slots: int  # event slots visited: slots in which some run transmits
     seconds: float  # the batch's own run time, where it ran
 
 
@@ -112,96 +122,93 @@ def _simulate_batch(config: SimConfig, batch_index: int, batch_runs: int) -> _Ba
     params, durations = config.params, config.durations
     n = params.n_stations
     rl = params.retry_limit
+    support = params.max_backoff_slots()
     windows = np.asarray(params.contention_windows(), dtype=np.int64)
-    slot_time = np.array([durations.t_empty, durations.t_success, durations.t_collision])
+    t_empty = durations.t_empty
 
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence((config.seed, batch_index))))
 
-    # (station, run) arrays in the smallest integer types that hold every
-    # counter, retry count and transmitter count; a station that delivered or
-    # failed holds counter -1
-    small = np.min_scalar_type(-max(params.cw_max, rl) - 1)
-    counters = np.ascontiguousarray(
-        rng.integers(0, windows[0], size=(batch_runs, n), dtype=np.int64).T, dtype=small)
-    retries = np.zeros((n, batch_runs), dtype=small)
-    count_type = np.min_scalar_type(n)
-    remaining = np.full(batch_runs, n, dtype=np.int64)
-    elapsed = np.zeros(batch_runs, dtype=np.int64)
+    def schedule(slots: np.ndarray) -> np.ndarray:
+        # every station resolves within the support the chains stop at
+        if slots.max() >= support:
+            raise RuntimeError(f"transmission scheduled at slot {int(slots.max())}, "
+                               f"beyond the support of {support} slots")
+        return slots
 
+    # flat run-major arrays over the live stations; a station that delivered
+    # or failed holds the slot ``resolved``, after every possible transmission
+    slot_type = np.min_scalar_type(support)
+    resolved = np.iinfo(slot_type).max
+    next_slot = schedule(rng.integers(0, windows[0], size=(batch_runs, n), dtype=np.int64))
+    next_slot = next_slot.ravel().astype(slot_type)
+    retries = np.zeros(next_slot.size, dtype=np.min_scalar_type(rl))
+    owner = np.repeat(np.arange(batch_runs, dtype=np.min_scalar_type(batch_runs)), n)
+    tagged = np.tile(np.arange(n) == 0, batch_runs)
+    live = next_slot.size
+
+    # a run's elapsed time after slot t is (t + 1) * t_empty plus what its
+    # successful and collided slots took beyond an empty one
+    busy = np.zeros(batch_runs, dtype=np.int64)
     tagged_time = np.full(batch_runs, -1, dtype=np.int64)
     tagged_failed = np.zeros(batch_runs, dtype=bool)
     last_success = np.full(batch_runs, -1, dtype=np.int64)
     any_failed = np.zeros(batch_runs, dtype=bool)
 
-    done_tagged: list[np.ndarray] = []
-    done_tagged_failed: list[np.ndarray] = []
-    done_last: list[np.ndarray] = []
-    done_any_failed: list[np.ndarray] = []
+    t = -1
+    slots = 0
+    while live:
+        # a slot in which no run transmits draws nothing: jump over it
+        t += 1
+        tx = np.flatnonzero(next_slot == t)
+        if not tx.size:
+            t = int(next_slot.min())
+            tx = np.flatnonzero(next_slot == t)
+        slots += 1
 
-    def _harvest(done_mask: np.ndarray) -> None:
-        done_tagged.append(tagged_time[done_mask])
-        done_tagged_failed.append(tagged_failed[done_mask])
-        done_last.append(last_success[done_mask])
-        done_any_failed.append(any_failed[done_mask])
+        # transmitters come in (run, station) order; group them by run
+        run = owner[tx]
+        new_run = np.empty(run.size + 1, dtype=bool)
+        new_run[0] = new_run[-1] = True
+        np.not_equal(run[1:], run[:-1], out=new_run[1:-1])
+        alone = new_run[:-1] & new_run[1:]
+        single, several = np.flatnonzero(alone), np.flatnonzero(~alone)
 
-    while True:
-        tx = counters == 0
-        # waiting stations count down now, so counters redrawn below count
-        # from the next slot on
-        counters -= counters > 0
-        ntx = tx.sum(axis=0, dtype=count_type)
-        elapsed += slot_time[np.minimum(ntx, 2)]
+        won, won_run = tx[single], run[single]
+        busy[won_run] += durations.t_success - t_empty
+        elapsed = (t + 1) * t_empty + busy[won_run]
+        last_success[won_run] = elapsed
+        won_tagged = tagged[won]
+        tagged_time[won_run[won_tagged]] = elapsed[won_tagged]
+        next_slot[won] = resolved
+        live -= won.size
 
-        success = ntx == 1
-        won = tx & success
-        counters -= won
-        remaining -= success
-        last_success = np.where(success, elapsed, last_success)
-        tagged_time = np.where(won[0], elapsed, tagged_time)
+        if several.size:
+            collided, collided_run = tx[several], run[several]
+            # a buffered add: a run counts once however often its index repeats
+            busy[collided_run] += durations.t_collision - t_empty
+            retries[collided] += 1
+            dead = retries[collided] >= rl
+            gone, gone_run = collided[dead], collided_run[dead]
+            next_slot[gone] = resolved
+            any_failed[gone_run] = True
+            tagged_failed[gone_run[tagged[gone]]] = True
+            live -= gone.size
+            redraw = collided[~dead]
+            if redraw.size:
+                next_slot[redraw] = schedule(
+                    t + 1 + rng.integers(0, windows[retries[redraw]], dtype=np.int64))
 
-        collision = ntx >= 2
-        if collision.any():
-            colliders = tx & collision
-            retries += colliders
-            dead = colliders & (retries >= rl)
-            counters -= dead
-            n_dead = dead.sum(axis=0, dtype=count_type)
-            remaining -= n_dead
-            any_failed |= n_dead > 0
-            tagged_failed |= dead[0]
-            # redraws are taken in (run, station) order
-            station, run = np.divmod(np.flatnonzero(colliders ^ dead), counters.shape[1])
-            if run.size:
-                order = np.argsort(run, kind="stable")
-                station, run = station[order], run[order]
-                counters[station, run] = rng.integers(0, windows[retries[station, run]],
-                                                      dtype=np.int64)
+        if live < 0.75 * next_slot.size:
+            keep = np.flatnonzero(next_slot != resolved)
+            next_slot, retries = next_slot[keep], retries[keep]
+            owner, tagged = owner[keep], tagged[keep]
 
-        running = remaining > 0
-        if not running.all():
-            if not running.any():
-                _harvest(slice(None))
-                break
-            if running.mean() < 0.75:
-                _harvest(~running)
-                counters = counters[:, running]
-                retries = retries[:, running]
-                remaining = remaining[running]
-                elapsed = elapsed[running]
-                tagged_time = tagged_time[running]
-                tagged_failed = tagged_failed[running]
-                last_success = last_success[running]
-                any_failed = any_failed[running]
-
-    tagged_times = np.concatenate(done_tagged)
-    tagged_fail = np.concatenate(done_tagged_failed)
-    last = np.concatenate(done_last)
-    anyf = np.concatenate(done_any_failed)
     return _BatchOutcome(
-        tagged_times=tagged_times[~tagged_fail],
-        tagged_failures=int(tagged_fail.sum()),
-        finish_times=last[last >= 0],
-        any_failure=int(anyf.sum()),
+        tagged_times=tagged_time[~tagged_failed],
+        tagged_failures=int(tagged_failed.sum()),
+        finish_times=last_success[last_success >= 0],
+        any_failure=int(any_failed.sum()),
+        slots=slots,
         seconds=time.perf_counter() - started,
     )
 
@@ -211,23 +218,17 @@ def simulate(config: SimConfig) -> tuple[EmpiricalDistribution, EmpiricalDistrib
     indices, sizes = zip(*_batches(config.runs, _batch_runs(config.params.n_stations)))
     outcomes = map_jobs(_simulate_batch, repeat(config), indices, sizes)
 
-    counts_a: dict[int, int] = {}
-    counts_b: dict[int, int] = {}
+    def histogram(times: list[np.ndarray]) -> dict[int, int]:
+        values, counts = np.unique(np.concatenate(times), return_counts=True)
+        return dict(zip(values.tolist(), counts.tolist()))
 
-    def _merge(target: dict[int, int], times: np.ndarray) -> None:
-        values, counts = np.unique(times, return_counts=True)
-        for v, c in zip(values.tolist(), counts.tolist()):
-            target[v] = target.get(v, 0) + c
-
-    for outcome in outcomes:
-        _merge(counts_a, outcome.tagged_times)
-        _merge(counts_b, outcome.finish_times)
     campaign = dict(runs=config.runs, batches=len(outcomes),
+                    slots=sum(outcome.slots for outcome in outcomes),
                     batch_s=math.fsum(outcome.seconds for outcome in outcomes))
-    emp_a = EmpiricalDistribution(atoms=dict(sorted(counts_a.items())),
+    emp_a = EmpiricalDistribution(atoms=histogram([o.tagged_times for o in outcomes]),
                                   failure_count=sum(o.tagged_failures for o in outcomes),
                                   **campaign)
-    emp_b = EmpiricalDistribution(atoms=dict(sorted(counts_b.items())),
+    emp_b = EmpiricalDistribution(atoms=histogram([o.finish_times for o in outcomes]),
                                   failure_count=sum(o.any_failure for o in outcomes),
                                   **campaign)
     return emp_a, emp_b

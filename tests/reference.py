@@ -215,6 +215,111 @@ def enumerate_protocol(n, cw_min, cw_max, retry_limit, durations, tagged=0):
     return tagged_atoms, totals["tagged_fail"], all_atoms, totals["any_fail"], totals["all_fail"]
 
 
+def slot_stepping_batch(config, batch_index: int, batch_runs: int) -> dict:
+    """One simulator batch stepped slot by slot over every (station, run) cell.
+
+    The form the pinned simulator counts were recorded from: each slot counts
+    down every waiting station and updates every run by arithmetic on masks.
+    Kept as the oracle for the draw order of the event-driven batch.
+    """
+    import numpy as np
+
+    params, durations = config.params, config.durations
+    n = params.n_stations
+    rl = params.retry_limit
+    windows = np.asarray(params.contention_windows(), dtype=np.int64)
+    slot_time = np.array([durations.t_empty, durations.t_success, durations.t_collision])
+
+    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence((config.seed, batch_index))))
+
+    # (station, run) arrays in the smallest integer types that hold every
+    # counter, retry count and transmitter count; a station that delivered or
+    # failed holds counter -1
+    small = np.min_scalar_type(-max(params.cw_max, rl) - 1)
+    counters = np.ascontiguousarray(
+        rng.integers(0, windows[0], size=(batch_runs, n), dtype=np.int64).T, dtype=small)
+    retries = np.zeros((n, batch_runs), dtype=small)
+    count_type = np.min_scalar_type(n)
+    remaining = np.full(batch_runs, n, dtype=np.int64)
+    elapsed = np.zeros(batch_runs, dtype=np.int64)
+
+    tagged_time = np.full(batch_runs, -1, dtype=np.int64)
+    tagged_failed = np.zeros(batch_runs, dtype=bool)
+    last_success = np.full(batch_runs, -1, dtype=np.int64)
+    any_failed = np.zeros(batch_runs, dtype=bool)
+
+    done_tagged: list[np.ndarray] = []
+    done_tagged_failed: list[np.ndarray] = []
+    done_last: list[np.ndarray] = []
+    done_any_failed: list[np.ndarray] = []
+
+    def _harvest(done_mask: np.ndarray) -> None:
+        done_tagged.append(tagged_time[done_mask])
+        done_tagged_failed.append(tagged_failed[done_mask])
+        done_last.append(last_success[done_mask])
+        done_any_failed.append(any_failed[done_mask])
+
+    while True:
+        tx = counters == 0
+        # waiting stations count down now, so counters redrawn below count
+        # from the next slot on
+        counters -= counters > 0
+        ntx = tx.sum(axis=0, dtype=count_type)
+        elapsed += slot_time[np.minimum(ntx, 2)]
+
+        success = ntx == 1
+        won = tx & success
+        counters -= won
+        remaining -= success
+        last_success = np.where(success, elapsed, last_success)
+        tagged_time = np.where(won[0], elapsed, tagged_time)
+
+        collision = ntx >= 2
+        if collision.any():
+            colliders = tx & collision
+            retries += colliders
+            dead = colliders & (retries >= rl)
+            counters -= dead
+            n_dead = dead.sum(axis=0, dtype=count_type)
+            remaining -= n_dead
+            any_failed |= n_dead > 0
+            tagged_failed |= dead[0]
+            # redraws are taken in (run, station) order
+            station, run = np.divmod(np.flatnonzero(colliders ^ dead), counters.shape[1])
+            if run.size:
+                order = np.argsort(run, kind="stable")
+                station, run = station[order], run[order]
+                counters[station, run] = rng.integers(0, windows[retries[station, run]],
+                                                      dtype=np.int64)
+
+        running = remaining > 0
+        if not running.all():
+            if not running.any():
+                _harvest(slice(None))
+                break
+            if running.mean() < 0.75:
+                _harvest(~running)
+                counters = counters[:, running]
+                retries = retries[:, running]
+                remaining = remaining[running]
+                elapsed = elapsed[running]
+                tagged_time = tagged_time[running]
+                tagged_failed = tagged_failed[running]
+                last_success = last_success[running]
+                any_failed = any_failed[running]
+
+    tagged_times = np.concatenate(done_tagged)
+    tagged_fail = np.concatenate(done_tagged_failed)
+    last = np.concatenate(done_last)
+    anyf = np.concatenate(done_any_failed)
+    return dict(
+        tagged_times=tagged_times[~tagged_fail],
+        tagged_failures=int(tagged_fail.sum()),
+        finish_times=last[last >= 0],
+        any_failure=int(anyf.sum()),
+    )
+
+
 def simulate_group_mixture(size, p_active, params, durations, runs, seed):
     """Monte-Carlo tagged delivery times for one group whose peer count is
     random: the tagged station always holds a frame, each of the other

@@ -287,7 +287,7 @@ _SCHEMAS = {
         ["simulate", "--n", "2", "--runs", "200", "--seed", "3"],
         {".pa.{fmt}": ("duration_us,probability", _DIST_KEYS | {"runs", "failure_count"}),
          ".pb.{fmt}": ("duration_us,probability", _DIST_KEYS | {"runs", "failure_count"})},
-        {"failure_count", "batches", "batch_s"},
+        {"failure_count", "batches", "slots", "batch_s"},
     ),
     "plan": (
         ["plan", "--n", "4", "--p", "0.5", "--q", "0.9"],

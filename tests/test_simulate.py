@@ -7,6 +7,8 @@ import threading
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.stats import chisquare
 
 from rawtime import (
@@ -19,9 +21,9 @@ from rawtime import (
     simulate,
 )
 from rawtime import pool
-from rawtime.simulate import _batch_runs
+from rawtime.simulate import _batch_runs, _simulate_batch
 
-from reference import enumerate_protocol
+from reference import enumerate_protocol, slot_stepping_batch
 
 SMALL = SlotDurations(t_empty=52, t_success=2184, t_collision=2184)
 
@@ -86,6 +88,57 @@ def test_counts_pinned_for_fixed_seed():
         6812: 217, 8736: 1425, 8788: 4725, 8840: 6120, 8892: 5641, 8944: 3515,
     }
     assert emp_b.failure_count == 14280
+
+    # failures, compaction and two batches
+    params = ModelParams(n_stations=40, cw_min=4, cw_max=16, retry_limit=3)
+    emp_a, emp_b = simulate(SimConfig(params=params, durations=AH_SLOT_DURATIONS,
+                                      runs=10_000, seed=99))
+    assert emp_a.batches == 2
+    assert _digest(emp_a) == "c72b838d3a89a3897dc7e8168e560762f1a30500c0e93529c30b3240719eef26"
+    assert _digest(emp_b) == "28df18112cb3c17079283a5df6ae24404157cecd40245f798537ca5b58e52b62"
+    assert emp_a.failure_count == 8965
+    assert emp_b.failure_count == 10_000
+
+
+@st.composite
+def small_campaigns(draw):
+    cw_min = draw(st.integers(1, 8))
+    params = ModelParams(
+        n_stations=draw(st.integers(1, 8)),
+        cw_min=cw_min,
+        cw_max=draw(st.integers(cw_min, 16)),
+        retry_limit=draw(st.integers(1, 4)),
+    )
+    t_empty = draw(st.integers(1, 60))
+    durations = SlotDurations(
+        t_empty=t_empty,
+        t_success=draw(st.integers(t_empty, 3000)),
+        t_collision=draw(st.integers(t_empty, 3000)),
+    )
+    return SimConfig(params=params, durations=durations, runs=draw(st.integers(1, 500)),
+                     seed=draw(st.integers(0, 2**64 - 1)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_campaigns(), st.integers(0, 3))
+def test_batch_equals_slot_stepping_oracle(config, batch_index):
+    # the event-driven batch must take every draw the slot-by-slot form takes
+    got = _simulate_batch(config, batch_index, config.runs)
+    want = slot_stepping_batch(config, batch_index, config.runs)
+    assert np.array_equal(np.sort(got.tagged_times), np.sort(want["tagged_times"]))
+    assert got.tagged_failures == want["tagged_failures"]
+    assert np.array_equal(np.sort(got.finish_times), np.sort(want["finish_times"]))
+    assert got.any_failure == want["any_failure"]
+
+
+@pytest.mark.parametrize("support", [1, 4])
+def test_transmission_beyond_support_raises(monkeypatch, support):
+    # 1 falls inside the initial window, 4 is reached only by redraws after
+    # a collision; the true support of these parameters is 8 slots
+    params = ModelParams(n_stations=3, cw_min=4, cw_max=4, retry_limit=2)
+    monkeypatch.setattr(ModelParams, "max_backoff_slots", lambda self: support)
+    with pytest.raises(RuntimeError, match="beyond the support"):
+        simulate(SimConfig(params=params, durations=SMALL, runs=2000, seed=5))
 
 
 @pytest.mark.parametrize("serial_because", ["one usable CPU", "macOS", "caller thread"])
