@@ -17,12 +17,12 @@ next transmission, in flat run-major arrays, and visits only the slots in
 which some run of the batch transmits: one compare finds that slot's
 transmitters, already in (run, station) order, and a run with one of them
 delivers while a run with more collides.  A run's elapsed time follows from
-the slot index and its success and collision counts alone.  The draws keep
-their (run, station) order in the stream: the initial slots are drawn as a
-``(runs, stations)`` array and raveled, and the redraws after a collision
-are taken in transmitter order.  A slot in which no run transmits draws
-nothing, so jumping over it keeps every draw in place; a jump per run would
-not, as runs would then take their redraws in another order.  Batches
+the slot index and the time its successful and collided slots took.  The
+draws keep their (run, station) order in the stream: the initial slots are
+drawn as a ``(runs, stations)`` array and raveled, and the redraws after a
+collision are taken in transmitter order.  A slot in which no run transmits
+draws nothing, so jumping over it keeps every draw in place; a jump per run
+would not, as runs would then take their redraws in another order.  Batches
 are independent, so they run on one forked worker per usable CPU (see
 ``pool.map_jobs``) and are merged in batch order; the counts are the same
 whatever the worker count.

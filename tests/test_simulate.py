@@ -89,7 +89,7 @@ def test_counts_pinned_for_fixed_seed():
     }
     assert emp_b.failure_count == 14280
 
-    # failures, compaction and two batches
+    # failures, compaction and two batches; recorded from the slot-stepping batch
     params = ModelParams(n_stations=40, cw_min=4, cw_max=16, retry_limit=3)
     emp_a, emp_b = simulate(SimConfig(params=params, durations=AH_SLOT_DURATIONS,
                                       runs=10_000, seed=99))
