@@ -19,13 +19,6 @@ from .params import (
     SlotDurations,
     ah_params,
 )
-from .txprob import TxProbTable, build_tx_prob_table
-from .layers import (
-    StateLayerA,
-    StateLayerB,
-    step_process_a,
-    step_process_b,
-)
 from .chains import ChainDiagnostics, ChainResult, run_chains
 from .distribution import (
     TimeDistribution,
@@ -65,13 +58,9 @@ __all__ = [
     "ModelParams",
     "SimConfig",
     "SlotDurations",
-    "StateLayerA",
-    "StateLayerB",
     "TimeDistribution",
-    "TxProbTable",
     "UnsatisfiableQuantileError",
     "ah_params",
-    "build_tx_prob_table",
     "kolmogorov_distance",
     "load_distribution",
     "merge_weighted",
@@ -81,8 +70,6 @@ __all__ = [
     "optimize_groups",
     "run_chains",
     "simulate",
-    "step_process_a",
-    "step_process_b",
     "write_distribution",
     "__version__",
 ]

@@ -7,13 +7,10 @@ above epsilon (model truncation), a mass-conservation error above
 
 from __future__ import annotations
 
-import functools
-import json
+import argparse
 import sys
 import time
 from pathlib import Path
-
-import click
 
 from . import __version__
 from .chains import run_chains
@@ -23,8 +20,10 @@ from .distribution import (
     kolmogorov_distance,
     load_distribution,
     write_distribution,
+    write_json,
+    write_rows,
 )
-from .manifest import check_comparable, load_manifest, write_manifests
+from .manifest import SOURCES, check_comparable, load_manifest, write_manifests
 from .params import (
     AH_CW_MAX,
     AH_CW_MIN,
@@ -49,14 +48,36 @@ _QUANTILE_LEVELS = (0.5, 0.95, 0.99, 0.999)
 #: Largest |absorbed + failed + unresolved - 1| a model run may report.
 MASS_ERROR_MAX = 1e-9
 
+#: What ``--paper-params`` fills into each unset option: the 802.11ah reference setup.
+_PAPER_PARAMS = {
+    "cw_min": AH_CW_MIN,
+    "cw_max": AH_CW_MAX,
+    "retry_limit": AH_RETRY_LIMIT,
+    "te_us": AH_SLOT_DURATIONS.t_empty,
+    "ts_us": AH_SLOT_DURATIONS.t_success,
+    "tc_us": AH_SLOT_DURATIONS.t_collision,
+}
 
-def _check_q(ctx, param, value: float) -> float:
-    if not 0.0 < value < 1.0:
-        raise ConfigurationError(f"--q must lie in (0, 1), got {value}")
-    return value
+
+class _Parser(argparse.ArgumentParser):
+    """Takes options spelled in full only, and raises bad input as
+    ``ConfigurationError``, which ``main`` reports."""
+
+    def __init__(self, **kwargs):
+        super().__init__(allow_abbrev=False, **kwargs)
+
+    def error(self, message):
+        raise ConfigurationError(message)
 
 
-def _check_k_stride(ctx, param, value: str) -> int | str:
+def _quantile_level(value: str) -> float:
+    q = float(value)
+    if not 0.0 < q < 1.0:
+        raise argparse.ArgumentTypeError(f"must lie in (0, 1), got {q}")
+    return q
+
+
+def _k_stride(value: str) -> int | str:
     if value == "auto":
         return value
     try:
@@ -64,91 +85,38 @@ def _check_k_stride(ctx, param, value: str) -> int | str:
     except ValueError:
         stride = 0
     if stride < 1:
-        raise ConfigurationError(f"--k-stride must be a positive integer or 'auto', got {value!r}")
+        raise argparse.ArgumentTypeError(f"must be a positive integer or 'auto', got {value!r}")
     return stride
 
 
-def _with_options(f, options):
-    for option in reversed(options):
-        f = option(f)
-    return f
+def _model_inputs(args) -> tuple[ModelParams, SlotDurations]:
+    """The model and slot timing the options name; creates the directory
+    ``args.out`` writes into."""
+    if args.paper_params:
+        for name, value in _PAPER_PARAMS.items():
+            if getattr(args, name) is None:
+                setattr(args, name, value)
+    missing = ["--" + name.replace("_", "-") for name in _PAPER_PARAMS if getattr(args, name) is None]
+    if missing:
+        raise ConfigurationError(
+            f"missing {', '.join(missing)} (set them explicitly or pass --paper-params)"
+        )
+    params = ModelParams(
+        n_stations=args.n_stations, cw_min=args.cw_min, cw_max=args.cw_max,
+        retry_limit=args.retry_limit, epsilon=args.epsilon, t_max_cap=args.t_max_cap,
+        prune_floor=args.prune_floor,
+    )
+    durations = SlotDurations(t_empty=args.te_us, t_success=args.ts_us, t_collision=args.tc_us)
+    args.out.parent.mkdir(parents=True, exist_ok=True)
+    return params, durations
 
 
-def _param_options(command):
-    """Add the options every command shares.  The command is called as
-    ``command(params, durations, out, fmt, **own_options)``, with ``out`` the
-    output prefix as a ``Path`` whose parent directory exists."""
-
-    @functools.wraps(command)
-    def resolved(*, n_stations, cw_min, cw_max, retry_limit, epsilon, t_max_cap, prune_floor,
-                 te_us, ts_us, tc_us, paper_params, out, fmt, **own_options):
-        if paper_params:
-            cw_min = AH_CW_MIN if cw_min is None else cw_min
-            cw_max = AH_CW_MAX if cw_max is None else cw_max
-            retry_limit = AH_RETRY_LIMIT if retry_limit is None else retry_limit
-            te_us = AH_SLOT_DURATIONS.t_empty if te_us is None else te_us
-            ts_us = AH_SLOT_DURATIONS.t_success if ts_us is None else ts_us
-            tc_us = AH_SLOT_DURATIONS.t_collision if tc_us is None else tc_us
-        missing = [name for name, value in (
-            ("--cw-min", cw_min), ("--cw-max", cw_max), ("--retry-limit", retry_limit),
-            ("--te-us", te_us), ("--ts-us", ts_us), ("--tc-us", tc_us),
-        ) if value is None]
-        if missing:
-            raise click.UsageError(
-                f"missing {', '.join(missing)} (set them explicitly or pass --paper-params)"
-            )
-        try:
-            params = ModelParams(
-                n_stations=n_stations, cw_min=cw_min, cw_max=cw_max, retry_limit=retry_limit,
-                epsilon=epsilon, t_max_cap=t_max_cap, prune_floor=prune_floor,
-            )
-            durations = SlotDurations(t_empty=te_us, t_success=ts_us, t_collision=tc_us)
-        except ConfigurationError as exc:
-            raise click.UsageError(str(exc)) from exc
-        out.parent.mkdir(parents=True, exist_ok=True)
-        return command(params, durations, out, fmt, **own_options)
-
-    return _with_options(resolved, [
-        click.option("--n", "n_stations", type=int, required=True, help="Number of contending stations."),
-        click.option("--cw-min", type=int, default=None, help="Initial contention window."),
-        click.option("--cw-max", type=int, default=None, help="Contention window cap."),
-        click.option("--retry-limit", type=int, default=None, help="Transmission attempts before giving up."),
-        click.option("--epsilon", type=float, default=1e-6, show_default=True,
-                      help="Absorbed-mass threshold that stops the chain run."),
-        click.option("--t-max-cap", type=int, default=None, help="Safety cap on model time (virtual slots)."),
-        click.option("--prune-floor", type=float, default=1e-12, show_default=True,
-                      help="Carried states below this mass are dropped into the deficit."),
-        click.option("--te-us", type=int, default=None, help="Empty virtual slot duration (us)."),
-        click.option("--ts-us", type=int, default=None, help="Successful slot duration (us)."),
-        click.option("--tc-us", type=int, default=None, help="Collision slot duration (us)."),
-        click.option("--paper-params", is_flag=True,
-                      help="Fill unset options with the 802.11ah reference setup "
-                           "(CWmin 16, CWmax 1024, RL 7, Te 52 us, Ts = Tc = 2184 us)."),
-        click.option("--out", type=click.Path(path_type=Path), required=True, help="Output path prefix."),
-        click.option("--format", "fmt", type=click.Choice(["csv", "json"]), default="csv",
-                      show_default=True, help="Distribution file format."),
-    ])
-
-
-def _mixture_options(k_stride_default: str):
-    """The random-active-count options of ``plan`` and ``groups``."""
-    options = [
-        click.option("--p", "p_active", type=float, required=True,
-                     help="Probability a station holds a frame at the slot start."),
-        click.option("--q", "quantile", type=float, required=True, callback=_check_q,
-                     help="Required delivery probability."),
-        click.option("--conditioning", type=click.Choice([c.value for c in Conditioning]),
-                     default=Conditioning.TAGGED_HAS_PACKET.value, show_default=True,
-                     help="Mixture conditioning over the random active count."),
-        click.option("--k-stride", default=k_stride_default, show_default=True,
-                     callback=_check_k_stride,
-                     help="Mixture subsampling stride (positive integer or 'auto')."),
-    ]
-    return lambda command: _with_options(command, options)
-
-
-def _write_json(path: Path, payload) -> None:
-    path.write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
+def _read(load, path: str):
+    """``load(path)``, with a file this package did not write reported as bad input."""
+    try:
+        return load(path)
+    except ValueError as exc:
+        raise ConfigurationError(str(exc)) from exc
 
 
 def _write_quantiles(named: dict[str, TimeDistribution], path: Path) -> None:
@@ -156,28 +124,17 @@ def _write_quantiles(named: dict[str, TimeDistribution], path: Path) -> None:
     for name, dist in named.items():
         for q in _QUANTILE_LEVELS:
             try:
-                rows.append((name, q, dist.quantile(q)))
+                duration = dist.quantile(q)
             except UnsatisfiableQuantileError:
-                rows.append((name, q, None))
-    if path.suffix == ".json":
-        _write_json(path, [{"distribution": n, "q": q, "duration_us": d} for n, q, d in rows])
-        return
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("distribution,q,duration_us\n")
-        for name, q, dur in rows:
-            fh.write(f"{name},{q},{'' if dur is None else dur}\n")
+                duration = None
+            rows.append((name, q, duration))
+    write_rows(path, ("distribution", "q", "duration_us"), rows)
 
 
-@click.group()
-@click.version_option(version=__version__, prog_name="rawtime")
-def cli() -> None:
-    """Delivery-time distributions and RAW slot planning for 802.11ah groups."""
-
-
-@cli.command("model")
-@_param_options
-def cmd_model(params, durations, out, fmt) -> int:
+def cmd_model(args) -> int:
     """Compute the delivery-time distributions for one and for all stations."""
+    params, durations = _model_inputs(args)
+    out, fmt = args.out, args.fmt
     started = time.perf_counter()
     result = run_chains(params, durations)
     elapsed = time.perf_counter() - started
@@ -196,37 +153,34 @@ def cmd_model(params, durations, out, fmt) -> int:
         "mass_error_a": diag.mass_error_a,
         "mass_error_b": diag.mass_error_b,
     }
-    write_manifests("model", "model", paths, dict.fromkeys(paths, extra),
-                    params, durations, elapsed)
+    write_manifests("model", paths, dict.fromkeys(paths, extra), params, durations, elapsed)
 
-    click.echo(
+    print(
         f"model: N={params.n_stations} t_stop={diag.t_stop} "
         f"mass_a={result.p_a.total_mass:.9f} p_fail_a={result.p_fail_a:.3e} "
         f"mass_b={result.p_b.total_mass:.9f} -> {out}.{{pa,pb,quantiles}}.{fmt}"
     )
     mass_error = max(diag.mass_error_a, diag.mass_error_b)
     if not mass_error <= MASS_ERROR_MAX:
-        click.echo(
+        print(
             f"error: probability mass not conserved: mass_error_a={diag.mass_error_a:.3e}, "
-            f"mass_error_b={diag.mass_error_b:.3e} > {MASS_ERROR_MAX}", err=True,
+            f"mass_error_b={diag.mass_error_b:.3e} > {MASS_ERROR_MAX}", file=sys.stderr,
         )
         return 2
     unresolved = diag.unresolved_a + diag.unresolved_b
     if diag.truncated and unresolved > params.epsilon:
-        click.echo(
+        print(
             f"warning: stopped at t_max_cap={params.t_max_cap} with unresolved "
-            f"mass {unresolved:.3e} > epsilon", err=True,
+            f"mass {unresolved:.3e} > epsilon", file=sys.stderr,
         )
         return 2
     return 0
 
 
-@cli.command("simulate")
-@_param_options
-@click.option("--runs", type=int, required=True, help="Number of Monte-Carlo runs.")
-@click.option("--seed", type=int, required=True, help="RNG seed in [0, 2**64).")
-def cmd_simulate(params, durations, out, fmt, runs, seed) -> int:
+def cmd_simulate(args) -> int:
     """Monte-Carlo the slotted backoff protocol and write empirical distributions."""
+    params, durations = _model_inputs(args)
+    out, fmt, runs, seed = args.out, args.fmt, args.runs, args.seed
     config = SimConfig(params=params, durations=durations, runs=runs, seed=seed)
     started = time.perf_counter()
     emp_a, emp_b = simulate(config)
@@ -240,98 +194,76 @@ def cmd_simulate(params, durations, out, fmt, runs, seed) -> int:
     extras = {kind: {"failure_count": emp.failure_count, "batches": emp.batches,
                      "slots": emp.slots, "batch_s": emp.batch_s}
               for kind, emp in empirical.items()}
-    write_manifests("simulate", "simulation", paths, extras, params, durations, elapsed,
-                    seed=seed, runs=runs)
-    click.echo(
+    write_manifests("simulate", paths, extras, params, durations, elapsed, seed=seed, runs=runs)
+    print(
         f"simulate: N={params.n_stations} runs={runs} seed={seed} "
         f"fail_a={emp_a.failure_count} fail_b={emp_b.failure_count} -> {out}.{{pa,pb}}.{fmt}"
     )
     return 0
 
 
-@cli.command("compare")
-@click.argument("model_file", type=click.Path(exists=True))
-@click.argument("sim_file", type=click.Path(exists=True))
-@click.option("--tolerance", type=float, default=0.03, show_default=True,
-              help="Maximum acceptable Kolmogorov distance.")
-@click.option("--report", type=click.Path(), default=None,
-              help="Optional JSON report path.")
-def cmd_compare(model_file, sim_file, tolerance, report) -> int:
+def cmd_compare(args) -> int:
     """Compare a model distribution against a simulated one (manifest-checked)."""
-    try:
-        model_manifest = load_manifest(model_file)
-        sim_manifest = load_manifest(sim_file)
-    except (FileNotFoundError, ValueError) as exc:
-        click.echo(f"error: {exc}", err=True)
-        return 1
-    for path, manifest, source in ((model_file, model_manifest, "model"),
-                                   (sim_file, sim_manifest, "simulation")):
-        if manifest.get("source") != source:
-            raise click.UsageError(f"{path} is not a {source} output (source="
-                                   f"{manifest.get('source')!r})")
-    problems = check_comparable(model_manifest, sim_manifest)
+    paths = (args.model_file, args.sim_file)
+    manifests = [_read(load_manifest, path) for path in paths]
+    for path, manifest, command in zip(paths, manifests, ("model", "simulate")):
+        if manifest.get("source") != SOURCES[command]:
+            raise ConfigurationError(f"{path} is not a {SOURCES[command]} output (source="
+                                     f"{manifest.get('source')!r})")
+    problems = check_comparable(*manifests)
     if problems:
-        for problem in problems:
-            click.echo(f"error: {problem}", err=True)
-        raise click.UsageError("manifests do not match; refusing to compare")
+        raise ConfigurationError(f"manifests do not match; refusing to compare: "
+                                 f"{'; '.join(problems)}")
 
-    try:
-        model_dist = load_distribution(model_file)
-        sim_dist = load_distribution(sim_file)
-    except ValueError as exc:
-        click.echo(f"error: {exc}", err=True)
-        return 1
+    model_dist, sim_dist = (_read(load_distribution, path) for path in paths)
     distance = kolmogorov_distance(model_dist, sim_dist)
     atoms_m, atoms_s = model_dist.atoms, sim_dist.atoms
     support = sorted(set(atoms_m) | set(atoms_s))
     diffs = {d: atoms_m.get(d, 0.0) - atoms_s.get(d, 0.0) for d in support}
     max_atom_diff = max((abs(v) for v in diffs.values()), default=0.0)
-    passed = distance <= tolerance
+    passed = distance <= args.tolerance
 
-    click.echo(f"kolmogorov_distance: {distance:.6f}")
-    click.echo(f"max_atom_abs_difference: {max_atom_diff:.6f}")
-    click.echo(f"tolerance: {tolerance} -> {'PASS' if passed else 'FAIL'}")
-    if report:
-        _write_json(Path(report), {
+    print(f"kolmogorov_distance: {distance:.6f}")
+    print(f"max_atom_abs_difference: {max_atom_diff:.6f}")
+    print(f"tolerance: {args.tolerance} -> {'PASS' if passed else 'FAIL'}")
+    if args.report:
+        write_json(args.report, {
             "kolmogorov_distance": distance,
             "max_atom_abs_difference": max_atom_diff,
-            "tolerance": tolerance,
+            "tolerance": args.tolerance,
             "passed": passed,
             "atom_differences": {str(d): v for d, v in diffs.items()},
         })
     return 0 if passed else 2
 
 
-@cli.command("plan")
-@_param_options
-@_mixture_options(k_stride_default="1")
-def cmd_plan(params, durations, out, fmt, p_active, quantile, conditioning, k_stride) -> int:
+def cmd_plan(args) -> int:
     """Minimal RAW slot duration for a population with a random active count."""
-    spec = MixtureSpec(n_total=params.n_stations, p_active=p_active,
-                       conditioning=Conditioning(conditioning))
+    params, durations = _model_inputs(args)
+    out, fmt, quantile = args.out, args.fmt, args.quantile
+    spec = MixtureSpec(n_total=params.n_stations, p_active=args.p_active,
+                       conditioning=args.conditioning)
     cache = DistributionCache(params, durations)
     started = time.perf_counter()
-    mixture = mixture_pa(spec, params, durations, cache=cache, k_stride=k_stride)
+    mixture = mixture_pa(spec, params, durations, cache=cache, k_stride=args.k_stride)
     elapsed = time.perf_counter() - started
 
     paths = {"pa_mixture": Path(f"{out}.mixture.{fmt}"), "pa_mixture_cdf": Path(f"{out}.cdf.csv")}
     write_distribution(mixture, paths["pa_mixture"])
-    with open(paths["pa_mixture_cdf"], "w", encoding="utf-8") as fh:
-        fh.write("duration_us,cumulative_probability\n")
-        for d, c in zip(mixture.durations, mixture.cumulative()):
-            fh.write(f"{int(d)},{float(c)!r}\n")
+    write_rows(paths["pa_mixture_cdf"], ("duration_us", "cumulative_probability"),
+               zip(mixture.durations.tolist(), mixture.cumulative().tolist()))
 
     try:
         slot = mixture.quantile(quantile)
     except UnsatisfiableQuantileError as exc:
-        click.echo(
+        print(
             f"error: q={quantile} unsatisfiable; achievable delivery probability "
-            f"is {exc.total_mass:.9f}", err=True,
+            f"is {exc.total_mass:.9f}", file=sys.stderr,
         )
         slot = None
     else:
         paths["plan"] = Path(f"{out}.plan.json")
-        _write_json(paths["plan"], {
+        write_json(paths["plan"], {
             "q": quantile,
             "slot_duration_us": slot,
             "standard_compliant": slot <= MAX_RAW_SLOT_US,
@@ -339,56 +271,47 @@ def cmd_plan(params, durations, out, fmt, p_active, quantile, conditioning, k_st
             "total_mass": mixture.total_mass,
             "deficit": mixture.deficit,
         })
-    extra = {"p_active": p_active, "q": quantile, "conditioning": conditioning,
-             "k_stride": str(k_stride), "total_mass": mixture.total_mass, **cache.counters()}
-    write_manifests("plan", "planner", paths, dict.fromkeys(paths, extra),
-                    params, durations, elapsed)
+    extra = {"p_active": args.p_active, "q": quantile, "conditioning": args.conditioning,
+             "k_stride": str(args.k_stride), "total_mass": mixture.total_mass,
+             **cache.counters()}
+    write_manifests("plan", paths, dict.fromkeys(paths, extra), params, durations, elapsed)
     if slot is None:
         return 3
-    click.echo(
-        f"plan: N={params.n_stations} p={p_active} q={quantile} -> slot {slot} us "
+    print(
+        f"plan: N={params.n_stations} p={args.p_active} q={quantile} -> slot {slot} us "
         f"({slot / 1000:.2f} ms), standard_compliant={slot <= MAX_RAW_SLOT_US}"
     )
     return 0
 
 
-@cli.command("groups")
-@_param_options
-@_mixture_options(k_stride_default="auto")
-@click.option("--g-min", type=int, required=True, help="Smallest group count to try.")
-@click.option("--g-max", type=int, required=True, help="Largest group count to try.")
-@click.option("--problem", type=click.Choice(["A", "B"]), default="A", show_default=True,
-              help="A: one station delivers; B: all active stations deliver.")
-def cmd_groups(params, durations, out, fmt, p_active, quantile, conditioning, k_stride,
-               g_min, g_max, problem) -> int:
+def cmd_groups(args) -> int:
     """Sweep group counts and report the one minimizing total reserved time."""
-    spec = MixtureSpec(n_total=params.n_stations, p_active=p_active,
-                       conditioning=Conditioning(conditioning))
+    params, durations = _model_inputs(args)
+    out, quantile, problem = args.out, args.quantile, args.problem
+    spec = MixtureSpec(n_total=params.n_stations, p_active=args.p_active,
+                       conditioning=args.conditioning)
     cache = DistributionCache(params, durations)
     started = time.perf_counter()
     try:
-        plans, best = optimize_groups(spec, params, durations, quantile, (g_min, g_max),
-                                      problem, cache=cache, k_stride=k_stride)
+        plans, best = optimize_groups(spec, params, durations, quantile,
+                                      (args.g_min, args.g_max), problem, cache=cache,
+                                      k_stride=args.k_stride)
     except UnsatisfiableQuantileError as exc:
-        click.echo(
+        print(
             f"error: q={quantile} unsatisfiable for every group count; best "
-            f"achievable delivery probability is {exc.total_mass:.9f}", err=True,
+            f"achievable delivery probability is {exc.total_mass:.9f}", file=sys.stderr,
         )
         return 3
     elapsed = time.perf_counter() - started
 
     paths = {"groups": Path(f"{out}.groups.csv"), "groups_best": Path(f"{out}.best.json")}
     infeasible = [plan.group_count for plan in plans if not plan.feasible]
-    with open(paths["groups"], "w", encoding="utf-8") as fh:
-        fh.write("g,group_size,slot_us,total_us,compliant\n")
-        for plan in plans:
-            if not plan.feasible:
-                continue
-            fh.write(
-                f"{plan.group_count},{max(plan.group_sizes)},{plan.per_group_slot},"
-                f"{plan.total_reserved},{str(plan.standard_compliant).lower()}\n"
-            )
-    _write_json(paths["groups_best"], {
+    write_rows(paths["groups"], ("g", "group_size", "slot_us", "total_us", "compliant"), [
+        (plan.group_count, max(plan.group_sizes), plan.per_group_slot, plan.total_reserved,
+         plan.standard_compliant)
+        for plan in plans if plan.feasible
+    ])
+    write_json(paths["groups_best"], {
         "g": best.group_count,
         "group_sizes": list(best.group_sizes),
         "per_group_slot_us": best.per_group_slot,
@@ -398,40 +321,101 @@ def cmd_groups(params, durations, out, fmt, p_active, quantile, conditioning, k_
         "problem": problem,
         "infeasible_group_counts": infeasible,
     })
-    extra = {"p_active": p_active, "q": quantile, "conditioning": conditioning,
-             "problem": problem, "g_min": g_min, "g_max": g_max, "k_stride": str(k_stride),
-             "infeasible_group_counts": infeasible, **cache.counters()}
-    write_manifests("groups", "planner", paths, dict.fromkeys(paths, extra),
-                    params, durations, elapsed)
-    click.echo(
-        f"groups: N={params.n_stations} p={p_active} q={quantile} problem={problem} -> "
+    extra = {"p_active": args.p_active, "q": quantile, "conditioning": args.conditioning,
+             "problem": problem, "g_min": args.g_min, "g_max": args.g_max,
+             "k_stride": str(args.k_stride), "infeasible_group_counts": infeasible,
+             **cache.counters()}
+    write_manifests("groups", paths, dict.fromkeys(paths, extra), params, durations, elapsed)
+    print(
+        f"groups: N={params.n_stations} p={args.p_active} q={quantile} problem={problem} -> "
         f"best g={best.group_count} total {best.total_reserved} us "
         f"({best.total_reserved / 1000:.2f} ms)"
     )
     return 0
 
 
+def _parser() -> argparse.ArgumentParser:
+    model = _Parser(add_help=False)
+    model.add_argument("--n", dest="n_stations", type=int, required=True,
+                       help="Number of contending stations.")
+    model.add_argument("--cw-min", type=int, help="Initial contention window.")
+    model.add_argument("--cw-max", type=int, help="Contention window cap.")
+    model.add_argument("--retry-limit", type=int, help="Transmission attempts before giving up.")
+    model.add_argument("--epsilon", type=float, default=1e-6,
+                       help="Absorbed-mass threshold that stops the chain run "
+                            "(default: %(default)s).")
+    model.add_argument("--t-max-cap", type=int, help="Safety cap on model time (virtual slots).")
+    model.add_argument("--prune-floor", type=float, default=1e-12,
+                       help="Carried states below this mass are dropped into the deficit "
+                            "(default: %(default)s).")
+    model.add_argument("--te-us", type=int, help="Empty virtual slot duration (us).")
+    model.add_argument("--ts-us", type=int, help="Successful slot duration (us).")
+    model.add_argument("--tc-us", type=int, help="Collision slot duration (us).")
+    model.add_argument("--paper-params", action="store_true",
+                       help="Fill unset options with the 802.11ah reference setup "
+                            "(CWmin 16, CWmax 1024, RL 7, Te 52 us, Ts = Tc = 2184 us).")
+    model.add_argument("--out", type=Path, required=True, help="Output path prefix.")
+    model.add_argument("--format", dest="fmt", choices=("csv", "json"), default="csv",
+                       help="Distribution file format (default: %(default)s).")
+
+    mixture = _Parser(add_help=False)
+    mixture.add_argument("--p", dest="p_active", type=float, required=True,
+                         help="Probability a station holds a frame at the slot start.")
+    mixture.add_argument("--q", dest="quantile", type=_quantile_level, required=True,
+                         help="Required delivery probability.")
+    mixture.add_argument("--conditioning", choices=[c.value for c in Conditioning],
+                         default=Conditioning.TAGGED_HAS_PACKET.value,
+                         help="Mixture conditioning over the random active count "
+                              "(default: %(default)s).")
+
+    parser = _Parser(prog="rawtime", description="Delivery-time distributions and RAW slot "
+                                                 "planning for 802.11ah groups.")
+    parser.add_argument("--version", action="version", version=f"rawtime {__version__}")
+    commands = parser.add_subparsers(dest="command", metavar="COMMAND", required=True)
+
+    def add(name, run, parents):
+        sub = commands.add_parser(name, parents=parents, help=run.__doc__,
+                                  description=run.__doc__)
+        sub.set_defaults(run=run)
+        return sub
+
+    add("model", cmd_model, [model])
+    simulation = add("simulate", cmd_simulate, [model])
+    simulation.add_argument("--runs", type=int, required=True,
+                            help="Number of Monte-Carlo runs.")
+    simulation.add_argument("--seed", type=int, required=True, help="RNG seed in [0, 2**64).")
+    compare = add("compare", cmd_compare, [])
+    compare.add_argument("model_file", metavar="MODEL_FILE")
+    compare.add_argument("sim_file", metavar="SIM_FILE")
+    compare.add_argument("--tolerance", type=float, default=0.03,
+                         help="Maximum acceptable Kolmogorov distance (default: %(default)s).")
+    compare.add_argument("--report", type=Path, help="Optional JSON report path.")
+    plan = add("plan", cmd_plan, [model, mixture])
+    groups = add("groups", cmd_groups, [model, mixture])
+    groups.add_argument("--g-min", type=int, required=True, help="Smallest group count to try.")
+    groups.add_argument("--g-max", type=int, required=True, help="Largest group count to try.")
+    groups.add_argument("--problem", choices=("A", "B"), default="A",
+                        help="A: one station delivers; B: all active stations deliver "
+                             "(default: %(default)s).")
+    # added per command: a parent's option is one object shared by every
+    # command, so a per-command default set on it would apply to all of them
+    for sub, k_stride in ((plan, 1), (groups, "auto")):
+        sub.add_argument("--k-stride", type=_k_stride, default=k_stride,
+                         help="Mixture subsampling stride (positive integer or 'auto'; "
+                              "default: %(default)s).")
+    return parser
+
+
 def main(argv: list[str] | None = None) -> int:
     """Run the CLI; returns the exit code instead of raising SystemExit."""
     try:
-        result = cli.main(args=argv, standalone_mode=False)
-    except click.UsageError as exc:
-        exc.show()
+        args = _parser().parse_args(argv)
+        return args.run(args)
+    except SystemExit as exc:  # --help or --version has printed its text
+        return exc.code
+    except (ConfigurationError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return 1
-    except click.ClickException as exc:
-        exc.show()
-        return max(exc.exit_code, 1)
-    except click.exceptions.Exit as exc:
-        return exc.exit_code
-    except click.exceptions.Abort:
-        click.echo("aborted", err=True)
-        return 1
-    except ConfigurationError as exc:
-        click.echo(f"error: {exc}", err=True)
-        return 1
-    if result is None:
-        return 0
-    return int(result)
 
 
 def entrypoint() -> None:

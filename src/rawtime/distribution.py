@@ -6,7 +6,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -93,22 +93,44 @@ class TimeDistribution:
         return int(self.durations[idx])
 
 
+def write_json(path: Path, payload) -> None:
+    path.write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
+
+
+def _cell(value) -> str:
+    if value is None:
+        return ""
+    if isinstance(value, bool):
+        return str(value).lower()
+    return repr(value) if isinstance(value, float) else str(value)
+
+
+def write_rows(path: Path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
+    """Write a table: CSV, or a JSON list of row objects when ``path`` ends in
+    ``.json``.  CSV cells hold floats by ``repr``, bools in lower case and None
+    as an empty cell."""
+    if path.suffix == ".json":
+        write_json(path, [dict(zip(header, row)) for row in rows])
+        return
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(",".join(header) + "\n")
+        for row in rows:
+            fh.write(",".join(map(_cell, row)) + "\n")
+
+
 def write_distribution(dist: TimeDistribution, path: Path, extra: dict | None = None) -> None:
     """Write ``dist`` as CSV, or as JSON when ``path`` ends in ``.json``;
     ``extra`` adds top-level keys to the JSON object."""
+    atoms = zip(dist.durations.tolist(), dist.probabilities.tolist())
     if path.suffix == ".json":
-        payload = {
-            "atoms": {str(int(d)): float(p) for d, p in zip(dist.durations, dist.probabilities)},
+        write_json(path, {
+            "atoms": {str(d): p for d, p in atoms},
             "total_mass": dist.total_mass,
             "deficit": dist.deficit,
             **(extra or {}),
-        }
-        path.write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
+        })
         return
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("duration_us,probability\n")
-        for d, p in zip(dist.durations, dist.probabilities):
-            fh.write(f"{int(d)},{float(p)!r}\n")
+    write_rows(path, ("duration_us", "probability"), atoms)
 
 
 def load_distribution(path: Path | str) -> TimeDistribution:

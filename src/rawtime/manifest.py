@@ -13,6 +13,9 @@ from .params import ModelParams, SlotDurations
 #: Physical parameters that must agree for two outputs to be comparable.
 _MATCH_KEYS = ("n_stations", "cw_min", "cw_max", "retry_limit")
 
+#: The ``source`` each command's manifests record.
+SOURCES = {"model": "model", "simulate": "simulation", "plan": "planner", "groups": "planner"}
+
 
 @dataclass(frozen=True)
 class RunManifest:
@@ -38,7 +41,6 @@ class RunManifest:
 
 def write_manifests(
     command: str,
-    source: str,
     paths: dict[str, Path],
     extras: dict[str, dict],
     params: ModelParams,
@@ -48,11 +50,12 @@ def write_manifests(
     runs: int | None = None,
 ) -> None:
     """Write the manifest sidecar of each output of one command (artifact
-    name -> path) with that artifact's ``extras``; each lists all the outputs."""
+    name -> path) with that artifact's ``extras``; each lists all the outputs
+    and records the command's entry in ``SOURCES``."""
     outputs = tuple(str(p) for p in paths.values())
     for artifact, path in paths.items():
         RunManifest(
-            command=command, artifact=artifact, source=source, params=asdict(params),
+            command=command, artifact=artifact, source=SOURCES[command], params=asdict(params),
             durations=asdict(durations), outputs=outputs, wall_clock_s=wall_clock_s,
             seed=seed, runs=runs, extra=extras[artifact],
         ).write_for(path)
@@ -70,27 +73,30 @@ def load_manifest(data_path: Path | str) -> dict:
         payload = json.loads(path.read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise ValueError(f"{path}: not valid JSON ({exc})") from exc
-    if not isinstance(payload, dict) or not isinstance(payload.get("params", {}), dict):
-        raise ValueError(f"{path}: not a manifest object")
+    if not (isinstance(payload, dict) and isinstance(payload.get("artifact"), str)
+            and all(isinstance(payload.get(key), dict) for key in ("params", "durations"))):
+        raise ValueError(f"{path}: not a manifest (needs an 'artifact' string and "
+                         f"'params' and 'durations' objects)")
     return payload
 
 
 def check_comparable(model_manifest: dict, sim_manifest: dict) -> list[str]:
-    """Reasons the two outputs must not be compared; empty when comparable."""
+    """Reasons the two outputs must not be compared; empty when comparable.
+    Both manifests come from ``load_manifest``."""
     problems: list[str] = []
-    if model_manifest.get("artifact") != sim_manifest.get("artifact"):
+    if model_manifest["artifact"] != sim_manifest["artifact"]:
         problems.append(
-            f"artifact kinds differ: {model_manifest.get('artifact')!r} "
-            f"vs {sim_manifest.get('artifact')!r}"
+            f"artifact kinds differ: {model_manifest['artifact']!r} "
+            f"vs {sim_manifest['artifact']!r}"
         )
     for key in _MATCH_KEYS:
-        a = model_manifest.get("params", {}).get(key)
-        b = sim_manifest.get("params", {}).get(key)
+        a = model_manifest["params"].get(key)
+        b = sim_manifest["params"].get(key)
         if a != b:
             problems.append(f"params.{key} differ: {a!r} vs {b!r}")
-    if model_manifest.get("durations") != sim_manifest.get("durations"):
+    if model_manifest["durations"] != sim_manifest["durations"]:
         problems.append(
-            f"slot durations differ: {model_manifest.get('durations')!r} "
-            f"vs {sim_manifest.get('durations')!r}"
+            f"slot durations differ: {model_manifest['durations']!r} "
+            f"vs {sim_manifest['durations']!r}"
         )
     return problems

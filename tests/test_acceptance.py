@@ -19,7 +19,6 @@ from rawtime import (
     SimConfig,
     SlotDurations,
     ah_params,
-    build_tx_prob_table,
     kolmogorov_distance,
     mixture_pa,
     mixture_weights,
@@ -27,6 +26,7 @@ from rawtime import (
     run_chains,
     simulate,
 )
+from rawtime.txprob import build_tx_prob_table
 
 from reference import DenseChainReference
 

@@ -10,17 +10,13 @@ from rawtime import (
     AH_SLOT_DURATIONS,
     ModelParams,
     SlotDurations,
-    StateLayerA,
-    StateLayerB,
     ah_params,
     TimeDistribution,
-    build_tx_prob_table,
     run_chains,
-    step_process_a,
-    step_process_b,
 )
 from rawtime.chains import _AtomAccumulator, _state_time
-from rawtime.layers import _cell_prob
+from rawtime.layers import StateLayerA, StateLayerB, _cell_prob, step_process_a, step_process_b
+from rawtime.txprob import build_tx_prob_table
 
 from reference import DenseChainReference
 

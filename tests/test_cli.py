@@ -153,8 +153,35 @@ def test_groups_sweep_csv_schema(tmp_path):
     assert extra["conditioning"] == "tagged-has-packet"
 
 
-def test_unknown_command_is_usage_error(capsys):
-    assert main(["frobnicate"]) == 1
+@pytest.mark.parametrize("argv", [
+    pytest.param(["model", "--paper-params", "--n", "0"], id="n-zero"),
+    pytest.param(["model", "--paper-params", "--n", "3", "--cw-min", "8", "--cw-max", "4"],
+                 id="cw-max-below-cw-min"),
+    pytest.param(["model", "--paper-params", "--n", "3", "--epsilon", "2"], id="epsilon-above-one"),
+    pytest.param(["model", "--paper-params"], id="missing-n"),
+    pytest.param(["model", "--paper-params", "--n", "3", "--bogus"], id="unknown-option"),
+    pytest.param(["frobnicate"], id="unknown-command"),
+    pytest.param(["model", "--paper-params", "--n", "1", "--out", "{file}/x"], id="out-under-a-file"),
+])
+def test_bad_input_is_one_error_line(tmp_path, capsys, argv):
+    regular_file = tmp_path / "file"
+    regular_file.write_text("")
+    if argv[0] == "model" and "--out" not in argv:
+        argv = [*argv, "--out", "{dir}/x"]
+    argv = [a.format(file=regular_file, dir=tmp_path / "dir") for a in argv]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and len(err.strip().splitlines()) == 1
+    assert "Traceback" not in err
+    assert [p.name for p in tmp_path.iterdir()] == ["file"]
+    assert regular_file.read_text() == ""
+
+
+def test_help_and_version_exit_zero(capsys):
+    assert main(["model", "--help"]) == 0
+    assert "--paper-params" in capsys.readouterr().out
+    assert main(["--version"]) == 0
+    assert capsys.readouterr().out == f"rawtime {rawtime.__version__}\n"
 
 
 def _fail_if_called(*args, **kwargs):
@@ -245,21 +272,26 @@ def test_compare_rejects_corrupt_distribution(tmp_path, capsys, body):
     '{"source": "simulation"',
     '["simulation"]',
     '{"source": "simulation", "params": 5}',
+    # (model side, simulation side): no artifact, params or durations on either
+    pytest.param(('{"source": "model"}', '{"source": "simulation"}'), id="both-sides-bare"),
 ])
 def test_compare_rejects_corrupt_manifest(tmp_path, capsys, body):
+    model_body, sim_body = body if isinstance(body, tuple) else (None, body)
     assert main(["model", "--n", "1", "--paper-params", "--out", str(tmp_path / "m")]) == 0
     assert main(["simulate", "--n", "1", "--paper-params", "--runs", "100", "--seed", "1",
                  "--out", str(tmp_path / "s")]) == 0
-    (tmp_path / "s.pa.csv.manifest.json").write_text(body)
+    if model_body is not None:
+        (tmp_path / "m.pa.csv.manifest.json").write_text(model_body)
+    (tmp_path / "s.pa.csv.manifest.json").write_text(sim_body)
     assert main(["compare", f"{tmp_path}/m.pa.csv", f"{tmp_path}/s.pa.csv"]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and len(err.strip().splitlines()) == 1
 
 
-def test_cli_import_loads_no_scipy():
-    # neither scipy nor the worker pool may load at import time
+def test_cli_import_loads_no_scipy_or_click():
+    # neither scipy, click nor the worker pool may load at import time
     code = ("import sys, rawtime.cli; print(sorted(m for m in sys.modules if m.split('.')[0] "
-            "in ('scipy', 'multiprocessing') or m == 'concurrent.futures.process'))")
+            "in ('scipy', 'click', 'multiprocessing') or m == 'concurrent.futures.process'))")
     env = dict(os.environ, PYTHONPATH=str(Path(rawtime.__file__).parents[1]))
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                           text=True, timeout=60, check=True)

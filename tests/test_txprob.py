@@ -3,7 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rawtime import ConfigurationError, ModelParams, ah_params, build_tx_prob_table
+from rawtime import ConfigurationError, ModelParams, ah_params
+from rawtime.txprob import build_tx_prob_table
 
 from reference import make_ref_tx_prob
 
