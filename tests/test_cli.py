@@ -88,6 +88,11 @@ def test_compare_model_vs_simulation_single_station(tmp_path, capsys):
     assert payload["kolmogorov_distance"] < 0.005
     assert set(payload) == {"kolmogorov_distance", "max_atom_abs_difference", "tolerance",
                             "passed", "atom_differences"}
+    capsys.readouterr()
+    assert main(["compare", f"{model_out}.pa.csv", f"{sim_out}.pa.csv",
+                 "--report", f"{report}/r.json"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and len(err.strip().splitlines()) == 1
 
 
 def test_compare_rejects_mismatched_population(tmp_path, capsys):
@@ -154,22 +159,20 @@ def test_groups_sweep_csv_schema(tmp_path):
 
 
 @pytest.mark.parametrize("argv", [
-    pytest.param(["model", "--paper-params", "--n", "0"], id="n-zero"),
-    pytest.param(["model", "--paper-params", "--n", "3", "--cw-min", "8", "--cw-max", "4"],
+    pytest.param("model --paper-params --n 0 --out {dir}/x", id="n-zero"),
+    pytest.param("model --paper-params --n 3 --cw-min 8 --cw-max 4 --out {dir}/x",
                  id="cw-max-below-cw-min"),
-    pytest.param(["model", "--paper-params", "--n", "3", "--epsilon", "2"], id="epsilon-above-one"),
-    pytest.param(["model", "--paper-params"], id="missing-n"),
-    pytest.param(["model", "--paper-params", "--n", "3", "--bogus"], id="unknown-option"),
-    pytest.param(["frobnicate"], id="unknown-command"),
-    pytest.param(["model", "--paper-params", "--n", "1", "--out", "{file}/x"], id="out-under-a-file"),
+    pytest.param("model --paper-params --n 3 --epsilon 2 --out {dir}/x", id="epsilon-above-one"),
+    pytest.param("model --paper-params --out {dir}/x", id="missing-n"),
+    pytest.param("model --paper-params --n 3 --bogus --out {dir}/x", id="unknown-option"),
+    pytest.param("frobnicate", id="unknown-command"),
+    pytest.param("model --paper-params --n 1 --out {file}/x", id="out-under-a-file"),
 ])
 def test_bad_input_is_one_error_line(tmp_path, capsys, argv):
+    # {dir} does not exist: a run that got as far as writing would create it
     regular_file = tmp_path / "file"
     regular_file.write_text("")
-    if argv[0] == "model" and "--out" not in argv:
-        argv = [*argv, "--out", "{dir}/x"]
-    argv = [a.format(file=regular_file, dir=tmp_path / "dir") for a in argv]
-    assert main(argv) == 1
+    assert main(argv.format(dir=tmp_path / "dir", file=regular_file).split()) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and len(err.strip().splitlines()) == 1
     assert "Traceback" not in err
