@@ -9,7 +9,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .distribution import TimeDistribution
-from .layers import StateLayerA, StateLayerB, step_process_a, step_process_b
+from .layers import StateLayer, step_process_a, step_process_b
 from .params import ModelParams, SlotDurations
 from .txprob import build_tx_prob_table
 
@@ -32,8 +32,17 @@ class _AtomAccumulator:
     for 802.11ah."""
 
     def __init__(self, durations: SlotDurations):
+        self._durations = durations
         self._g = math.gcd(durations.t_empty, durations.t_success, durations.t_collision)
         self._mass = np.zeros(0)
+
+    def absorb(self, layer: StateLayer) -> None:
+        """Add the absorptions of the step that made ``layer``: mass absorbed from the
+        state ``(t - 1, c, s)`` lands at ``_state_time(c, s + 1, t)`` -- the absorbing
+        success slot counts."""
+        if layer.new_p.size:
+            self.add(_state_time(layer.new_c, layer.new_s + 1, layer.t, self._durations),
+                     layer.new_p)
 
     def add(self, taus: np.ndarray, masses: np.ndarray) -> None:
         idx = taus // self._g
@@ -91,13 +100,12 @@ def run_chains(
     absorb.  Hitting ``t_max_cap`` earlier is reported via
     ``diagnostics.truncated``.
     """
-    n = params.n_stations
     support = params.max_backoff_slots()
     cap = params.t_max_cap
     table = build_tx_prob_table(params, min(cap, support) + 1)
 
-    layer_a = StateLayerA.initial()
-    layer_b = StateLayerB.initial() if compute_b else None
+    layer_a = StateLayer.initial()
+    layer_b = StateLayer.initial() if compute_b else None
     atoms_a = _AtomAccumulator(durations)
     atoms_b = _AtomAccumulator(durations)
 
@@ -107,15 +115,8 @@ def run_chains(
 
     while True:
         t = layer_a.t
-        resolved_a = (
-            layer_a.absorbed_success_total + layer_a.absorbed_failure + layer_a.dropped_mass
-        )
-        done_a = resolved_a >= threshold or layer_a.p.size == 0
-        if compute_b:
-            assert layer_b is not None
-            done_b = layer_b.absorbed_total + layer_b.dropped_mass >= threshold
-        else:
-            done_b = True
+        done_a = layer_a.resolved() >= threshold or layer_a.p.size == 0
+        done_b = layer_b is None or layer_b.resolved() >= threshold
         if done_a and done_b:
             break
         if t >= cap:
@@ -124,43 +125,25 @@ def run_chains(
         if layer_a.p.size == 0 or t >= support:
             # No station can transmit any more; process B's leftover mass is
             # the tail where at least one station failed.
-            b_stalled = compute_b and not done_b
+            b_stalled = not done_b
             break
 
         next_a = step_process_a(layer_a, table, params)
-        if compute_b:
+        atoms_a.absorb(next_a)
+        if layer_b is not None:
             layer_b = step_process_b(layer_b, table, layer_a, params)
-            if layer_b.new_absorbed_p.size:
-                taus = _state_time(layer_b.new_absorbed_c, n, t + 1, durations)
-                atoms_b.add(taus, layer_b.new_absorbed_p)
-        if next_a.new_success_p.size:
-            taus = _state_time(next_a.new_success_c, next_a.new_success_s + 1, t + 1, durations)
-            atoms_a.add(taus, next_a.new_success_p)
+            atoms_b.absorb(layer_b)
         layer_a = next_a
 
-    p_a = atoms_a.finish()
-    residual_a = layer_a.carried_mass() + layer_a.dropped_mass
-    p_fail_a = layer_a.absorbed_failure
-    mass_error_a = abs(p_a.total_mass + p_fail_a + residual_a - 1.0)
-
-    if compute_b:
-        assert layer_b is not None
-        p_b = atoms_b.finish()
-        residual_b = layer_b.carried_mass() + layer_b.dropped_mass
-        mass_error_b = abs(p_b.total_mass + residual_b - 1.0)
-        absorbed_b = layer_b.absorbed_total
-    else:
-        p_b = None
-        residual_b = 0.0
-        mass_error_b = 0.0
-        absorbed_b = 0.0
-
+    p_a, absorbed_a, residual_a, mass_error_a = _outcome(layer_a, atoms_a)
+    p_b, absorbed_b, residual_b, mass_error_b = (
+        (None, 0.0, 0.0, 0.0) if layer_b is None else _outcome(layer_b, atoms_b))
     diagnostics = ChainDiagnostics(
         t_stop=layer_a.t,
         truncated=truncated,
         b_stalled=b_stalled,
-        absorbed_success_a=layer_a.absorbed_success_total,
-        absorbed_failure_a=p_fail_a,
+        absorbed_success_a=absorbed_a,
+        absorbed_failure_a=layer_a.failed.value,
         unresolved_a=residual_a,
         absorbed_b=absorbed_b,
         unresolved_b=residual_b,
@@ -168,4 +151,14 @@ def run_chains(
         mass_error_b=mass_error_b,
         table_extent=table.t_extent,
     )
-    return ChainResult(p_a=p_a, p_b=p_b, p_fail_a=p_fail_a, diagnostics=diagnostics)
+    return ChainResult(p_a=p_a, p_b=p_b, p_fail_a=layer_a.failed.value, diagnostics=diagnostics)
+
+
+def _outcome(layer: StateLayer, atoms: _AtomAccumulator
+             ) -> tuple[TimeDistribution, float, float, float]:
+    """A process's distribution, absorbed mass, unresolved mass (carried plus pruned) and
+    mass error."""
+    dist = atoms.finish()
+    residual = layer.carried_mass() + layer.dropped.value
+    error = abs(dist.total_mass + layer.failed.value + residual - 1.0)
+    return dist, layer.absorbed.value, residual, error

@@ -77,6 +77,13 @@ def _quantile_level(value: str) -> float:
     return q
 
 
+def _ks_tolerance(value: str) -> float:
+    tolerance = float(value)
+    if not 0.0 <= tolerance <= 1.0:  # also refuses nan
+        raise argparse.ArgumentTypeError(f"must lie in [0, 1], got {tolerance}")
+    return tolerance
+
+
 def _k_stride(value: str) -> int | str:
     if value == "auto":
         return value
@@ -387,7 +394,7 @@ def _parser() -> argparse.ArgumentParser:
     compare = add("compare", cmd_compare, [])
     compare.add_argument("model_file", metavar="MODEL_FILE")
     compare.add_argument("sim_file", metavar="SIM_FILE")
-    compare.add_argument("--tolerance", type=float, default=0.03,
+    compare.add_argument("--tolerance", type=_ks_tolerance, default=0.03,
                          help="Maximum acceptable Kolmogorov distance (default: %(default)s).")
     compare.add_argument("--report", type=Path, help="Optional JSON report path.")
     plan = add("plan", cmd_plan, [model, mixture])

@@ -137,8 +137,9 @@ def load_distribution(path: Path | str) -> TimeDistribution:
     """Read a distribution file written by this package (.csv or .json).
 
     Raises ``ValueError`` on a file this package did not write: one that is
-    not valid JSON or has no ``atoms`` object, a duplicate duration, or a
-    probability that is not a positive finite number.
+    not valid JSON or has no ``atoms`` object, a negative duration, durations
+    that are not strictly increasing (a duplicate or an out-of-order row), or
+    a probability that is not a positive finite number.
     """
     path = Path(path)
     if path.suffix == ".json":
@@ -162,14 +163,17 @@ def load_distribution(path: Path | str) -> TimeDistribution:
                 if line.strip():
                     dur, prob = line.split(",")[:2]
                     pairs.append((int(dur), float(prob)))
-    atoms: dict[int, float] = {}
+    previous = -1
     for dur, prob in pairs:
-        if dur in atoms:
-            raise ValueError(f"{path}: duplicate duration {dur}")
+        if dur < 0:
+            raise ValueError(f"{path}: negative duration {dur}")
+        if dur <= previous:
+            raise ValueError(f"{path}: duration {dur} follows {previous}; durations must be "
+                             f"strictly increasing")
         if not (math.isfinite(prob) and prob > 0.0):
             raise ValueError(f"{path}: duration {dur} has probability {prob!r}")
-        atoms[dur] = prob
-    return TimeDistribution.from_atoms(atoms)
+        previous = dur
+    return TimeDistribution.from_atoms(dict(pairs))
 
 
 def kolmogorov_distance(first: TimeDistribution, second: TimeDistribution) -> float:

@@ -72,7 +72,9 @@ class DistributionCache:
 
     ``params.n_stations`` is ignored; the population comes from the lookup key.
     ``chain_runs`` counts cold runs, ``cache_hits`` the ``pa``/``pb`` lookups
-    served without one and ``chain_run_s`` sums the runs' own durations.
+    served without one and ``chain_run_s`` sums the runs' own durations.  The
+    first lookup a run was made for is its miss, whether ``fill`` ran it ahead
+    of the lookup or the lookup itself did.
     """
 
     def __init__(self, params: ModelParams, durations: SlotDurations):
@@ -81,6 +83,8 @@ class DistributionCache:
         self._pa: dict[int, TimeDistribution] = {}
         # zero active stations complete instantly
         self._pb: dict[int, TimeDistribution] = {0: TimeDistribution.from_atoms({0: 1.0})}
+        # (k, compute_b) of the runs whose first lookup is still to come
+        self._unread: set[tuple[int, bool]] = set()
         self.chain_runs = 0
         self.cache_hits = 0
         self.chain_run_s = 0.0
@@ -108,22 +112,24 @@ class DistributionCache:
                 self._pb[k] = p_b
             else:
                 self._pa[k] = p_a
+            self._unread.add((k, compute_b))
             self.chain_runs += 1
             self.chain_run_s += seconds
 
     def pa(self, k: int) -> TimeDistribution:
-        if k in self._pa:
-            self.cache_hits += 1
-        else:
-            self.fill([k], compute_b=False)
-        return self._pa[k]
+        return self._lookup(self._pa, k, compute_b=False)
 
     def pb(self, k: int) -> TimeDistribution:
-        if k in self._pb:
-            self.cache_hits += 1
+        return self._lookup(self._pb, k, compute_b=True)
+
+    def _lookup(self, have: dict[int, TimeDistribution], k: int, compute_b: bool):
+        if k not in have:
+            self.fill([k], compute_b)
+        if (k, compute_b) in self._unread:
+            self._unread.remove((k, compute_b))
         else:
-            self.fill([k], compute_b=True)
-        return self._pb[k]
+            self.cache_hits += 1
+        return have[k]
 
 
 def _binom_pmf(n: int, p: float) -> np.ndarray:

@@ -15,7 +15,7 @@ from rawtime import (
     run_chains,
 )
 from rawtime.chains import _AtomAccumulator, _state_time
-from rawtime.layers import StateLayerA, StateLayerB, _cell_prob, step_process_a, step_process_b
+from rawtime.layers import StateLayer, _cell_prob, step_process_a, step_process_b
 from rawtime.txprob import build_tx_prob_table
 
 from reference import DenseChainReference
@@ -31,7 +31,7 @@ def layer_a(t, mass):
     p = np.zeros(shape)
     for (c, s, r), m in mass.items():
         p[r, c - c0, s - s0] = m
-    return StateLayerA(t=t, p=p, c0=c0, s0=s0)
+    return StateLayer(t=t, p=p, c0=c0, s0=s0)
 
 
 def mass_a(layer):
@@ -42,19 +42,18 @@ def mass_a(layer):
     }
 
 
-def success_records(layer):
-    """Success absorptions of the step that produced ``layer``, keyed by the
-    origin state (t, c, s)."""
+def absorbed_records(layer):
+    """Absorptions of the step that produced ``layer``, keyed by the origin state (t, c, s)."""
     return {
         (layer.t - 1, int(c), int(s)): float(p)
-        for c, s, p in zip(layer.new_success_c, layer.new_success_s, layer.new_success_p)
+        for c, s, p in zip(layer.new_c, layer.new_s, layer.new_p)
     }
 
 
-def absorbed_records(layer):
-    """Process-B absorptions of the step that produced ``layer``, keyed (t, c)."""
-    pairs = zip(layer.new_absorbed_c, layer.new_absorbed_p)
-    return {(layer.t - 1, int(c)): float(p) for c, p in pairs}
+def newly_resolved(before, after):
+    """Mass the step from ``before`` to ``after`` absorbed, failed and pruned."""
+    return sum(getattr(after, f).value - getattr(before, f).value
+               for f in ("absorbed", "failed", "dropped"))
 
 
 def cond_tx(layer, table, c, s):
@@ -97,13 +96,13 @@ class TestCondTxProb:
     def test_initial_state_single_term(self):
         params = ah_params(7)
         table = build_tx_prob_table(params, 10)
-        layer = StateLayerA.initial()
+        layer = StateLayer.initial()
         assert cond_tx(layer, table, 0, 0) == 1 / 16
 
     def test_unreachable_state_is_zero(self):
         params = ah_params(7)
         table = build_tx_prob_table(params, 10)
-        layer = StateLayerA.initial()
+        layer = StateLayer.initial()
         assert cond_tx(layer, table, 3, 2) == 0.0
         # a cell inside the box that holds no mass
         layer = layer_a(0, {(0, 0, 0): 0.5, (1, 1, 0): 0.5})
@@ -113,7 +112,7 @@ class TestCondTxProb:
         params = ah_params(7, prune_floor=0.0)
         table = build_tx_prob_table(params, 25)
         ref = DenseChainReference(7, 16, 1024, 7, AH_SLOT_DURATIONS)
-        layer = StateLayerA.initial()
+        layer = StateLayer.initial()
         for _ in range(20):
             layer = step_process_a(layer, table, params)
             ref.step()
@@ -135,44 +134,40 @@ class TestStepProcessA:
     def test_single_station_success_mass_is_uniform(self):
         params = ah_params(1)
         table = build_tx_prob_table(params, 20)
-        layer = StateLayerA.initial()
+        layer = StateLayer.initial()
         for t in range(16):
             layer = step_process_a(layer, table, params)
             # only absorption record: origin (t, 0, 0) with mass 1/CW0
-            assert success_records(layer) == pytest.approx({(t, 0, 0): 1 / 16}, abs=1e-15)
+            assert absorbed_records(layer) == pytest.approx({(t, 0, 0): 1 / 16}, abs=1e-15)
         assert layer.p.size == 0
-        assert layer.absorbed_success_total == pytest.approx(1.0, abs=1e-12)
+        assert layer.absorbed.value == pytest.approx(1.0, abs=1e-12)
 
     def test_mass_conserved_each_step(self):
         params = ModelParams(n_stations=3, cw_min=4, cw_max=8, retry_limit=3, prune_floor=0.0)
         table = build_tx_prob_table(params, params.max_backoff_slots() + 1)
-        layer = StateLayerA.initial()
+        layer = StateLayer.initial()
         for _ in range(params.max_backoff_slots()):
             before = layer.carried_mass()
             nxt = step_process_a(layer, table, params)
-            newly_absorbed = (
-                (nxt.absorbed_success_total - layer.absorbed_success_total)
-                + (nxt.absorbed_failure - layer.absorbed_failure)
-                + (nxt.dropped_mass - layer.dropped_mass)
-            )
-            assert nxt.carried_mass() + newly_absorbed == pytest.approx(before, abs=1e-12)
+            assert nxt.carried_mass() + newly_resolved(layer, nxt) == pytest.approx(
+                before, abs=1e-12)
             layer = nxt
 
     def test_absorption_matches_exhaustive_bernoulli_enumeration(self):
         params = harsh_params(2)
         table = build_tx_prob_table(params, params.max_backoff_slots() + 1)
         ref = DenseChainReference(2, 4, 4, 2, SMALL)
-        layer = StateLayerA.initial()
+        layer = StateLayer.initial()
         records = {}
         for _ in range(params.max_backoff_slots()):
             layer = step_process_a(layer, table, params)
-            for key, mass in success_records(layer).items():
+            for key, mass in absorbed_records(layer).items():
                 records[key] = records.get(key, 0.0) + mass
             ref.step()
         assert set(records) == set(ref.success_records)
         for key, mass in ref.success_records.items():
             assert records[key] == pytest.approx(mass, abs=1e-12)
-        assert layer.absorbed_failure == pytest.approx(ref.fail_a, abs=1e-12)
+        assert layer.failed.value == pytest.approx(ref.fail_a, abs=1e-12)
 
     def test_no_peers_left_forces_empty_or_own_success(self):
         # state with all six peers already done: peer activity impossible
@@ -181,14 +176,14 @@ class TestStepProcessA:
         layer = layer_a(3, {(0, 6, 0): 1.0})
         nxt = step_process_a(layer, table, params)
         q = float(table.p_tx[3, 0])
-        assert success_records(nxt) == pytest.approx({(3, 0, 6): q}, abs=1e-15)
+        assert absorbed_records(nxt) == pytest.approx({(3, 0, 6): q}, abs=1e-15)
         assert mass_a(nxt) == pytest.approx({(0, 6, 0): 1.0 - q}, abs=1e-15)
 
     def test_emptied_retry_rows_are_trimmed(self):
         # every fresh backoff ends within the first window, so row r = 0 empties
         params = ah_params(7)
         table = build_tx_prob_table(params, 40)
-        layer = StateLayerA.initial()
+        layer = StateLayer.initial()
         for _ in range(params.cw_min):
             assert layer.r0 == 0
             layer = step_process_a(layer, table, params)
@@ -202,8 +197,7 @@ class TestStepProcessA:
         layer = layer_a(2, {(0, 0, 0): 1e-12, (1, 0, 1): 1e-12, (2, 1, 2): 1e-12})
         nxt = step_process_a(layer, table, params)
         assert nxt.p.shape == (0, 0, 0)
-        resolved = nxt.absorbed_success_total + nxt.absorbed_failure + nxt.dropped_mass
-        assert resolved == pytest.approx(3e-12, rel=1e-12)
+        assert nxt.resolved() == pytest.approx(3e-12, rel=1e-12)
 
     def test_pruned_mass_sums_in_c_s_r_order(self):
         # sub-floor cells over several c, s and r, of magnitudes for which the
@@ -224,7 +218,7 @@ class TestStepProcessA:
         by_rcs = np.sum([m for _, m in sorted(low, key=lambda km: km[0][2:] + km[0][:2])])
         assert by_csr != by_rcs
         nxt = step_process_a(layer, table, params)
-        assert nxt.dropped_mass == by_csr
+        assert nxt.dropped.value == by_csr
         assert all(m >= floor for m in mass_a(nxt).values())
 
     def test_failure_booked_only_from_last_retry_row(self):
@@ -233,36 +227,36 @@ class TestStepProcessA:
         # the top row's mass is too small to outlive one step
         layer = layer_a(2, {(0, 0, 0): 1.0, (2, 0, 2): 1e-9})
         nxt = step_process_a(layer, table, params)
-        assert 0.0 < nxt.absorbed_failure < 1e-9
+        assert 0.0 < nxt.failed.value < 1e-9
         assert (nxt.r0, nxt.p.shape[0]) == (0, 2)
         # row 1's tagged collisions move up into row rl - 1 and fail nothing yet
         after = step_process_a(nxt, table, params)
-        assert after.absorbed_failure == nxt.absorbed_failure
+        assert after.failed.value == nxt.failed.value
         assert any(r == 2 for _, _, r in mass_a(after))
         last = step_process_a(after, table, params)
-        assert last.absorbed_failure > after.absorbed_failure
+        assert last.failed.value > after.failed.value
 
 
 class TestStepProcessB:
     def test_single_station_matches_process_a(self):
         params = ah_params(1)
         table = build_tx_prob_table(params, 20)
-        la, lb = StateLayerA.initial(), StateLayerB.initial()
+        la, lb = StateLayer.initial(), StateLayer.initial()
         for t in range(16):
             lb = step_process_b(lb, table, la, params)
             la = step_process_a(la, table, params)
-            assert absorbed_records(lb) == pytest.approx({(t, 0): 1 / 16}, abs=1e-15)
-        assert lb.absorbed_total == pytest.approx(1.0, abs=1e-12)
+            assert absorbed_records(lb) == pytest.approx({(t, 0, 0): 1 / 16}, abs=1e-15)
+        assert lb.absorbed.value == pytest.approx(1.0, abs=1e-12)
 
     def test_mass_conserved_each_step(self):
         params = ModelParams(n_stations=3, cw_min=4, cw_max=8, retry_limit=3, prune_floor=0.0)
         table = build_tx_prob_table(params, params.max_backoff_slots() + 1)
-        la, lb = StateLayerA.initial(), StateLayerB.initial()
+        la, lb = StateLayer.initial(), StateLayer.initial()
         for _ in range(params.max_backoff_slots()):
             before = lb.carried_mass()
             nxt = step_process_b(lb, table, la, params)
-            newly = (nxt.absorbed_total - lb.absorbed_total) + (nxt.dropped_mass - lb.dropped_mass)
-            assert nxt.carried_mass() + newly == pytest.approx(before, abs=1e-12)
+            assert nxt.carried_mass() + newly_resolved(lb, nxt) == pytest.approx(
+                before, abs=1e-12)
             lb = nxt
             la = step_process_a(la, table, params)
 
@@ -271,18 +265,17 @@ class TestStepProcessB:
         table = build_tx_prob_table(params, 10)
         la = layer_a(1, {(0, 0, 0): 1.0})
         with pytest.raises(ValueError):
-            step_process_b(StateLayerB.initial(), table, la, params)
+            step_process_b(StateLayer.initial(), table, la, params)
 
     def test_cells_below_process_a_origin_retire(self):
         params = ah_params(3)
         table = build_tx_prob_table(params, 10)
-        lb = StateLayerB(t=2, p=np.array([[0.25, 0.0], [0.25, 0.5]]))
+        lb = StateLayer(t=2, p=np.array([[[0.25, 0.0], [0.25, 0.5]]]))
         nxt = step_process_b(lb, table, layer_a(2, {(1, 1, 0): 1.0}), params)
         # (0, 0) lies below A's c0 and (1, 0) below its s0: both stall, unmoved
         assert sorted(np.concatenate(nxt.stalled).tolist()) == [0.25, 0.25]
         assert (nxt.c0, nxt.s0) == (1, 1)
-        resolved = nxt.absorbed_total + nxt.dropped_mass
-        assert nxt.carried_mass() + resolved == pytest.approx(1.0, abs=1e-15)
+        assert nxt.carried_mass() + nxt.resolved() == pytest.approx(1.0, abs=1e-15)
         # retirement assumes A's origin never falls, so a layer whose does is refused
         for c, s in ((0, 1), (1, 0)):
             with pytest.raises(ValueError, match="fell below"):
@@ -293,10 +286,12 @@ class TestStepProcessB:
         params = ah_params(3)
         table = build_tx_prob_table(params, 10)
         la = layer_a(2, {(0, 1, 1): 0.5, (1, 1, 0): 0.5})
-        nxt = step_process_b(StateLayerB(t=2, p=np.ones((1, 1)), c0=1, s0=1), table, la, params)
+        nxt = step_process_b(StateLayer(t=2, p=np.ones((1, 1, 1)), c0=1, s0=1), table, la, params)
         q = float(table.p_tx[2, 0])
         assert float(table.p_tx[2, 1]) != q  # A's (0, 1) cell would give other routes
-        got = {(nxt.c0 + c, nxt.s0 + s): float(nxt.p[c, s]) for c, s in zip(*np.nonzero(nxt.p))}
+        assert nxt.p.shape[0] == 1
+        cells = nxt.p[0]
+        got = {(nxt.c0 + c, nxt.s0 + s): float(cells[c, s]) for c, s in zip(*np.nonzero(cells))}
         stay, one = (1 - q) ** 2, 2 * q * (1 - q)
         assert got == pytest.approx({(1, 1): stay, (1, 2): one, (2, 1): 1 - stay - one}, abs=1e-15)
 
@@ -368,9 +363,9 @@ class TestRunChains:
 
 
 def chain_digest(result):
-    """SHA-256 of a run's P_A and P_B atoms and its diagnostics."""
+    """SHA-256 of a run's P_A and P_B atoms (P_B where it was computed) and its diagnostics."""
     h = hashlib.sha256()
-    for dist in (result.p_a, result.p_b):
+    for dist in filter(None, (result.p_a, result.p_b)):
         h.update(dist.durations.astype("<i8").tobytes())
         h.update(dist.probabilities.astype("<f8").tobytes())
     h.update(repr(result.diagnostics).encode())
@@ -378,26 +373,39 @@ def chain_digest(result):
 
 
 @pytest.mark.parametrize(
-    "params, digest",
+    "params, compute_b, digest",
     [
-        (ah_params(7), "a757de198053aa1ca51fd13e82f7941905cd176af599fffc233ed8b4cbbea7a0"),
+        (ah_params(7), True, "a757de198053aa1ca51fd13e82f7941905cd176af599fffc233ed8b4cbbea7a0"),
+        (
+            ModelParams(3, cw_min=4, cw_max=8, retry_limit=3),
+            True,
+            "08875168f112e1146bec1560b490f250d3b7c746ce3ded77ac1e42d16ed02c44",
+        ),
         (
             ModelParams(20, cw_min=4, cw_max=8, retry_limit=3),
+            True,
             "dc473fc0443a01bcd64872836768d100b90b1793e8f38e41da0f2be6b2b34282",
         ),
         # several live retry rows; process A prunes on 1300 of its 1813 steps
-        (ah_params(30), "d0d72515f78fecaf7122927430dc2a56933050f9e8c79e19529fc6aeb92695d1"),
+        (ah_params(30), True, "d0d72515f78fecaf7122927430dc2a56933050f9e8c79e19529fc6aeb92695d1"),
         # process B's mass ends fully stalled: unresolved_b = 1.0, b_stalled
         (
             ModelParams(50, cw_min=4, cw_max=8, retry_limit=3),
+            True,
             "52691d3fa5846e915cedbe6644d2e6b503f930f86dce237c5d518d84522dddcc",
         ),
+        (ah_params(100), True, "c8c56f42ea969f8be58f1cd04205be41f4f75129e043115b6a0c53a189f44484"),
+        (ah_params(200), True, "3de8c8fbfcec313d62f5a721a0b6777c8efdbe67f8c424a49fcc55a4cf789a98"),
+        # process A alone, as the planner runs it
+        (ah_params(60), False, "cba725709e0e10ec602d75f13a545bad5b410f9252af5df1c1540c7a6d58a207"),
+        (ah_params(300), False, "da2ec4ac876c45185bb9f8035c6b1ac9385c5b51e5bc5d88d0d1d5349b336ada"),
     ],
-    ids=["ah7", "cw4-8-rl3", "ah30", "cw4-8-rl3-n50"],
+    ids=["ah7", "cw4-8-rl3-n3", "cw4-8-rl3", "ah30", "cw4-8-rl3-n50", "ah100", "ah200",
+         "ah60-a-only", "ah300-a-only"],
 )
-def test_chain_output_pinned(params, digest):
+def test_chain_output_pinned(params, compute_b, digest):
     # a change to the layer storage or the atom bookkeeping must keep every bit
-    assert chain_digest(run_chains(params, AH_SLOT_DURATIONS)) == digest
+    assert chain_digest(run_chains(params, AH_SLOT_DURATIONS, compute_b=compute_b)) == digest
 
 
 class TestAtomAccumulator:
@@ -451,17 +459,13 @@ def conserving_steps(params):
     yields each pair of new layers after the process-A layer both were stepped from."""
     support = params.max_backoff_slots()
     table = build_tx_prob_table(params, support + 1)
-    la, lb = StateLayerA.initial(), StateLayerB.initial()
+    la, lb = StateLayer.initial(), StateLayer.initial()
     for _ in range(support):
         na = step_process_a(la, table, params)
         nb = step_process_b(lb, table, la, params)
-        resolved_a = sum(
-            getattr(na, f) - getattr(la, f)
-            for f in ("absorbed_success_total", "absorbed_failure", "dropped_mass")
-        )
-        assert na.carried_mass() + resolved_a == pytest.approx(la.carried_mass(), abs=1e-12)
-        resolved_b = (nb.absorbed_total - lb.absorbed_total) + (nb.dropped_mass - lb.dropped_mass)
-        assert nb.carried_mass() + resolved_b == pytest.approx(lb.carried_mass(), abs=1e-12)
+        for before, after in ((la, na), (lb, nb)):
+            assert after.carried_mass() + newly_resolved(before, after) == pytest.approx(
+                before.carried_mass(), abs=1e-12)
         yield la, na, nb
         la, lb = na, nb
 

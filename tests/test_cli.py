@@ -167,6 +167,11 @@ def test_groups_sweep_csv_schema(tmp_path):
     pytest.param("model --paper-params --n 3 --bogus --out {dir}/x", id="unknown-option"),
     pytest.param("frobnicate", id="unknown-command"),
     pytest.param("model --paper-params --n 1 --out {file}/x", id="out-under-a-file"),
+    pytest.param("compare {dir}/m.pa.csv {dir}/s.pa.csv --tolerance nan", id="tolerance-nan"),
+    pytest.param("compare {dir}/m.pa.csv {dir}/s.pa.csv --tolerance -1",
+                 id="tolerance-negative"),
+    pytest.param("compare {dir}/m.pa.csv {dir}/s.pa.csv --tolerance 1.5",
+                 id="tolerance-above-one"),
 ])
 def test_bad_input_is_one_error_line(tmp_path, capsys, argv):
     # {dir} does not exist: a run that got as far as writing would create it
@@ -175,6 +180,8 @@ def test_bad_input_is_one_error_line(tmp_path, capsys, argv):
     assert main(argv.format(dir=tmp_path / "dir", file=regular_file).split()) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and len(err.strip().splitlines()) == 1
+    if "--tolerance" in argv:  # refused as an option, before the missing files are read
+        assert "--tolerance" in err
     assert "Traceback" not in err
     assert [p.name for p in tmp_path.iterdir()] == ["file"]
     assert regular_file.read_text() == ""
@@ -253,6 +260,9 @@ def test_model_conservation_error_exit_code(tmp_path, capsys, monkeypatch):
     "duration_us,probability\n10,0.5\n20,0.0\n",
     "duration_us,probability\n10,0.5\n30,-0.1\n",
     "duration_us,probability\n10,0.9\n20,0.5\n",
+    "duration_us,probability\n-10,0.5\n20,0.2\n",
+    "duration_us,probability\n20,0.5\n10,0.2\n",
+    '{"atoms": {"20": 0.5, "10": 0.2}}',
     '{"total_mass": 0.5}',
     '{"atoms": 0.5}',
     '{"atoms": [["10", 0.5]]}',

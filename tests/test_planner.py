@@ -267,6 +267,18 @@ class TestBatchedRuns:
             _assert_same_bits(cache.pa(k), direct.p_a)
         assert cache.chain_runs == 12
 
+    def test_first_lookup_of_a_fresh_run_is_a_miss(self):
+        cache = DistributionCache(SMALL, SMALL_DUR)
+        mixture_pa(MixtureSpec(7, 0.5), SMALL, SMALL_DUR, cache=cache)
+        assert (cache.chain_runs, cache.cache_hits) == (7, 0)
+        mixture_pa(MixtureSpec(7, 0.5), SMALL, SMALL_DUR, cache=cache)
+        assert (cache.chain_runs, cache.cache_hits) == (7, 7)
+        # a run made by the lookup itself is that lookup's miss too
+        cache.pb(3)
+        assert (cache.chain_runs, cache.cache_hits) == (8, 7)
+        cache.pb(3)
+        assert (cache.chain_runs, cache.cache_hits) == (8, 8)
+
     def test_filled_sweep_makes_no_further_runs(self, monkeypatch):
         cache = DistributionCache(SMALL, SMALL_DUR)
         runs_after_fill = []
