@@ -17,6 +17,7 @@ from .chains import run_chains
 from .distribution import (
     TimeDistribution,
     UnsatisfiableQuantileError,
+    align,
     kolmogorov_distance,
     load_distribution,
     write_distribution,
@@ -224,10 +225,9 @@ def cmd_compare(args) -> int:
 
     model_dist, sim_dist = (_read(load_distribution, path) for path in paths)
     distance = kolmogorov_distance(model_dist, sim_dist)
-    atoms_m, atoms_s = model_dist.atoms, sim_dist.atoms
-    support = sorted(set(atoms_m) | set(atoms_s))
-    diffs = {d: atoms_m.get(d, 0.0) - atoms_s.get(d, 0.0) for d in support}
-    max_atom_diff = max((abs(v) for v in diffs.values()), default=0.0)
+    support, mass_m, mass_s = align(model_dist, sim_dist)
+    diffs = (mass_m - mass_s).tolist()
+    max_atom_diff = max(map(abs, diffs), default=0.0)
     passed = distance <= args.tolerance
 
     print(f"kolmogorov_distance: {distance:.6f}")
@@ -239,7 +239,7 @@ def cmd_compare(args) -> int:
             "max_atom_abs_difference": max_atom_diff,
             "tolerance": args.tolerance,
             "passed": passed,
-            "atom_differences": {str(d): v for d, v in diffs.items()},
+            "atom_differences": dict(zip(map(str, support.tolist()), diffs)),
         })
     return 0 if passed else 2
 

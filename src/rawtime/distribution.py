@@ -6,7 +6,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -42,8 +42,8 @@ class TimeDistribution:
         probabilities = np.asarray(self.probabilities, dtype=np.float64)
         if durations.shape != probabilities.shape or durations.ndim != 1:
             raise ValueError("durations and probabilities must be matching 1-D arrays")
-        if durations.size and np.any(np.diff(durations) <= 0):
-            raise ValueError("durations must be strictly increasing")
+        if durations.size and (durations[0] < 0 or np.any(np.diff(durations) <= 0)):
+            raise ValueError("durations must be non-negative and strictly increasing")
         if not np.all(np.isfinite(probabilities)) or np.any(probabilities <= 0.0):
             raise ValueError("atom probabilities must be positive and finite")
         durations.setflags(write=False)
@@ -57,13 +57,6 @@ class TimeDistribution:
         object.__setattr__(self, "deficit", 1.0 - total)
 
     @classmethod
-    def from_atoms(cls, atoms: Mapping[int, float]) -> "TimeDistribution":
-        items = sorted((int(d), float(p)) for d, p in atoms.items() if p != 0.0)
-        durations = np.fromiter((d for d, _ in items), dtype=np.int64, count=len(items))
-        probabilities = np.fromiter((p for _, p in items), dtype=np.float64, count=len(items))
-        return cls(durations, probabilities)
-
-    @classmethod
     def from_arrays(cls, durations: np.ndarray, probabilities: np.ndarray) -> "TimeDistribution":
         """Build from unsorted, possibly duplicated or zero-mass raw atoms."""
         durations = np.asarray(durations, dtype=np.int64)
@@ -72,10 +65,6 @@ class TimeDistribution:
         summed = np.bincount(inverse, weights=probabilities, minlength=uniq.size)
         keep = summed != 0.0
         return cls(uniq[keep], summed[keep])
-
-    @property
-    def atoms(self) -> dict[int, float]:
-        return {int(d): float(p) for d, p in zip(self.durations, self.probabilities)}
 
     def cumulative(self) -> np.ndarray:
         return np.cumsum(self.probabilities)
@@ -137,69 +126,63 @@ def load_distribution(path: Path | str) -> TimeDistribution:
     """Read a distribution file written by this package (.csv or .json).
 
     Raises ``ValueError`` on a file this package did not write: one that is
-    not valid JSON or has no ``atoms`` object, a negative duration, durations
-    that are not strictly increasing (a duplicate or an out-of-order row), or
-    a probability that is not a positive finite number.
+    not valid JSON or has no ``atoms`` object, a CSV whose header or rows do
+    not hold exactly the two columns ``duration_us,probability``, a JSON atom
+    whose probability is not a number, or atoms the ``TimeDistribution``
+    constructor refuses.
     """
     path = Path(path)
     if path.suffix == ".json":
         # objects as tuples of key-value pairs, so that a duplicate key stays
         # visible and an array is not taken for an object
         payload = json.loads(path.read_text(encoding="utf-8"), object_pairs_hook=tuple)
-        atoms = dict(payload).get("atoms") if isinstance(payload, tuple) else None
-        if not isinstance(atoms, tuple):
+        rows = dict(payload).get("atoms") if isinstance(payload, tuple) else None
+        if not isinstance(rows, tuple):
             raise ValueError(f"{path}: no 'atoms' object")
-        try:
-            pairs = [(int(k), float(v)) for k, v in atoms]
-        except TypeError as exc:
-            raise ValueError(f"{path}: an atom probability is not a number") from exc
+        # bool is a subclass of int, and float() would also take a string
+        if any(type(prob) not in (int, float) for _, prob in rows):
+            raise ValueError(f"{path}: an atom probability is not a number")
     else:
-        pairs = []
         with open(path, encoding="utf-8") as fh:
             header = fh.readline().strip()
-            if header.split(",")[:2] != ["duration_us", "probability"]:
+            if header != "duration_us,probability":
                 raise ValueError(f"{path}: not a distribution CSV (header {header!r})")
-            for line in fh:
-                if line.strip():
-                    dur, prob = line.split(",")[:2]
-                    pairs.append((int(dur), float(prob)))
-    previous = -1
-    for dur, prob in pairs:
-        if dur < 0:
-            raise ValueError(f"{path}: negative duration {dur}")
-        if dur <= previous:
-            raise ValueError(f"{path}: duration {dur} follows {previous}; durations must be "
-                             f"strictly increasing")
-        if not (math.isfinite(prob) and prob > 0.0):
-            raise ValueError(f"{path}: duration {dur} has probability {prob!r}")
-        previous = dur
-    return TimeDistribution.from_atoms(dict(pairs))
+            rows = [line.split(",") for line in fh if line.strip()]
+        if any(len(row) != 2 for row in rows):
+            raise ValueError(f"{path}: a row does not hold exactly two cells")
+    try:
+        return TimeDistribution([int(dur) for dur, _ in rows], [float(prob) for _, prob in rows])
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ValueError(f"{path}: {exc}") from exc
+
+
+def align(
+    first: TimeDistribution, second: TimeDistribution
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The union of both supports, and each distribution's mass on it (0.0
+    where it has no atom)."""
+    support = np.union1d(first.durations, second.durations)
+    masses = np.zeros((2, support.size))
+    for mass, dist in zip(masses, (first, second)):
+        mass[np.searchsorted(support, dist.durations)] = dist.probabilities
+    return support, *masses
 
 
 def kolmogorov_distance(first: TimeDistribution, second: TimeDistribution) -> float:
     """Supremum absolute difference between the two cumulative distributions."""
-    support = np.union1d(first.durations, second.durations)
-    if support.size == 0:
-        return 0.0
-
-    def cdf_on(dist: TimeDistribution) -> np.ndarray:
-        cum = np.concatenate(([0.0], dist.cumulative()))
-        return cum[np.searchsorted(dist.durations, support, side="right")]
-
-    return float(np.max(np.abs(cdf_on(first) - cdf_on(second))))
+    _, mass_first, mass_second = align(first, second)
+    return float(np.max(np.abs(np.cumsum(mass_first) - np.cumsum(mass_second)), initial=0.0))
 
 
 def merge_weighted(
     components: Iterable[tuple[float, TimeDistribution]]
 ) -> TimeDistribution:
     """Weighted superposition of distributions (weights need not sum to 1)."""
-    taus = []
-    masses = []
+    taus = [np.zeros(0, dtype=np.int64)]
+    masses = [np.zeros(0)]
     for weight, dist in components:
         if weight <= 0.0:
             continue
         taus.append(dist.durations)
         masses.append(weight * dist.probabilities)
-    if not taus:
-        return TimeDistribution.from_atoms({})
     return TimeDistribution.from_arrays(np.concatenate(taus), np.concatenate(masses))

@@ -82,7 +82,7 @@ class DistributionCache:
         self.durations = durations
         self._pa: dict[int, TimeDistribution] = {}
         # zero active stations complete instantly
-        self._pb: dict[int, TimeDistribution] = {0: TimeDistribution.from_atoms({0: 1.0})}
+        self._pb: dict[int, TimeDistribution] = {0: TimeDistribution([0], [1.0])}
         # (k, compute_b) of the runs whose first lookup is still to come
         self._unread: set[tuple[int, bool]] = set()
         self.chain_runs = 0
@@ -188,17 +188,18 @@ def _grid_points(ks: np.ndarray, stride: int) -> np.ndarray:
 def _subsample_weights(ks: np.ndarray, weights: np.ndarray, stride: int) -> tuple[np.ndarray, np.ndarray]:
     """Reassign each k's weight linearly onto the two surrounding grid points."""
     grid = _grid_points(ks, stride)
-    out = np.zeros(grid.size)
     pos = np.searchsorted(grid, ks)
     exact = grid[np.minimum(pos, grid.size - 1)] == ks
-    np.add.at(out, pos[exact], weights[exact])
     rest = ~exact
     hi_idx = pos[rest]
     lo_idx = hi_idx - 1
     span = (grid[hi_idx] - grid[lo_idx]).astype(float)
     frac_hi = (ks[rest] - grid[lo_idx]) / span
-    np.add.at(out, lo_idx, weights[rest] * (1.0 - frac_hi))
-    np.add.at(out, hi_idx, weights[rest] * frac_hi)
+    # bincount adds in input order: exact weights, then the low and high shares
+    out = np.bincount(np.concatenate((pos[exact], lo_idx, hi_idx)),
+                      np.concatenate((weights[exact], weights[rest] * (1.0 - frac_hi),
+                                      weights[rest] * frac_hi)),
+                      minlength=grid.size)
     return grid, out
 
 

@@ -76,17 +76,19 @@ class SimConfig:
 class EmpiricalDistribution:
     """Delivery-time histogram over completed runs.
 
-    For the tagged-station distribution, ``failure_count`` counts runs whose
-    tagged station exhausted its retries.  For the all-stations distribution,
-    atoms record the completion time of the last successful station (runs in
-    which every station failed contribute no atom) and ``failure_count``
-    counts runs where at least one station failed.  ``batches`` is the
-    campaign's batch count, ``slots`` the event slots its batches visited (slots
-    in which some run of the batch transmits), and ``batch_s`` its batches' own
-    run times, summed over the processes they ran in.
+    Its atoms are the sorted ``durations`` and their run ``counts``.  For the
+    tagged-station distribution, ``failure_count`` counts runs whose tagged
+    station exhausted its retries.  For the all-stations distribution, atoms
+    record the completion time of the last successful station (runs in which
+    every station failed contribute no atom) and ``failure_count`` counts runs
+    where at least one station failed.  ``batches`` is the campaign's batch
+    count, ``slots`` the event slots its batches visited (slots in which some
+    run of the batch transmits), and ``batch_s`` its batches' own run times,
+    summed over the processes they ran in.
     """
 
-    atoms: dict[int, int]
+    durations: np.ndarray
+    counts: np.ndarray
     runs: int
     failure_count: int
     batches: int
@@ -94,9 +96,7 @@ class EmpiricalDistribution:
     batch_s: float
 
     def to_time_distribution(self) -> TimeDistribution:
-        return TimeDistribution.from_atoms(
-            {d: c / self.runs for d, c in self.atoms.items()}
-        )
+        return TimeDistribution(self.durations, self.counts / self.runs)
 
 
 @dataclass
@@ -218,17 +218,16 @@ def simulate(config: SimConfig) -> tuple[EmpiricalDistribution, EmpiricalDistrib
     indices, sizes = zip(*_batches(config.runs, _batch_runs(config.params.n_stations)))
     outcomes = map_jobs(_simulate_batch, repeat(config), indices, sizes)
 
-    def histogram(times: list[np.ndarray]) -> dict[int, int]:
-        values, counts = np.unique(np.concatenate(times), return_counts=True)
-        return dict(zip(values.tolist(), counts.tolist()))
+    def histogram(times: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+        return np.unique(np.concatenate(times), return_counts=True)
 
     campaign = dict(runs=config.runs, batches=len(outcomes),
                     slots=sum(outcome.slots for outcome in outcomes),
                     batch_s=math.fsum(outcome.seconds for outcome in outcomes))
-    emp_a = EmpiricalDistribution(atoms=histogram([o.tagged_times for o in outcomes]),
+    emp_a = EmpiricalDistribution(*histogram([o.tagged_times for o in outcomes]),
                                   failure_count=sum(o.tagged_failures for o in outcomes),
                                   **campaign)
-    emp_b = EmpiricalDistribution(atoms=histogram([o.finish_times for o in outcomes]),
+    emp_b = EmpiricalDistribution(*histogram([o.finish_times for o in outcomes]),
                                   failure_count=sum(o.any_failure for o in outcomes),
                                   **campaign)
     return emp_a, emp_b

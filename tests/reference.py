@@ -347,6 +347,33 @@ def simulate_group_mixture(size, p_active, params, durations, runs, seed):
         )
         emp_a, _ = simulate(cfg)
         failures += emp_a.failure_count
-        for tau, c in emp_a.atoms.items():
+        for tau, c in atoms(emp_a).items():
             times.extend([tau] * c)
     return np.sort(np.asarray(times, dtype=np.int64)), failures
+
+
+def atoms(dist) -> dict:
+    """``{duration: probability}`` of a ``TimeDistribution``, or ``{duration:
+    count}`` of a simulator histogram, as plain Python numbers."""
+    weights = dist.counts if hasattr(dist, "counts") else dist.probabilities
+    return dict(zip(dist.durations.tolist(), weights.tolist()))
+
+
+def ref_compare(first: dict, second: dict) -> tuple[float, dict]:
+    """Kolmogorov distance and per-duration differences ``first - second`` of
+    two ``{duration: probability}`` dicts: each cumulative distribution is a
+    running sum over its own atoms in duration order, read on the union of
+    both supports."""
+    support = sorted(set(first) | set(second))
+
+    def cdf(dist: dict) -> dict:
+        total, out = 0.0, {}
+        for d in support:
+            if d in dist:
+                total += dist[d]
+            out[d] = total
+        return out
+
+    cdf_first, cdf_second = cdf(first), cdf(second)
+    distance = max((abs(cdf_first[d] - cdf_second[d]) for d in support), default=0.0)
+    return distance, {d: first.get(d, 0.0) - second.get(d, 0.0) for d in support}

@@ -28,7 +28,7 @@ from rawtime import (
 )
 from rawtime.txprob import build_tx_prob_table
 
-from reference import DenseChainReference
+from reference import DenseChainReference, atoms
 
 SIGMA = 52
 TS = 42 * SIGMA
@@ -66,10 +66,10 @@ def test_criterion_1_single_station_closed_form():
         result = run_chains(ah_params(1), AH_SLOT_DURATIONS)
         expected = {k * SIGMA + TS: 1 / 16 for k in range(16)}
         ok = (
-            set(result.p_a.atoms) == set(expected)
-            and set(result.p_b.atoms) == set(expected)
-            and all(abs(result.p_a.atoms[tau] - 1 / 16) <= 1e-12 for tau in expected)
-            and all(abs(result.p_b.atoms[tau] - 1 / 16) <= 1e-12 for tau in expected)
+            set(atoms(result.p_a)) == set(expected)
+            and set(atoms(result.p_b)) == set(expected)
+            and all(abs(atoms(result.p_a)[tau] - 1 / 16) <= 1e-12 for tau in expected)
+            and all(abs(atoms(result.p_b)[tau] - 1 / 16) <= 1e-12 for tau in expected)
             and result.p_fail_a == 0.0
         )
     _report("1 (N=1 closed form)", ok, timer, 1.0,
@@ -100,10 +100,11 @@ def test_criterion_3_chain_equals_exhaustive_enumeration():
             ref = DenseChainReference(n, 4, 4, 2, SMALL)
             ref.run(params.max_backoff_slots() + 1)
             result = run_chains(params, SMALL)
-            for tau in set(result.p_a.atoms) | set(ref.pa_atoms):
-                worst = max(worst, abs(result.p_a.atoms.get(tau, 0.0) - ref.pa_atoms.get(tau, 0.0)))
-            for tau in set(result.p_b.atoms) | set(ref.pb_atoms):
-                worst = max(worst, abs(result.p_b.atoms.get(tau, 0.0) - ref.pb_atoms.get(tau, 0.0)))
+            got_a, got_b = atoms(result.p_a), atoms(result.p_b)
+            for tau in set(got_a) | set(ref.pa_atoms):
+                worst = max(worst, abs(got_a.get(tau, 0.0) - ref.pa_atoms.get(tau, 0.0)))
+            for tau in set(got_b) | set(ref.pb_atoms):
+                worst = max(worst, abs(got_b.get(tau, 0.0) - ref.pb_atoms.get(tau, 0.0)))
             worst = max(worst, abs(result.p_fail_a - ref.fail_a))
         ok = worst <= 1e-9
     _report("3 (chain mechanics vs enumeration)", ok, timer, 10.0,
@@ -221,8 +222,8 @@ def test_criterion_9_bookkeeping_invariants():
         first = simulate(config)
         second = simulate(config)
         determinism_ok = (
-            first[0].atoms == second[0].atoms
-            and first[1].atoms == second[1].atoms
+            atoms(first[0]) == atoms(second[0])
+            and atoms(first[1]) == atoms(second[1])
             and first[0].failure_count == second[0].failure_count
             and first[1].failure_count == second[1].failure_count
         )

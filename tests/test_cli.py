@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -11,6 +12,8 @@ from rawtime.cli import main
 from rawtime.distribution import load_distribution
 from rawtime.manifest import load_manifest
 
+from reference import atoms
+
 
 def run(tmp_path, *args):
     return main([str(a) for a in args])
@@ -20,7 +23,7 @@ def test_model_single_station_uniform(tmp_path, capsys):
     out = tmp_path / "m1"
     assert main(["model", "--n", "1", "--paper-params", "--out", str(out)]) == 0
     dist = load_distribution(f"{out}.pa.csv")
-    assert dist.atoms == pytest.approx({k * 52 + 2184: 1 / 16 for k in range(16)})
+    assert atoms(dist) == pytest.approx({k * 52 + 2184: 1 / 16 for k in range(16)})
     manifest = load_manifest(f"{out}.pa.csv")
     assert manifest["params"]["cw_min"] == 16
     assert manifest["source"] == "model"
@@ -93,6 +96,22 @@ def test_compare_model_vs_simulation_single_station(tmp_path, capsys):
                  "--report", f"{report}/r.json"]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and len(err.strip().splitlines()) == 1
+
+
+def test_written_bytes_pinned(tmp_path):
+    # the simulator's count / runs and compare's atom differences, to the bit
+    sim, model, report = tmp_path / "s", tmp_path / "m", tmp_path / "r.json"
+    assert main(["simulate", "--n", "7", "--paper-params", "--runs", "2000", "--seed", "1",
+                 "--out", str(sim)]) == 0
+    assert main(["model", "--n", "7", "--paper-params", "--out", str(model)]) == 0
+    assert main(["compare", f"{model}.pa.csv", f"{sim}.pa.csv", "--report", str(report)]) == 0
+    digests = {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+               for path in (tmp_path / "s.pa.csv", tmp_path / "s.pb.csv", report)}
+    assert digests == {
+        "s.pa.csv": "b00c8e1e6ab4558688a3f1c76fe36d5f5523887ea22b0ccc145cb5de93128f20",
+        "s.pb.csv": "369768e41f42c191f82ce5c78409b327d6980e01935e0a17164ac82e4d8e3f9f",
+        "r.json": "2d2f5a5c5e6443a874cc8f76f3f3b7d2ec186c7903cc4f98fd95a8f854242d30",
+    }
 
 
 def test_compare_rejects_mismatched_population(tmp_path, capsys):
@@ -269,6 +288,11 @@ def test_model_conservation_error_exit_code(tmp_path, capsys, monkeypatch):
     '{"atoms": {"10": null}}',
     '[{"atoms": {"10": 0.5}}]',
     '{"atoms": {"10": 0.5}',
+    "duration_us,probability\n10,0.5\n20,0.2,junk\n",
+    "duration_us,probability,extra\n10,0.5\n",
+    '{"atoms": {"10": true}}',
+    '{"atoms": {"10": "0.5"}}',
+    '{"atoms": {"99999999999999999999": 0.5}}',
 ])
 def test_compare_rejects_corrupt_distribution(tmp_path, capsys, body):
     fmt = "json" if body[0] in "{[" else "csv"

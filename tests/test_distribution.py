@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rawtime import (
@@ -17,8 +17,12 @@ from rawtime import (
     run_chains,
     write_distribution,
 )
+from rawtime.distribution import align
 
-UNIFORM16 = TimeDistribution.from_atoms({k * 52 + 2184: 1 / 16 for k in range(16)})
+from reference import atoms, ref_compare
+
+UNIFORM16 = TimeDistribution(np.arange(16) * 52 + 2184, np.full(16, 1 / 16))
+EMPTY = TimeDistribution(np.zeros(0, dtype=np.int64), np.zeros(0))
 
 # Empirical 0.999 quantile of the tagged-station delivery time, N=7 with the
 # 802.11ah reference setup: simulate(SimConfig(ah_params(7), AH_SLOT_DURATIONS,
@@ -33,13 +37,13 @@ class TestQuantile:
         assert UNIFORM16.quantile(0.5) == 7 * 52 + 2184 == 2548
 
     def test_smallest_duration_reaching_mass(self):
-        dist = TimeDistribution.from_atoms({10: 0.25, 20: 0.25, 30: 0.5})
+        dist = TimeDistribution(np.array([10, 20, 30]), np.array([0.25, 0.25, 0.5]))
         assert dist.quantile(0.25) == 10
         assert dist.quantile(0.2500001) == 20
         assert dist.quantile(0.99) == 30
 
     def test_unsatisfiable_raises_with_achievable_mass(self):
-        dist = TimeDistribution.from_atoms({10: 0.5, 20: 0.25})
+        dist = TimeDistribution(np.array([10, 20]), np.array([0.5, 0.25]))
         with pytest.raises(UnsatisfiableQuantileError) as err:
             dist.quantile(0.9)
         assert err.value.total_mass == pytest.approx(0.75)
@@ -58,22 +62,26 @@ class TestQuantile:
 
 class TestBookkeeping:
     def test_totals(self):
-        dist = TimeDistribution.from_atoms({1: 0.25, 2: 0.5})
+        dist = TimeDistribution(np.array([1, 2]), np.array([0.25, 0.5]))
         assert dist.total_mass == pytest.approx(0.75, abs=1e-15)
         assert dist.deficit == pytest.approx(0.25, abs=1e-15)
-        assert math.fsum(dist.atoms.values()) == pytest.approx(dist.total_mass, abs=1e-9)
+        assert math.fsum(atoms(dist).values()) == pytest.approx(dist.total_mass, abs=1e-9)
 
     def test_zero_mass_atoms_dropped(self):
-        dist = TimeDistribution.from_atoms({1: 0.5, 2: 0.0})
+        dist = TimeDistribution.from_arrays(np.array([2, 1]), np.array([0.0, 0.5]))
         assert list(dist.durations) == [1]
 
     def test_from_arrays_merges_duplicates(self):
         dist = TimeDistribution.from_arrays(np.array([5, 3, 5]), np.array([0.1, 0.2, 0.3]))
-        assert dist.atoms == pytest.approx({3: 0.2, 5: 0.4})
+        assert atoms(dist) == pytest.approx({3: 0.2, 5: 0.4})
 
     def test_unsorted_rejected(self):
         with pytest.raises(ValueError):
             TimeDistribution(np.array([2, 1]), np.array([0.1, 0.1]))
+
+    def test_negative_duration_rejected(self):
+        with pytest.raises(ValueError, match="non-negative and strictly increasing"):
+            TimeDistribution(np.array([-1, 2]), np.array([0.1, 0.1]))
 
 
 class TestSerialization:
@@ -81,13 +89,13 @@ class TestSerialization:
         path = tmp_path / "d.csv"
         write_distribution(UNIFORM16, path)
         again = load_distribution(path)
-        assert again.atoms == UNIFORM16.atoms
+        assert atoms(again) == atoms(UNIFORM16)
 
     def test_json_round_trip(self, tmp_path):
         path = tmp_path / "d.json"
         write_distribution(UNIFORM16, path, extra={"runs": 16})
         again = load_distribution(path)
-        assert again.atoms == UNIFORM16.atoms
+        assert atoms(again) == atoms(UNIFORM16)
         payload = json.loads(path.read_text())
         assert list(payload) == ["atoms", "total_mass", "deficit", "runs"]
 
@@ -109,26 +117,54 @@ class TestKolmogorov:
         assert kolmogorov_distance(UNIFORM16, UNIFORM16) == 0.0
 
     def test_known_distance(self):
-        a = TimeDistribution.from_atoms({1: 0.5, 2: 0.5})
-        b = TimeDistribution.from_atoms({1: 0.2, 2: 0.8})
+        a = TimeDistribution(np.array([1, 2]), np.array([0.5, 0.5]))
+        b = TimeDistribution(np.array([1, 2]), np.array([0.2, 0.8]))
         assert kolmogorov_distance(a, b) == pytest.approx(0.3)
 
     def test_mass_deficit_counts(self):
-        a = TimeDistribution.from_atoms({1: 1.0})
-        b = TimeDistribution.from_atoms({1: 0.9})
+        a = TimeDistribution(np.array([1]), np.array([1.0]))
+        b = TimeDistribution(np.array([1]), np.array([0.9]))
         assert kolmogorov_distance(a, b) == pytest.approx(0.1)
+
+
+@st.composite
+def small_distributions(draw):
+    """Up to six atoms on a 52 us lattice, each of mass at most 1/6."""
+    durations = sorted(draw(st.sets(st.integers(0, 40), max_size=6)))
+    masses = draw(st.lists(st.floats(1e-9, 1 / 6), min_size=len(durations),
+                           max_size=len(durations)))
+    return TimeDistribution(np.array(durations, dtype=np.int64) * 52, np.array(masses))
+
+
+class TestAlign:
+    @settings(max_examples=300, deadline=None)
+    @given(small_distributions(), small_distributions())
+    @example(EMPTY, EMPTY)
+    @example(EMPTY, UNIFORM16)
+    def test_equals_dict_oracle_to_the_bit(self, first, second):
+        distance, diffs = ref_compare(atoms(first), atoms(second))
+        support, mass_first, mass_second = align(first, second)
+        assert kolmogorov_distance(first, second).hex() == distance.hex()
+        assert support.tolist() == list(diffs)
+        assert [d.hex() for d in (mass_first - mass_second).tolist()] == [
+            d.hex() for d in diffs.values()]
 
 
 class TestMergeWeighted:
     def test_weighted_superposition(self):
-        a = TimeDistribution.from_atoms({1: 1.0})
-        b = TimeDistribution.from_atoms({1: 0.5, 2: 0.5})
+        a = TimeDistribution(np.array([1]), np.array([1.0]))
+        b = TimeDistribution(np.array([1, 2]), np.array([0.5, 0.5]))
         merged = merge_weighted([(0.5, a), (0.5, b)])
-        assert merged.atoms == pytest.approx({1: 0.75, 2: 0.25})
+        assert atoms(merged) == pytest.approx({1: 0.75, 2: 0.25})
 
     def test_zero_weight_skipped(self):
         merged = merge_weighted([(0.0, UNIFORM16), (1.0, UNIFORM16)])
-        assert merged.atoms == pytest.approx(UNIFORM16.atoms)
+        assert atoms(merged) == pytest.approx(atoms(UNIFORM16))
+
+    def test_no_positive_weight_gives_empty(self):
+        merged = merge_weighted([(0.0, UNIFORM16)])
+        assert merged.durations.size == merged.probabilities.size == 0
+        assert merged.total_mass == 0.0
 
 
 class TestRejectCorruptInput:
@@ -137,7 +173,7 @@ class TestRejectCorruptInput:
         with pytest.raises(ValueError):
             TimeDistribution(np.array([1, 2]), np.array([0.5, probability]))
         with pytest.raises(ValueError):
-            TimeDistribution.from_atoms({1: 0.5, 2: probability})
+            TimeDistribution.from_arrays(np.array([2, 1]), np.array([probability, 0.5]))
 
     def test_total_mass_above_one_rejected(self):
         with pytest.raises(ValueError):
@@ -156,10 +192,15 @@ class TestRejectCorruptInput:
         ["10,0.5", "20,0.0"],
         ["10,0.5", "30,-0.1"],
         ["10,0.5", "10,0.2", "20,nan", "30,-0.1"],
+        ["10,0.5", "20,0.2,junk"],
+        ["duration_us,probability,extra", "10,0.5"],
+        ["10,0.5", f"{2**63},0.2"],
     ])
     def test_corrupt_csv_rejected(self, tmp_path, rows):
         path = tmp_path / "d.csv"
-        path.write_text("duration_us,probability\n" + "\n".join(rows) + "\n")
+        if not rows[0].startswith("duration_us"):  # a case may bring its own header
+            rows = ["duration_us,probability", *rows]
+        path.write_text("\n".join(rows) + "\n")
         with pytest.raises(ValueError):
             load_distribution(path)
 
@@ -170,6 +211,9 @@ class TestRejectCorruptInput:
         '{"10": 0.5, "20": Infinity}',
         '{"10": 0.5, "20": 0}',
         '{"10": 0.5, "20": -0.1}',
+        '{"10": true}',
+        '{"10": 0.5, "20": "0.2"}',
+        '{"10": 0.5, "99999999999999999999": 0.2}',
     ])
     def test_corrupt_json_rejected(self, tmp_path, atoms):
         path = tmp_path / "d.json"

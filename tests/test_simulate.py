@@ -23,7 +23,7 @@ from rawtime import (
 from rawtime import pool
 from rawtime.simulate import _batch_runs, _simulate_batch
 
-from reference import enumerate_protocol, slot_stepping_batch
+from reference import atoms, enumerate_protocol, slot_stepping_batch
 
 SMALL = SlotDurations(t_empty=52, t_success=2184, t_collision=2184)
 
@@ -32,18 +32,18 @@ def test_single_station_uniform_within_three_sigma():
     cfg = SimConfig(params=ah_params(1), durations=AH_SLOT_DURATIONS, runs=10**6, seed=1)
     emp_a, emp_b = simulate(cfg)
     assert emp_a.failure_count == 0
-    assert set(emp_a.atoms) == {k * 52 + 2184 for k in range(16)}
+    assert set(atoms(emp_a)) == {k * 52 + 2184 for k in range(16)}
     expected = cfg.runs / 16
     sigma = math.sqrt(cfg.runs * (1 / 16) * (15 / 16))
-    assert all(abs(c - expected) <= 3 * sigma for c in emp_a.atoms.values())
+    assert all(abs(c - expected) <= 3 * sigma for c in atoms(emp_a).values())
     # a single station's delivery is also everyone's completion
-    assert emp_b.atoms == emp_a.atoms
+    assert atoms(emp_b) == atoms(emp_a)
 
 
 def test_single_station_chi_square_agreement():
     cfg = SimConfig(params=ah_params(1), durations=AH_SLOT_DURATIONS, runs=200_000, seed=3)
     emp_a, _ = simulate(cfg)
-    counts = [emp_a.atoms[k * 52 + 2184] for k in range(16)]
+    counts = [atoms(emp_a)[k * 52 + 2184] for k in range(16)]
     result = chisquare(counts)
     assert result.pvalue >= 0.01
 
@@ -52,8 +52,8 @@ def test_deterministic_for_fixed_seed():
     cfg = SimConfig(params=ah_params(5), durations=AH_SLOT_DURATIONS, runs=20_000, seed=99)
     first = simulate(cfg)
     second = simulate(cfg)
-    assert first[0].atoms == second[0].atoms
-    assert first[1].atoms == second[1].atoms
+    assert atoms(first[0]) == atoms(second[0])
+    assert atoms(first[1]) == atoms(second[1])
     assert first[0].failure_count == second[0].failure_count
     assert first[1].failure_count == second[1].failure_count
 
@@ -63,7 +63,7 @@ PINNED = SimConfig(params=ah_params(5), durations=AH_SLOT_DURATIONS, runs=20_000
 
 
 def _digest(emp):
-    return hashlib.sha256(json.dumps(sorted(emp.atoms.items())).encode()).hexdigest()
+    return hashlib.sha256(json.dumps(sorted(atoms(emp).items())).encode()).hexdigest()
 
 
 def test_counts_pinned_for_fixed_seed():
@@ -76,13 +76,13 @@ def test_counts_pinned_for_fixed_seed():
 
     params = ModelParams(n_stations=3, cw_min=4, cw_max=4, retry_limit=2)
     emp_a, emp_b = simulate(SimConfig(params=params, durations=SMALL, runs=50_000, seed=5))
-    assert emp_a.atoms == {
+    assert atoms(emp_a) == {
         2184: 6781, 2236: 3116, 2288: 780, 4368: 4260, 4420: 4407, 4472: 893, 4524: 179,
         4576: 47, 4628: 17, 6552: 2573, 6604: 6849, 6656: 2542, 6708: 1285, 6760: 451,
         6812: 63, 8736: 475, 8788: 1610, 8840: 2070, 8892: 1879, 8944: 1176,
     }
     assert emp_a.failure_count == 8547
-    assert emp_b.atoms == {
+    assert atoms(emp_b) == {
         2184: 1762, 2236: 1107, 2288: 591, 4368: 499, 4420: 915, 4472: 1129, 4524: 209,
         4576: 120, 4628: 40, 6552: 4903, 6604: 14554, 6656: 436, 6708: 461, 6760: 380,
         6812: 217, 8736: 1425, 8788: 4725, 8840: 6120, 8892: 5641, 8944: 3515,
@@ -162,7 +162,7 @@ def test_runs_serially_with_same_counts(monkeypatch, serial_because):
     finally:
         stop.set()
     for got, expected in zip(serial, pooled):
-        assert got.atoms == expected.atoms
+        assert atoms(got) == atoms(expected)
         assert got.failure_count == expected.failure_count
         assert got.batches == expected.batches == 3
 
@@ -171,7 +171,7 @@ def test_seed_changes_sample():
     base = dict(params=ah_params(5), durations=AH_SLOT_DURATIONS, runs=20_000)
     a = simulate(SimConfig(seed=1, **base))[0]
     b = simulate(SimConfig(seed=2, **base))[0]
-    assert a.atoms != b.atoms
+    assert atoms(a) != atoms(b)
 
 
 def test_matches_exhaustive_protocol_enumeration():
@@ -182,23 +182,24 @@ def test_matches_exhaustive_protocol_enumeration():
     )
     runs = 400_000
     emp_a, emp_b = simulate(SimConfig(params=params, durations=SMALL, runs=runs, seed=11))
+    counts_a, counts_b = atoms(emp_a), atoms(emp_b)
 
-    assert set(emp_a.atoms) <= set(tagged_atoms)
+    assert set(counts_a) <= set(tagged_atoms)
     for tau, prob in tagged_atoms.items():
-        count = emp_a.atoms.get(tau, 0)
+        count = counts_a.get(tau, 0)
         noise = math.sqrt(runs * prob * (1 - prob))
         assert abs(count - runs * prob) <= 5 * noise, (tau, prob, count)
     fail_noise = math.sqrt(runs * tagged_fail * (1 - tagged_fail))
     assert abs(emp_a.failure_count - runs * tagged_fail) <= 5 * fail_noise
 
-    assert set(emp_b.atoms) <= set(all_atoms)
+    assert set(counts_b) <= set(all_atoms)
     for tau, prob in all_atoms.items():
-        count = emp_b.atoms.get(tau, 0)
+        count = counts_b.get(tau, 0)
         noise = math.sqrt(runs * prob * (1 - prob))
         assert abs(count - runs * prob) <= 5 * noise, (tau, prob, count)
     assert abs(emp_b.failure_count - runs * any_fail) <= 5 * fail_noise
     # runs in which every station failed contribute no completion atom
-    all_failed_runs = runs - sum(emp_b.atoms.values())
+    all_failed_runs = runs - sum(counts_b.values())
     assert abs(all_failed_runs - runs * all_fail) <= 5 * math.sqrt(runs * all_fail)
 
 
@@ -206,8 +207,8 @@ def test_counts_conserve_runs():
     params = ModelParams(n_stations=3, cw_min=4, cw_max=4, retry_limit=2)
     cfg = SimConfig(params=params, durations=SMALL, runs=50_000, seed=5)
     emp_a, emp_b = simulate(cfg)
-    assert sum(emp_a.atoms.values()) + emp_a.failure_count == cfg.runs
-    assert sum(emp_b.atoms.values()) <= cfg.runs
+    assert sum(atoms(emp_a).values()) + emp_a.failure_count == cfg.runs
+    assert sum(atoms(emp_b).values()) <= cfg.runs
     assert emp_b.failure_count > 0  # harsh parameters do fail sometimes
 
 
@@ -233,8 +234,9 @@ def test_batch_layout_is_part_of_config():
     runs = _batch_runs(2)
     short = simulate(SimConfig(runs=runs, **base))[0]
     longer = simulate(SimConfig(runs=runs + 1, **base))[0]
-    added = {d: longer.atoms.get(d, 0) - short.atoms.get(d, 0)
-             for d in longer.atoms.keys() | short.atoms.keys()}
+    longer_counts, short_counts = atoms(longer), atoms(short)
+    added = {d: longer_counts.get(d, 0) - short_counts.get(d, 0)
+             for d in longer_counts.keys() | short_counts.keys()}
     assert all(count >= 0 for count in added.values())
     assert sum(added.values()) + longer.failure_count - short.failure_count == 1
 
@@ -262,7 +264,7 @@ def test_non_integer_seed_or_runs_rejected(field, value):
 def test_numpy_integer_seed_runs_as_int():
     base = dict(params=ah_params(2), durations=AH_SLOT_DURATIONS, runs=10)
     counts = [
-        [(emp.atoms, emp.failure_count) for emp in simulate(SimConfig(seed=seed, **base))]
+        [(atoms(emp), emp.failure_count) for emp in simulate(SimConfig(seed=seed, **base))]
         for seed in (np.uint64(7), 7)
     ]
     assert counts[0] == counts[1]
@@ -272,5 +274,5 @@ def test_seeds_at_both_ends_of_range_differ():
     base = dict(params=ah_params(3), durations=AH_SLOT_DURATIONS, runs=2000)
     low = simulate(SimConfig(seed=0, **base))[0]
     high = simulate(SimConfig(seed=2**64 - 1, **base))[0]
-    assert sum(low.atoms.values()) == sum(high.atoms.values()) == 2000
-    assert low.atoms != high.atoms
+    assert sum(atoms(low).values()) == sum(atoms(high).values()) == 2000
+    assert atoms(low) != atoms(high)
