@@ -252,7 +252,7 @@ def cmd_plan(args) -> int:
                        conditioning=args.conditioning)
     cache = DistributionCache(params, durations)
     started = time.perf_counter()
-    mixture = mixture_pa(spec, params, durations, cache=cache, k_stride=args.k_stride)
+    mixture = mixture_pa(spec, cache, k_stride=args.k_stride)
     elapsed = time.perf_counter() - started
 
     paths = {"pa_mixture": Path(f"{out}.mixture.{fmt}"), "pa_mixture_cdf": Path(f"{out}.cdf.csv")}
@@ -300,9 +300,8 @@ def cmd_groups(args) -> int:
     cache = DistributionCache(params, durations)
     started = time.perf_counter()
     try:
-        plans, best = optimize_groups(spec, params, durations, quantile,
-                                      (args.g_min, args.g_max), problem, cache=cache,
-                                      k_stride=args.k_stride)
+        plans, best = optimize_groups(spec, cache, quantile, (args.g_min, args.g_max),
+                                      problem, k_stride=args.k_stride)
     except UnsatisfiableQuantileError as exc:
         print(
             f"error: q={quantile} unsatisfiable for every group count; best "
@@ -312,11 +311,12 @@ def cmd_groups(args) -> int:
     elapsed = time.perf_counter() - started
 
     paths = {"groups": Path(f"{out}.groups.csv"), "groups_best": Path(f"{out}.best.json")}
-    infeasible = [plan.group_count for plan in plans if not plan.feasible]
+    feasible = {plan.group_count for plan in plans}
+    infeasible = [g for g in range(args.g_min, args.g_max + 1) if g not in feasible]
     write_rows(paths["groups"], ("g", "group_size", "slot_us", "total_us", "compliant"), [
         (plan.group_count, max(plan.group_sizes), plan.per_group_slot, plan.total_reserved,
          plan.standard_compliant)
-        for plan in plans if plan.feasible
+        for plan in plans
     ])
     write_json(paths["groups_best"], {
         "g": best.group_count,

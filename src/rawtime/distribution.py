@@ -11,6 +11,14 @@ from typing import Iterable, Sequence
 import numpy as np
 
 
+def _as_durations(values) -> np.ndarray:
+    """``values`` as int64 microseconds; ``ValueError`` if one is not whole."""
+    durations = np.asarray(values, dtype=np.int64)
+    if not np.array_equal(durations, values):
+        raise ValueError("durations must be whole microseconds")
+    return durations
+
+
 class UnsatisfiableQuantileError(ValueError):
     """Requested quantile exceeds the distribution's total mass."""
 
@@ -38,7 +46,7 @@ class TimeDistribution:
     deficit: float = field(init=False)
 
     def __post_init__(self) -> None:
-        durations = np.asarray(self.durations, dtype=np.int64)
+        durations = _as_durations(self.durations)
         probabilities = np.asarray(self.probabilities, dtype=np.float64)
         if durations.shape != probabilities.shape or durations.ndim != 1:
             raise ValueError("durations and probabilities must be matching 1-D arrays")
@@ -59,7 +67,7 @@ class TimeDistribution:
     @classmethod
     def from_arrays(cls, durations: np.ndarray, probabilities: np.ndarray) -> "TimeDistribution":
         """Build from unsorted, possibly duplicated or zero-mass raw atoms."""
-        durations = np.asarray(durations, dtype=np.int64)
+        durations = _as_durations(durations)
         probabilities = np.asarray(probabilities, dtype=np.float64)
         uniq, inverse = np.unique(durations, return_inverse=True)
         summed = np.bincount(inverse, weights=probabilities, minlength=uniq.size)
@@ -128,8 +136,9 @@ def load_distribution(path: Path | str) -> TimeDistribution:
     Raises ``ValueError`` on a file this package did not write: one that is
     not valid JSON or has no ``atoms`` object, a CSV whose header or rows do
     not hold exactly the two columns ``duration_us,probability``, a JSON atom
-    whose probability is not a number, or atoms the ``TimeDistribution``
-    constructor refuses.
+    whose probability is not a number, a cell or key with an underscore
+    (which ``int``/``float`` would take as a digit separator), or atoms the
+    ``TimeDistribution`` constructor refuses.
     """
     path = Path(path)
     if path.suffix == ".json":
@@ -150,6 +159,8 @@ def load_distribution(path: Path | str) -> TimeDistribution:
             rows = [line.split(",") for line in fh if line.strip()]
         if any(len(row) != 2 for row in rows):
             raise ValueError(f"{path}: a row does not hold exactly two cells")
+    if any("_" in str(cell) for row in rows for cell in row):
+        raise ValueError(f"{path}: a cell holds an underscore")
     try:
         return TimeDistribution([int(dur) for dur, _ in rows], [float(prob) for _, prob in rows])
     except (TypeError, ValueError, OverflowError) as exc:

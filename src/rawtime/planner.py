@@ -11,9 +11,11 @@ from __future__ import annotations
 
 import math
 import time
+from contextlib import suppress
 from dataclasses import dataclass
 from enum import Enum
 from itertools import repeat
+from typing import Iterator
 
 import numpy as np
 
@@ -57,33 +59,37 @@ class MixtureSpec:
 
 
 def _chain_run(params: ModelParams, durations: SlotDurations, compute_b: bool):
-    """One cold chain run: (P_A, P_B or None, seconds the run took where it ran).
+    """One cold chain run: (P_B if ``compute_b`` else P_A, seconds the run took
+    where it ran).
 
     Module-level so a process pool can send it by name; it looks up
     ``run_chains`` in this module at call time.
     """
     started = time.perf_counter()
     result = run_chains(params, durations, compute_b=compute_b)
-    return result.p_a, result.p_b, time.perf_counter() - started
+    return result.p_b if compute_b else result.p_a, time.perf_counter() - started
 
 
 class DistributionCache:
-    """Memoizes per-population chain runs across planner sweeps.
+    """The planner's model and its store of per-population chain runs.
 
-    ``params.n_stations`` is ignored; the population comes from the lookup key.
-    ``chain_runs`` counts cold runs, ``cache_hits`` the ``pa``/``pb`` lookups
-    served without one and ``chain_run_s`` sums the runs' own durations.  The
-    first lookup a run was made for is its miss, whether ``fill`` ran it ahead
-    of the lookup or the lookup itself did.
+    A run is keyed by its population ``k`` and its process: ``pa(k)`` is P_A
+    of an A-only run, ``pb(k)`` P_B of a run of both processes, so which of
+    the two was asked for first never changes the other.
+    ``params.n_stations`` is ignored; the population comes from the lookup
+    key.  ``chain_runs`` counts cold runs, ``cache_hits`` the ``pa``/``pb``
+    lookups served without one and ``chain_run_s`` sums the runs' own
+    durations.  The first lookup a run was made for is its miss, whether
+    ``fill`` ran it ahead of the lookup or the lookup itself did.
     """
 
     def __init__(self, params: ModelParams, durations: SlotDurations):
         self.params = params
         self.durations = durations
-        self._pa: dict[int, TimeDistribution] = {}
-        # zero active stations complete instantly
-        self._pb: dict[int, TimeDistribution] = {0: TimeDistribution([0], [1.0])}
-        # (k, compute_b) of the runs whose first lookup is still to come
+        # keyed (k, compute_b); zero active stations complete instantly
+        self._runs: dict[tuple[int, bool], TimeDistribution] = {
+            (0, True): TimeDistribution([0], [1.0])}
+        # the keys of the runs whose first lookup is still to come
         self._unread: set[tuple[int, bool]] = set()
         self.chain_runs = 0
         self.cache_hits = 0
@@ -102,34 +108,31 @@ class DistributionCache:
         CPU, largest population (the longest run) first.  Results are stored
         exactly as serial lookups would store them.
         """
-        have = self._pb if compute_b else self._pa
-        missing = sorted({int(k) for k in ks} - have.keys(), reverse=True)
+        missing = [k for k in sorted({int(k) for k in ks}, reverse=True)
+                   if (k, compute_b) not in self._runs]
         results = map_jobs(_chain_run, map(self.params.with_stations, missing),
                            repeat(self.durations), repeat(compute_b))
-        for k, (p_a, p_b, seconds) in zip(missing, results):
-            if compute_b:
-                self._pa.setdefault(k, p_a)
-                self._pb[k] = p_b
-            else:
-                self._pa[k] = p_a
+        for k, (dist, seconds) in zip(missing, results):
+            self._runs[k, compute_b] = dist
             self._unread.add((k, compute_b))
             self.chain_runs += 1
             self.chain_run_s += seconds
 
     def pa(self, k: int) -> TimeDistribution:
-        return self._lookup(self._pa, k, compute_b=False)
+        return self._lookup(k, compute_b=False)
 
     def pb(self, k: int) -> TimeDistribution:
-        return self._lookup(self._pb, k, compute_b=True)
+        return self._lookup(k, compute_b=True)
 
-    def _lookup(self, have: dict[int, TimeDistribution], k: int, compute_b: bool):
-        if k not in have:
+    def _lookup(self, k: int, compute_b: bool) -> TimeDistribution:
+        key = (k, compute_b)
+        if key not in self._runs:
             self.fill([k], compute_b)
-        if (k, compute_b) in self._unread:
-            self._unread.remove((k, compute_b))
+        if key in self._unread:
+            self._unread.remove(key)
         else:
             self.cache_hits += 1
-        return have[k]
+        return self._runs[key]
 
 
 def _binom_pmf(n: int, p: float) -> np.ndarray:
@@ -237,60 +240,47 @@ def _spec_lattice(
     return _lattice(weights, np.arange(k0, spec.n_total + 1), k_stride)
 
 
-def _merge(
-    lattice: tuple[np.ndarray, np.ndarray], cache: DistributionCache, problem_b: bool
-) -> TimeDistribution:
-    """The mixture over a lattice whose populations are all in ``cache``."""
+def _mixtures(
+    specs: list[MixtureSpec], cache: DistributionCache, problem_b: bool, k_stride: int | str
+) -> Iterator[TimeDistribution]:
+    """Each spec's P_A (or, with ``problem_b``, P_B) mixture in turn, after
+    one batch that runs every population their lattices need.  A mixture is
+    built only when asked for, so a sweep holds one at a time."""
+    lattices = [_spec_lattice(spec, problem_b, k_stride) for spec in specs]
+    cache.fill(np.concatenate([ks for ks, _ in lattices]), compute_b=problem_b)
     component = cache.pb if problem_b else cache.pa
-    return merge_weighted((float(w), component(int(k))) for k, w in zip(*lattice))
-
-
-def _mixture(
-    spec: MixtureSpec, cache: DistributionCache, k_stride: int | str, problem_b: bool
-) -> TimeDistribution:
-    lattice = _spec_lattice(spec, problem_b, k_stride)
-    cache.fill(lattice[0], compute_b=problem_b)
-    return _merge(lattice, cache, problem_b)
+    for ks, weights in lattices:
+        yield merge_weighted((float(w), component(int(k))) for k, w in zip(ks, weights))
 
 
 def mixture_pa(
-    spec: MixtureSpec,
-    params: ModelParams,
-    durations: SlotDurations,
-    *,
-    cache: DistributionCache | None = None,
-    k_stride: int | str = 1,
+    spec: MixtureSpec, cache: DistributionCache, *, k_stride: int | str = 1
 ) -> TimeDistribution:
-    """Tagged-station delivery-time distribution under a random active count.
+    """Tagged-station delivery-time distribution under a random active count,
+    from the model and the chain runs of ``cache``.
 
     ``k_stride > 1`` (or ``"auto"``) evaluates the chain only on a lattice of
     population sizes and reassigns the skipped binomial weights linearly onto
     the neighbouring lattice points; the lattice is anchored on absolute
-    multiples of the stride so sweeps share runs.  ``params.n_stations`` is
-    overridden by each component's population.
+    multiples of the stride so sweeps share runs.
     """
-    return _mixture(spec, cache or DistributionCache(params, durations), k_stride, False)
+    return next(_mixtures([spec], cache, False, k_stride))
 
 
 def mixture_pb(
-    spec: MixtureSpec,
-    params: ModelParams,
-    durations: SlotDurations,
-    *,
-    cache: DistributionCache | None = None,
-    k_stride: int | str = 1,
+    spec: MixtureSpec, cache: DistributionCache, *, k_stride: int | str = 1
 ) -> TimeDistribution:
     """All-actives completion-time distribution under a Binomial(n_total,
     p_active) active count; zero active stations complete instantly (atom at
     duration 0).  Every station of the group is counted, so
     ``spec.conditioning`` plays no part."""
-    return _mixture(spec, cache or DistributionCache(params, durations), k_stride, True)
+    return next(_mixtures([spec], cache, True, k_stride))
 
 
 @dataclass(frozen=True)
 class GroupPlan:
-    """One grouping decision: ``per_group_slot`` is the slot duration of the
-    largest group (groups differ in size by at most one station);
+    """One feasible grouping decision: ``per_group_slot`` is the slot duration
+    of the largest group (groups differ in size by at most one station);
     ``total_reserved`` sums the per-group slots of all groups."""
 
     group_count: int
@@ -299,19 +289,6 @@ class GroupPlan:
     total_reserved: int
     quantile_target: float
     standard_compliant: bool
-    feasible: bool = True
-
-    @classmethod
-    def infeasible(cls, g: int, sizes: tuple[int, ...], q: float) -> "GroupPlan":
-        return cls(
-            group_count=g,
-            group_sizes=sizes,
-            per_group_slot=0,
-            total_reserved=0,
-            quantile_target=q,
-            standard_compliant=False,
-            feasible=False,
-        )
 
 
 def _even_split(n: int, g: int) -> tuple[int, ...]:
@@ -321,21 +298,22 @@ def _even_split(n: int, g: int) -> tuple[int, ...]:
 
 def optimize_groups(
     spec: MixtureSpec,
-    params: ModelParams,
-    durations: SlotDurations,
+    cache: DistributionCache,
     q: float,
     g_range: tuple[int, int],
     problem: str = "A",
     *,
-    cache: DistributionCache | None = None,
     k_stride: int | str = 1,
 ) -> tuple[list[GroupPlan], GroupPlan]:
-    """Sweep group counts and return (all plans, plan minimizing total time).
+    """Sweep group counts and return (the feasible plans, the plan minimizing
+    total time).
 
     Problem "A" sizes each group's slot so an arbitrary active station in the
     group delivers with probability >= q; problem "B" so all the group's
     active stations finish with probability >= q.  Groups are split as evenly
     as possible and per-group active counts are binomial in the group size.
+    A group count is feasible when every one of its groups can reach q; with
+    none feasible, ``UnsatisfiableQuantileError`` names the best group's mass.
     Ties in total reserved time resolve toward fewer groups.
     """
     if problem not in ("A", "B"):
@@ -345,50 +323,23 @@ def optimize_groups(
         raise ConfigurationError(
             f"group range [{g_min}, {g_max}] must lie within [1, {spec.n_total}]"
         )
-    cache = cache or DistributionCache(params, durations)
-    problem_b = problem == "B"
-
-    # Every population any group size needs, run in one batch before the sweep.
-    sizes = {size for g in range(g_min, g_max + 1) for size in _even_split(spec.n_total, g)}
-    lattices = {
-        size: _spec_lattice(MixtureSpec(size, spec.p_active, spec.conditioning),
-                            problem_b, k_stride)
-        for size in sorted(sizes)
-    }
-    cache.fill(np.concatenate([ks for ks, _ in lattices.values()]), compute_b=problem_b)
-
-    slot_by_size: dict[int, int | None] = {}
-    best_achievable = 0.0
-    for size, lattice in lattices.items():
-        dist = _merge(lattice, cache, problem_b)
-        best_achievable = max(best_achievable, dist.total_mass)
-        try:
+    counts = range(g_min, g_max + 1)
+    sizes = sorted({size for g in counts for size in _even_split(spec.n_total, g)})
+    specs = [MixtureSpec(size, spec.p_active, spec.conditioning) for size in sizes]
+    slot_by_size, best_mass = {}, 0.0
+    for size, dist in zip(sizes, _mixtures(specs, cache, problem == "B", k_stride)):
+        best_mass = max(best_mass, dist.total_mass)
+        with suppress(UnsatisfiableQuantileError):
             slot_by_size[size] = dist.quantile(q)
-        except UnsatisfiableQuantileError:
-            slot_by_size[size] = None
 
-    plans: list[GroupPlan] = []
-    for g in range(g_min, g_max + 1):
-        sizes = _even_split(spec.n_total, g)
-        slots = [slot_by_size[size] for size in sizes]
-        if None in slots:
-            plans.append(GroupPlan.infeasible(g, sizes, q))
-            continue
-        total = sum(slots)
-        largest = slots[0]
-        plans.append(
-            GroupPlan(
-                group_count=g,
-                group_sizes=sizes,
-                per_group_slot=largest,
-                total_reserved=total,
-                quantile_target=q,
-                standard_compliant=largest <= MAX_RAW_SLOT_US,
-            )
-        )
-
-    feasible = [plan for plan in plans if plan.feasible]
-    if not feasible:
-        raise UnsatisfiableQuantileError(q, best_achievable)
-    best = min(feasible, key=lambda plan: (plan.total_reserved, plan.group_count))
+    plans = []
+    for g in counts:
+        group_sizes = _even_split(spec.n_total, g)
+        if all(size in slot_by_size for size in group_sizes):
+            slots = [slot_by_size[size] for size in group_sizes]
+            plans.append(GroupPlan(g, group_sizes, slots[0], sum(slots), q,
+                                   slots[0] <= MAX_RAW_SLOT_US))
+    if not plans:
+        raise UnsatisfiableQuantileError(q, best_mass)
+    best = min(plans, key=lambda plan: (plan.total_reserved, plan.group_count))
     return plans, best

@@ -168,8 +168,7 @@ def test_criterion_7_thousand_station_slot_exceeds_standard(ah_cache):
     # the documented coarse grid ("auto" stride, two points per binomial
     # standard deviation, linear weight reassignment) stands in for it.
     with _Timer() as timer:
-        mixture = mixture_pa(MixtureSpec(1000, 0.3), ah_cache.params,
-                             ah_cache.durations, cache=ah_cache, k_stride="auto")
+        mixture = mixture_pa(MixtureSpec(1000, 0.3), ah_cache, k_stride="auto")
         slot = mixture.quantile(0.9)
         compliant = slot <= MAX_RAW_SLOT_US
         ok = slot > MAX_RAW_SLOT_US and not compliant
@@ -180,16 +179,13 @@ def test_criterion_7_thousand_station_slot_exceeds_standard(ah_cache):
 def test_criterion_8_grouping_saves_channel_time(ah_cache):
     with _Timer() as timer:
         spec = MixtureSpec(1000, 0.3)
-        plans, best = optimize_groups(spec, ah_cache.params, ah_cache.durations,
-                                      0.9, (1, 100), "A", cache=ah_cache,
-                                      k_stride="auto")
+        plans, best = optimize_groups(spec, ah_cache, 0.9, (1, 100), "A", k_stride="auto")
         single = plans[0]
         ratio = single.total_reserved / best.total_reserved
         large_ok = single.group_count == 1 and ratio >= 1.25
 
-        plans200, best200 = optimize_groups(MixtureSpec(200, 0.3), ah_cache.params,
-                                            ah_cache.durations, 0.9, (1, 40), "A",
-                                            cache=ah_cache, k_stride="auto")
+        plans200, best200 = optimize_groups(MixtureSpec(200, 0.3), ah_cache, 0.9, (1, 40),
+                                            "A", k_stride="auto")
         reduced_ok = (
             1 < best200.group_count < 40
             and plans200[0].total_reserved > best200.total_reserved

@@ -114,6 +114,28 @@ def test_written_bytes_pinned(tmp_path):
     }
 
 
+def test_planner_bytes_pinned(tmp_path):
+    # a sweep in which g 1-3 are infeasible and g 4-6 feasible, and a plan
+    # mixture on a stride-3 lattice
+    small = ["--cw-min", "4", "--cw-max", "8", "--retry-limit", "3",
+             "--te-us", "1", "--ts-us", "5", "--tc-us", "4"]
+    assert main(["groups", "--n", "12", "--p", "0.5", "--q", "0.99", "--g-min", "1",
+                 "--g-max", "6", *small, "--out", str(tmp_path / "g")]) == 0
+    assert main(["plan", "--n", "24", "--p", "0.3", "--q", "0.5", "--k-stride", "3",
+                 *small, "--out", str(tmp_path / "p")]) == 0
+    best = json.loads((tmp_path / "g.best.json").read_text())
+    assert best["infeasible_group_counts"] == [1, 2, 3]
+    assert (best["g"], best["total_reserved_us"]) == (4, 128)
+    names = ("g.groups.csv", "g.best.json", "p.mixture.csv")
+    digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+               for name in names}
+    assert digests == {
+        "g.groups.csv": "966a0db497f585d2f57317e099f979ba34c670a0b68282586dbd1e3afd8a40c6",
+        "g.best.json": "1974736daf5542d948b2b61813150166357e42981487f784b8c1a16a27129d90",
+        "p.mixture.csv": "51e46075ab4da488534fb54a4e891c006e0ffaac009a81e05c76c90fc9b89735",
+    }
+
+
 def test_compare_rejects_mismatched_population(tmp_path, capsys):
     assert main(["model", "--n", "2", "--paper-params", "--out", str(tmp_path / "m2")]) == 0
     assert main(["simulate", "--n", "3", "--paper-params", "--runs", "1000",
@@ -293,6 +315,9 @@ def test_model_conservation_error_exit_code(tmp_path, capsys, monkeypatch):
     '{"atoms": {"10": true}}',
     '{"atoms": {"10": "0.5"}}',
     '{"atoms": {"99999999999999999999": 0.5}}',
+    "duration_us,probability\n1_0,0.5\n",
+    "duration_us,probability\n10,0.2_5\n",
+    '{"atoms": {"1_0": 0.5}}',
 ])
 def test_compare_rejects_corrupt_distribution(tmp_path, capsys, body):
     fmt = "json" if body[0] in "{[" else "csv"

@@ -83,6 +83,13 @@ class TestBookkeeping:
         with pytest.raises(ValueError, match="non-negative and strictly increasing"):
             TimeDistribution(np.array([-1, 2]), np.array([0.1, 0.1]))
 
+    def test_non_integer_durations_rejected(self):
+        for build in (TimeDistribution, TimeDistribution.from_arrays):
+            with pytest.raises(ValueError, match="whole microseconds"):
+                build([1.7, 2.2], [0.5, 0.5])
+            assert build([], []).durations.size == 0
+            assert build([1.0, 2.0], [0.5, 0.5]).durations.tolist() == [1, 2]
+
 
 class TestSerialization:
     def test_csv_round_trip(self, tmp_path):

@@ -94,15 +94,13 @@ class TestWeights:
 class TestMixturePa:
     def test_p_one_collapses_to_fixed_population(self, ah_cache):
         for conditioning in Conditioning:
-            mix = mixture_pa(
-                MixtureSpec(5, 1.0, conditioning), PARAMS, DUR, cache=ah_cache
-            )
+            mix = mixture_pa(MixtureSpec(5, 1.0, conditioning), ah_cache)
             fixed = ah_cache.pa(5)
             assert np.array_equal(mix.durations, fixed.durations)
             assert mix.probabilities == pytest.approx(fixed.probabilities, abs=1e-15)
 
     def test_two_station_mixture_is_plain_average(self, ah_cache):
-        mix = mixture_pa(MixtureSpec(2, 0.5), PARAMS, DUR, cache=ah_cache)
+        mix = mixture_pa(MixtureSpec(2, 0.5), ah_cache)
         p1, p2 = ah_cache.pa(1), ah_cache.pa(2)
         expected = {}
         for dist in (p1, p2):
@@ -112,7 +110,7 @@ class TestMixturePa:
 
     def test_mixture_mass_is_weighted_component_mass(self, ah_cache):
         spec = MixtureSpec(6, 0.4)
-        mix = mixture_pa(spec, PARAMS, DUR, cache=ah_cache)
+        mix = mixture_pa(spec, ah_cache)
         w = mixture_weights(spec)
         expected = math.fsum(
             float(w[k - 1]) * ah_cache.pa(k).total_mass for k in range(1, 7)
@@ -121,8 +119,8 @@ class TestMixturePa:
 
     def test_subsampled_grid_close_to_exact(self, ah_cache):
         spec = MixtureSpec(40, 0.3)
-        exact = mixture_pa(spec, PARAMS, DUR, cache=ah_cache)
-        coarse = mixture_pa(spec, PARAMS, DUR, cache=ah_cache, k_stride=3)
+        exact = mixture_pa(spec, ah_cache)
+        coarse = mixture_pa(spec, ah_cache, k_stride=3)
         assert coarse.total_mass == pytest.approx(exact.total_mass, abs=1e-6)
         for q in (0.5, 0.9, 0.99):
             assert abs(coarse.quantile(q) - exact.quantile(q)) <= 2 * 2184
@@ -135,16 +133,16 @@ class TestMixturePa:
 
 class TestMixturePb:
     def test_no_active_stations_complete_instantly(self, ah_cache):
-        mix = mixture_pb(MixtureSpec(3, 0.0), PARAMS, DUR, cache=ah_cache)
+        mix = mixture_pb(MixtureSpec(3, 0.0), ah_cache)
         assert atoms(mix) == pytest.approx({0: 1.0})
 
     def test_all_active_matches_fixed_population(self, ah_cache):
-        mix = mixture_pb(MixtureSpec(3, 1.0), PARAMS, DUR, cache=ah_cache)
+        mix = mixture_pb(MixtureSpec(3, 1.0), ah_cache)
         fixed = ah_cache.pb(3)
         assert atoms(mix) == pytest.approx(atoms(fixed), abs=1e-15)
 
     def test_intermediate_mixes_in_instant_atom(self, ah_cache):
-        mix = mixture_pb(MixtureSpec(2, 0.5), PARAMS, DUR, cache=ah_cache)
+        mix = mixture_pb(MixtureSpec(2, 0.5), ah_cache)
         assert atoms(mix)[0] == pytest.approx(0.25, abs=1e-12)
 
 
@@ -160,7 +158,7 @@ class TestPlanSlotDuration:
         assert abs(model_median - sim_median) <= 2184
 
     def test_unsatisfiable_reports_achievable(self, ah_cache):
-        dist = mixture_pb(MixtureSpec(2, 0.5), PARAMS, DUR, cache=ah_cache)
+        dist = mixture_pb(MixtureSpec(2, 0.5), ah_cache)
         with pytest.raises(UnsatisfiableQuantileError) as err:
             dist.quantile(1.0 - 1e-12)
         assert err.value.total_mass < 1.0
@@ -169,15 +167,13 @@ class TestPlanSlotDuration:
 class TestOptimizeGroups:
     def test_one_group_equals_ungrouped_plan(self, ah_cache):
         spec = MixtureSpec(12, 0.5)
-        plans, _ = optimize_groups(spec, PARAMS, DUR, 0.9, (1, 4), "A", cache=ah_cache)
-        ungrouped = mixture_pa(spec, PARAMS, DUR, cache=ah_cache).quantile(0.9)
+        plans, _ = optimize_groups(spec, ah_cache, 0.9, (1, 4), "A")
+        ungrouped = mixture_pa(spec, ah_cache).quantile(0.9)
         assert plans[0].group_count == 1
         assert plans[0].per_group_slot == plans[0].total_reserved == ungrouped
 
     def test_sizes_partition_evenly(self, ah_cache):
-        plans, _ = optimize_groups(
-            MixtureSpec(10, 0.5), PARAMS, DUR, 0.5, (3, 3), "A", cache=ah_cache
-        )
+        plans, _ = optimize_groups(MixtureSpec(10, 0.5), ah_cache, 0.5, (3, 3), "A")
         sizes = plans[0].group_sizes
         assert sum(sizes) == 10
         assert max(sizes) - min(sizes) <= 1
@@ -185,56 +181,44 @@ class TestOptimizeGroups:
     def test_fully_split_total_grows_linearly(self, ah_cache):
         # one station per group: every group needs the single-station slot
         n = 6
-        plans, _ = optimize_groups(
-            MixtureSpec(n, 0.5), PARAMS, DUR, 0.9, (n, n), "A", cache=ah_cache
-        )
+        plans, _ = optimize_groups(MixtureSpec(n, 0.5), ah_cache, 0.9, (n, n), "A")
         plan = plans[0]
-        single = mixture_pa(MixtureSpec(1, 0.5), PARAMS, DUR, cache=ah_cache).quantile(0.9)
+        single = mixture_pa(MixtureSpec(1, 0.5), ah_cache).quantile(0.9)
         assert plan.per_group_slot == single
         assert plan.total_reserved == n * single
 
     def test_best_breaks_ties_toward_fewer_groups(self, ah_cache):
-        plans, best = optimize_groups(
-            MixtureSpec(4, 0.0), PARAMS, DUR, 0.9, (1, 4), "A", cache=ah_cache
-        )
+        plans, best = optimize_groups(MixtureSpec(4, 0.0), ah_cache, 0.9, (1, 4), "A")
         # p=0: every group is effectively a single active station, so all
         # per-group slots are equal and g=1 minimizes the total
         assert best.group_count == 1
 
     def test_problem_b_uses_group_completion(self, ah_cache):
-        plans, best = optimize_groups(
-            MixtureSpec(4, 1.0), PARAMS, DUR, 0.9, (1, 2), "B", cache=ah_cache
-        )
+        plans, best = optimize_groups(MixtureSpec(4, 1.0), ah_cache, 0.9, (1, 2), "B")
         expected = ah_cache.pb(4).quantile(0.9)
         assert plans[0].per_group_slot == expected
 
     def test_infeasible_group_counts_excluded(self, ah_cache):
         # a target above the achievable completion probability for every g
         with pytest.raises(UnsatisfiableQuantileError):
-            optimize_groups(
-                MixtureSpec(4, 1.0), PARAMS, DUR, 1.0 - 1e-13, (1, 2), "B", cache=ah_cache
-            )
+            optimize_groups(MixtureSpec(4, 1.0), ah_cache, 1.0 - 1e-13, (1, 2), "B")
 
     def test_bad_range_rejected(self, ah_cache):
         with pytest.raises(ConfigurationError):
-            optimize_groups(MixtureSpec(4, 0.5), PARAMS, DUR, 0.9, (0, 2), cache=ah_cache)
+            optimize_groups(MixtureSpec(4, 0.5), ah_cache, 0.9, (0, 2))
         with pytest.raises(ConfigurationError):
-            optimize_groups(MixtureSpec(4, 0.5), PARAMS, DUR, 0.9, (1, 9), cache=ah_cache)
+            optimize_groups(MixtureSpec(4, 0.5), ah_cache, 0.9, (1, 9))
 
     def test_reduced_scale_sweep_has_interior_minimum(self, ah_cache):
         """Medium population: grouping pays until per-group overhead dominates."""
         spec = MixtureSpec(60, 0.3)
-        plans, best = optimize_groups(
-            spec, PARAMS, DUR, 0.9, (1, 12), "A", cache=ah_cache
-        )
+        plans, best = optimize_groups(spec, ah_cache, 0.9, (1, 12), "A")
         totals = [p.total_reserved for p in plans]
         assert 1 < best.group_count < 12
         assert totals[0] > best.total_reserved
 
     def test_compliance_flag_definition(self, ah_cache):
-        plans, _ = optimize_groups(
-            MixtureSpec(8, 0.5), PARAMS, DUR, 0.9, (1, 2), "A", cache=ah_cache
-        )
+        plans, _ = optimize_groups(MixtureSpec(8, 0.5), ah_cache, 0.9, (1, 2), "A")
         for plan in plans:
             assert plan.standard_compliant == (plan.per_group_slot <= 246_140)
 
@@ -253,7 +237,7 @@ def _assert_same_bits(dist, expected):
 class TestBatchedRuns:
     def test_mixture_pa_components_equal_direct_runs(self):
         cache = DistributionCache(SMALL, SMALL_DUR)
-        mixture_pa(SMALL_SPEC, SMALL, SMALL_DUR, cache=cache)
+        mixture_pa(SMALL_SPEC, cache)
         assert cache.chain_runs == 12
         for k in range(1, 13):
             direct = run_chains(SMALL.with_stations(k), SMALL_DUR, compute_b=False)
@@ -261,19 +245,30 @@ class TestBatchedRuns:
 
     def test_problem_b_sweep_components_equal_direct_runs(self):
         cache = DistributionCache(SMALL, SMALL_DUR)
-        optimize_groups(SMALL_SPEC, SMALL, SMALL_DUR, 0.9, (1, 6), "B", cache=cache)
+        optimize_groups(SMALL_SPEC, cache, 0.9, (1, 6), "B")
         assert cache.chain_runs == 12
         for k in range(1, 13):
-            direct = run_chains(SMALL.with_stations(k), SMALL_DUR)
-            _assert_same_bits(cache.pb(k), direct.p_b)
-            _assert_same_bits(cache.pa(k), direct.p_a)
+            _assert_same_bits(cache.pb(k), run_chains(SMALL.with_stations(k), SMALL_DUR).p_b)
         assert cache.chain_runs == 12
+        # a run of both processes steps A on until B stops, so its P_A is not
+        # the A-only P_A that pa(k) serves: each k costs one more run
+        for k in range(1, 13):
+            direct = run_chains(SMALL.with_stations(k), SMALL_DUR, compute_b=False)
+            _assert_same_bits(cache.pa(k), direct.p_a)
+            assert cache.chain_runs == 12 + k
+
+    def test_mixture_pa_independent_of_earlier_pb_lookups(self):
+        spec = MixtureSpec(3, 0.5)
+        fresh = mixture_pa(spec, DistributionCache(PARAMS, DUR))
+        shared = DistributionCache(PARAMS, DUR)
+        mixture_pb(spec, shared)
+        _assert_same_bits(mixture_pa(spec, shared), fresh)
 
     def test_first_lookup_of_a_fresh_run_is_a_miss(self):
         cache = DistributionCache(SMALL, SMALL_DUR)
-        mixture_pa(MixtureSpec(7, 0.5), SMALL, SMALL_DUR, cache=cache)
+        mixture_pa(MixtureSpec(7, 0.5), cache)
         assert (cache.chain_runs, cache.cache_hits) == (7, 0)
-        mixture_pa(MixtureSpec(7, 0.5), SMALL, SMALL_DUR, cache=cache)
+        mixture_pa(MixtureSpec(7, 0.5), cache)
         assert (cache.chain_runs, cache.cache_hits) == (7, 7)
         # a run made by the lookup itself is that lookup's miss too
         cache.pb(3)
@@ -291,17 +286,17 @@ class TestBatchedRuns:
             runs_after_fill.append(cache.chain_runs)
 
         monkeypatch.setattr(cache, "fill", recording_fill)
-        first = optimize_groups(SMALL_SPEC, SMALL, SMALL_DUR, 0.9, (1, 6), "A", cache=cache)
+        first = optimize_groups(SMALL_SPEC, cache, 0.9, (1, 6), "A")
         assert runs_after_fill == [12]
         assert cache.chain_runs == 12 and cache.cache_hits > 0
         assert cache.chain_run_s > 0.0
-        again = optimize_groups(SMALL_SPEC, SMALL, SMALL_DUR, 0.9, (1, 6), "A", cache=cache)
+        again = optimize_groups(SMALL_SPEC, cache, 0.9, (1, 6), "A")
         assert again == first and cache.chain_runs == 12
 
     @pytest.mark.parametrize("serial_because", ["one usable CPU", "macOS", "caller thread"])
     def test_runs_serially_with_same_bits(self, monkeypatch, serial_because):
         pooled = DistributionCache(SMALL, SMALL_DUR)
-        expected = mixture_pa(SMALL_SPEC, SMALL, SMALL_DUR, cache=pooled)
+        expected = mixture_pa(SMALL_SPEC, pooled)
 
         def no_executor(*args, **kwargs):
             raise AssertionError("a process pool was built")
@@ -318,7 +313,7 @@ class TestBatchedRuns:
             threading.Thread(target=stop.wait, daemon=True).start()
         serial = DistributionCache(SMALL, SMALL_DUR)
         try:
-            _assert_same_bits(mixture_pa(SMALL_SPEC, SMALL, SMALL_DUR, cache=serial), expected)
+            _assert_same_bits(mixture_pa(SMALL_SPEC, serial), expected)
         finally:
             stop.set()
         for k in range(1, 13):
@@ -336,14 +331,14 @@ class TestBatchedRuns:
             "dur = SlotDurations(t_empty=1, t_success=5, t_collision=4)\n"
             "cache = DistributionCache(params, dur)\n"
             "spec = MixtureSpec(12, 0.4)\n"
-            "slot = mixture_pa(spec, params, dur, cache=cache).quantile(0.5)\n"
-            "plans, best = optimize_groups(spec, params, dur, 0.9, (1, 6), 'B', cache=cache)\n"
+            "slot = mixture_pa(spec, cache).quantile(0.5)\n"
+            "plans, best = optimize_groups(spec, cache, 0.9, (1, 6), 'B')\n"
             "print(slot, best.group_count, cache.chain_runs)\n")
         env = dict(os.environ, PYTHONPATH=str(Path(planner.__file__).parents[1]))
         proc = subprocess.run([sys.executable, str(script)], env=env, capture_output=True,
                               text=True, timeout=120)
         assert proc.returncode == 0, proc.stderr
-        slot = mixture_pa(SMALL_SPEC, SMALL, SMALL_DUR).quantile(0.5)
+        slot = mixture_pa(SMALL_SPEC, DistributionCache(SMALL, SMALL_DUR)).quantile(0.5)
         assert proc.stdout.split()[0] == str(slot)
         assert proc.stdout.split()[2] == "24"  # 12 runs for P_A, 12 for P_B
 
@@ -360,8 +355,7 @@ def test_group_optimum_cross_checked_by_simulation(ah_cache):
     from reference import simulate_group_mixture
 
     spec = MixtureSpec(200, 0.3)
-    plans, best = optimize_groups(spec, PARAMS, DUR, 0.9, (4, 12), "A",
-                                  cache=ah_cache, k_stride="auto")
+    plans, best = optimize_groups(spec, ah_cache, 0.9, (4, 12), "A", k_stride="auto")
     assert best.group_count > 1
     size = max(best.group_sizes)
     times, failures = simulate_group_mixture(size, 0.3, PARAMS, DUR,
