@@ -1,15 +1,16 @@
-"""Full chain runs: interleaved process A/B stepping and duration extraction."""
+"""Full chain runs: interleaved process A/B stepping, stacks of process-A populations and
+duration extraction."""
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from .distribution import TimeDistribution
-from .layers import StateLayer, step_process_a, step_process_b
+from .layers import StateLayer, _Total, step_process_a, step_process_b
 from .params import ModelParams, SlotDurations
 from .txprob import build_tx_prob_table
 
@@ -25,35 +26,43 @@ def _state_time(c, s, t: int, durations: SlotDurations):
 
 
 class _AtomAccumulator:
-    """Sums (duration, mass) batches into a float64 array indexed by ``duration // g``,
-    ``g = gcd(Te, Ts, Tc)``, in arrival order (``np.add.at``): the order, and so the bits,
-    of ``TimeDistribution.from_arrays`` over the concatenated batches.  The array grows
-    to the largest index seen: at most ``t_stop * max(T) / g + 1`` entries, about 85k
-    for 802.11ah."""
+    """Sums (duration, mass) batches of ``populations`` populations into a float64 array
+    indexed by population and ``duration // g``, ``g = gcd(Te, Ts, Tc)``, in arrival order
+    (one ``np.add.at`` on the flat offsets): for each population the order, and so the
+    bits, of ``TimeDistribution.from_arrays`` over its concatenated batches.  The rows
+    grow to the largest index seen: at most ``t_stop * max(T) / g + 1`` entries, about
+    85k for 802.11ah."""
 
-    def __init__(self, durations: SlotDurations):
+    def __init__(self, durations: SlotDurations, populations: int = 1):
         self._durations = durations
         self._g = math.gcd(durations.t_empty, durations.t_success, durations.t_collision)
-        self._mass = np.zeros(0)
+        self._mass = np.zeros((populations, 0))
 
-    def absorb(self, layer: StateLayer) -> None:
+    def absorb(self, layer: StateLayer, rows: np.ndarray | None = None) -> None:
         """Add the absorptions of the step that made ``layer``: mass absorbed from the
         state ``(t - 1, c, s)`` lands at ``_state_time(c, s + 1, t)`` -- the absorbing
-        success slot counts."""
+        success slot counts.  ``rows``: the row of each population of a stack."""
         if layer.new_p.size:
             self.add(_state_time(layer.new_c, layer.new_s + 1, layer.t, self._durations),
-                     layer.new_p)
+                     layer.new_p, rows[layer.new_j] if layer.p.ndim == 4 else None)
 
-    def add(self, taus: np.ndarray, masses: np.ndarray) -> None:
+    def add(self, taus: np.ndarray, masses: np.ndarray, rows: np.ndarray | None = None) -> None:
+        """Add ``masses`` at ``taus``, to row 0 or to the ``rows`` given."""
         idx = taus // self._g
         top = int(idx.max(initial=-1)) + 1
-        if top > self._mass.size:  # grow geometrically: a run adds a few new indices per step
-            self._mass.resize(max(top, 2 * self._mass.size), refcheck=False)
-        np.add.at(self._mass, idx, masses)
+        width = self._mass.shape[1]
+        if top > width:  # grow geometrically: a run adds a few new indices per step
+            grown = np.zeros((self._mass.shape[0], max(top, 2 * width)))
+            grown[:, :width] = self._mass
+            self._mass, width = grown, grown.shape[1]
+        if rows is not None:
+            idx += rows * width
+        np.add.at(self._mass.reshape(-1), idx, masses)
 
-    def finish(self) -> TimeDistribution:
-        idx = np.flatnonzero(self._mass)
-        return TimeDistribution(idx * self._g, self._mass[idx])
+    def finish(self, row: int = 0) -> TimeDistribution:
+        mass = self._mass[row]
+        idx = np.flatnonzero(mass)
+        return TimeDistribution(idx * self._g, mass[idx])
 
 
 @dataclass(frozen=True)
@@ -98,67 +107,92 @@ def run_chains(
     ``params.max_backoff_slots()`` virtual slots, after which process B's
     remaining mass is exactly the some-station-failed tail and can never
     absorb.  Hitting ``t_max_cap`` earlier is reported via
-    ``diagnostics.truncated``.
+    ``diagnostics.truncated``.  The run is ``run_stack``'s stack of one.
     """
+    return run_stack([params], durations, compute_b=compute_b)[0]
+
+
+def run_stack(stack: Sequence[ModelParams], durations: SlotDurations, *,
+              compute_b: bool = False) -> list[ChainResult]:
+    """``run_chains(params, durations, compute_b=compute_b)`` for each ``params`` of
+    ``stack``, bit for bit, with process A stepped for all of them as one stack.  The
+    populations may differ only in ``n_stations``; each stops on its own test and then
+    leaves the stack.  Process B runs for a stack of one only."""
+    params = stack[0]
+    if any(p.with_stations(params.n_stations) != params for p in stack):
+        raise ValueError("a stack's populations may differ only in n_stations")
+    if compute_b and len(stack) > 1:
+        raise ValueError("process B runs one population at a time")
     support = params.max_backoff_slots()
     cap = params.t_max_cap
     table = build_tx_prob_table(params, min(cap, support) + 1)
 
-    layer_a = StateLayer.initial()
+    # a lone population needs no population axis
+    layer_a = StateLayer.initial([p.n_stations for p in stack] if len(stack) > 1 else None)
     layer_b = StateLayer.initial() if compute_b else None
-    atoms_a = _AtomAccumulator(durations)
+    atoms_a = _AtomAccumulator(durations, len(stack))
     atoms_b = _AtomAccumulator(durations)
-
+    rows = np.arange(len(stack))  # the accumulator row of each population still stepped
+    results: list[ChainResult | None] = [None] * len(stack)
     threshold = 1.0 - params.epsilon
-    truncated = False
-    b_stalled = False
 
     while True:
         t = layer_a.t
-        done_a = layer_a.resolved() >= threshold or layer_a.p.size == 0
         done_b = layer_b is None or layer_b.resolved() >= threshold
-        if done_a and done_b:
-            break
-        if t >= cap:
-            truncated = True
-            break
-        if layer_a.p.size == 0 or t >= support:
-            # No station can transmit any more; process B's leftover mass is
-            # the tail where at least one station failed.
-            b_stalled = not done_b
-            break
+        leave = [done and done_b for done in layer_a.done(threshold)]
+        if any(leave) or t >= cap or t >= support or layer_a.p.size == 0:
+            truncated = b_stalled = False
+            if not all(leave):
+                truncated = t >= cap
+                # With no mass in A or past the support no station can transmit any
+                # more; process B's leftover mass is the tail where one station failed.
+                if truncated or layer_a.p.size == 0 or t >= support:
+                    leave, b_stalled = [True] * len(leave), not truncated and not done_b
+            for j in (j for j, gone in enumerate(leave) if gone):
+                results[rows[j]] = _result(
+                    t, layer_a.population(j), atoms_a.finish(rows[j]), layer_b, atoms_b,
+                    truncated=truncated, b_stalled=b_stalled, table_extent=table.t_extent)
+            if all(leave):
+                return results
+            keep = [j for j, gone in enumerate(leave) if not gone]
+            if len(keep) < len(leave):
+                layer_a, rows = layer_a.members(keep), rows[keep]
 
         next_a = step_process_a(layer_a, table, params)
-        atoms_a.absorb(next_a)
+        atoms_a.absorb(next_a, rows)
         if layer_b is not None:
             layer_b = step_process_b(layer_b, table, layer_a, params)
             atoms_b.absorb(layer_b)
         layer_a = next_a
 
-    p_a, absorbed_a, residual_a, mass_error_a = _outcome(layer_a, atoms_a)
-    p_b, absorbed_b, residual_b, mass_error_b = (
-        (None, 0.0, 0.0, 0.0) if layer_b is None else _outcome(layer_b, atoms_b))
-    diagnostics = ChainDiagnostics(
-        t_stop=layer_a.t,
-        truncated=truncated,
-        b_stalled=b_stalled,
+
+def _result(t: int, population, p_a: TimeDistribution, layer_b: StateLayer | None,
+            atoms_b: _AtomAccumulator, **diagnostics) -> ChainResult:
+    """The result of a run whose process-A ``population`` (box and totals, from
+    ``StateLayer.population``) stops at ``t``."""
+    box, absorbed, failed, dropped = population
+    # fsum is correctly rounded: carried_mass's bits for a lone population
+    p_a, absorbed_a, residual_a, mass_error_a = _outcome(
+        p_a, math.fsum(box.ravel().tolist()), absorbed, failed, dropped)
+    p_b, absorbed_b, residual_b, mass_error_b = (None, 0.0, 0.0, 0.0) if layer_b is None else (
+        _outcome(atoms_b.finish(), layer_b.carried_mass(), layer_b.absorbed, layer_b.failed,
+                 layer_b.dropped))
+    return ChainResult(p_a=p_a, p_b=p_b, p_fail_a=failed.value, diagnostics=ChainDiagnostics(
+        t_stop=t,
         absorbed_success_a=absorbed_a,
-        absorbed_failure_a=layer_a.failed.value,
+        absorbed_failure_a=failed.value,
         unresolved_a=residual_a,
         absorbed_b=absorbed_b,
         unresolved_b=residual_b,
         mass_error_a=mass_error_a,
         mass_error_b=mass_error_b,
-        table_extent=table.t_extent,
-    )
-    return ChainResult(p_a=p_a, p_b=p_b, p_fail_a=layer_a.failed.value, diagnostics=diagnostics)
+        **diagnostics,
+    ))
 
 
-def _outcome(layer: StateLayer, atoms: _AtomAccumulator
-             ) -> tuple[TimeDistribution, float, float, float]:
+def _outcome(dist: TimeDistribution, carried: float, absorbed: _Total, failed: _Total,
+             dropped: _Total) -> tuple[TimeDistribution, float, float, float]:
     """A process's distribution, absorbed mass, unresolved mass (carried plus pruned) and
     mass error."""
-    dist = atoms.finish()
-    residual = layer.carried_mass() + layer.dropped.value
-    error = abs(dist.total_mass + layer.failed.value + residual - 1.0)
-    return dist, layer.absorbed.value, residual, error
+    residual = carried + dropped.value
+    return dist, absorbed.value, residual, abs(dist.total_mass + failed.value + residual - 1.0)

@@ -136,9 +136,11 @@ def load_distribution(path: Path | str) -> TimeDistribution:
     Raises ``ValueError`` on a file this package did not write: one that is
     not valid JSON or has no ``atoms`` object, a CSV whose header or rows do
     not hold exactly the two columns ``duration_us,probability``, a JSON atom
-    whose probability is not a number, a cell or key with an underscore
-    (which ``int``/``float`` would take as a digit separator), or atoms the
-    ``TimeDistribution`` constructor refuses.
+    whose probability is not a number, a duration that is not all ASCII
+    digits (``int`` would take a sign, blanks, an underscore or other
+    scripts' digits), a cell or key with an underscore (which ``float``
+    would take as a digit separator), or atoms the ``TimeDistribution``
+    constructor refuses.
     """
     path = Path(path)
     if path.suffix == ".json":
@@ -161,6 +163,8 @@ def load_distribution(path: Path | str) -> TimeDistribution:
             raise ValueError(f"{path}: a row does not hold exactly two cells")
     if any("_" in str(cell) for row in rows for cell in row):
         raise ValueError(f"{path}: a cell holds an underscore")
+    if not all(dur.isascii() and dur.isdigit() for dur, _ in rows):
+        raise ValueError(f"{path}: a duration is not a whole number of microseconds")
     try:
         return TimeDistribution([int(dur) for dur, _ in rows], [float(prob) for _, prob in rows])
     except (TypeError, ValueError, OverflowError) as exc:

@@ -8,13 +8,15 @@ from hypothesis import strategies as st
 
 from rawtime import (
     AH_SLOT_DURATIONS,
+    DistributionCache,
     ModelParams,
     SlotDurations,
     ah_params,
     TimeDistribution,
     run_chains,
 )
-from rawtime.chains import _AtomAccumulator, _state_time
+from rawtime import pool
+from rawtime.chains import _AtomAccumulator, _state_time, run_stack
 from rawtime.layers import StateLayer, _cell_prob, step_process_a, step_process_b
 from rawtime.txprob import build_tx_prob_table
 
@@ -513,3 +515,51 @@ def test_random_small_configs_prune_conserving_tight_boxes(config):
     result = run_chains(params, durations)
     assert result.diagnostics.mass_error_a < 1e-12
     assert result.diagnostics.mass_error_b < 1e-12
+
+
+def assert_stack_equals_single_runs(stack, durations):
+    """Each population of ``stack``, stepped as one stack by ``run_stack`` and by a serial
+    ``DistributionCache.fill``, has the P_A bytes and ChainDiagnostics of its own run;
+    returns the single runs."""
+    singles = [run_chains(params, durations, compute_b=False) for params in stack]
+    for result, single in zip(run_stack(stack, durations), singles):
+        assert result.p_b is None
+        assert chain_digest(result) == chain_digest(single)
+        assert repr(result.diagnostics) == repr(single.diagnostics)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(pool, "_usable_cpus", lambda: 1)
+        cache = DistributionCache(stack[0], durations)
+        cache.fill([params.n_stations for params in stack], compute_b=False)
+    for params, single in zip(stack, singles):
+        stored = cache.pa(params.n_stations)
+        assert stored.durations.tobytes() == single.p_a.durations.tobytes()
+        assert stored.probabilities.tobytes() == single.p_a.probabilities.tobytes()
+    assert cache.chain_runs == len(stack)
+    return singles
+
+
+class TestRunStack:
+    def test_populations_leave_at_their_own_step(self):
+        singles = assert_stack_equals_single_runs([ah_params(k) for k in range(1, 13)],
+                                                  AH_SLOT_DURATIONS)
+        assert singles[0].diagnostics.t_stop == 16
+        assert singles[-1].diagnostics.t_stop == 654
+
+    def test_pruning_stack(self):
+        stack = [ModelParams(n, cw_min=4, cw_max=8, retry_limit=3, prune_floor=1e-6)
+                 for n in (3, 7, 12, 20, 33, 50)]
+        singles = assert_stack_equals_single_runs(stack, AH_SLOT_DURATIONS)
+        assert all(single.diagnostics.unresolved_a > 0.0 for single in singles)
+        assert singles[-1].p_fail_a > 0.0
+
+    def test_populations_must_share_the_model(self):
+        with pytest.raises(ValueError, match="only in n_stations"):
+            run_stack([ah_params(2), ah_params(3, retry_limit=3)], AH_SLOT_DURATIONS)
+
+
+@settings(max_examples=25, deadline=None)
+@given(small_configs(prune_floors=(0.0, 1e-6, 1e-3)),
+       st.lists(st.integers(1, 6), min_size=2, max_size=4, unique=True))
+def test_random_small_stacks_equal_single_runs(config, stations):
+    params, durations = config
+    assert_stack_equals_single_runs([params.with_stations(n) for n in stations], durations)

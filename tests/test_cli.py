@@ -318,13 +318,18 @@ def test_model_conservation_error_exit_code(tmp_path, capsys, monkeypatch):
     "duration_us,probability\n1_0,0.5\n",
     "duration_us,probability\n10,0.2_5\n",
     '{"atoms": {"1_0": 0.5}}',
+    "duration_us,probability\n+10,0.5\n",
+    "duration_us,probability\n 10 ,0.5\n",
+    "duration_us,probability\n\u0661\u0660,0.5\n",  # Arabic-Indic digits
+    '{"atoms": {"+10": 0.5}}',
+    '{"atoms": {" 20": 0.5}}',
 ])
 def test_compare_rejects_corrupt_distribution(tmp_path, capsys, body):
     fmt = "json" if body[0] in "{[" else "csv"
     assert main(["model", "--n", "1", "--paper-params", "--out", str(tmp_path / "m")]) == 0
     assert main(["simulate", "--n", "1", "--paper-params", "--runs", "100", "--seed", "1",
                  "--format", fmt, "--out", str(tmp_path / "s")]) == 0
-    (tmp_path / f"s.pa.{fmt}").write_text(body)
+    (tmp_path / f"s.pa.{fmt}").write_text(body, encoding="utf-8")
     assert main(["compare", f"{tmp_path}/m.pa.csv", f"{tmp_path}/s.pa.{fmt}"]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and len(err.strip().splitlines()) == 1

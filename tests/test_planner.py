@@ -342,6 +342,24 @@ class TestBatchedRuns:
         assert proc.stdout.split()[0] == str(slot)
         assert proc.stdout.split()[2] == "24"  # 12 runs for P_A, 12 for P_B
 
+    def test_small_populations_share_stacks(self, monkeypatch):
+        jobs = []
+
+        def recording_map_jobs(fn, stacks, *rest):
+            stacks = list(stacks)
+            jobs.append([[params.n_stations for params in stack] for stack in stacks])
+            return pool.map_jobs(fn, stacks, *rest)
+
+        monkeypatch.setattr(planner, "map_jobs", recording_map_jobs)
+        cache = DistributionCache(SMALL, SMALL_DUR)
+        cache.fill([*range(1, 21), 95, 120], compute_b=False)
+        cache.fill([2, 5, 7], compute_b=True)
+        # largest first: populations above _STACK_MAX_K alone, then contiguous
+        # stacks of at most _STACK neighbours, as even as possible
+        assert jobs == [[[120], [95], list(range(20, 14, -1)), list(range(14, 7, -1)),
+                         list(range(7, 0, -1))], [[7], [5], [2]]]
+        assert cache.chain_runs == 25
+
     def test_worker_exception_reaches_caller(self):
         cache = DistributionCache(SMALL, SimpleNamespace())  # no slot durations
         with pytest.raises(AttributeError, match="has no attribute"):
