@@ -140,23 +140,21 @@ def run_stack(stack: Sequence[ModelParams], durations: SlotDurations, *,
         t = layer_a.t
         done_b = layer_b is None or layer_b.resolved() >= threshold
         leave = [done and done_b for done in layer_a.done(threshold)]
-        if any(leave) or t >= cap or t >= support or layer_a.p.size == 0:
-            truncated = b_stalled = False
-            if not all(leave):
-                truncated = t >= cap
-                # With no mass in A or past the support no station can transmit any
-                # more; process B's leftover mass is the tail where one station failed.
-                if truncated or layer_a.p.size == 0 or t >= support:
-                    leave, b_stalled = [True] * len(leave), not truncated and not done_b
-            for j in (j for j, gone in enumerate(leave) if gone):
+        # At the cap, with no mass in A or past the support every population stops; in
+        # the last two no station can transmit any more, so process B's leftover mass
+        # is the tail where one station failed.
+        forced = not all(leave) and (t >= cap or t >= support or layer_a.p.size == 0)
+        if forced or any(leave):
+            truncated = forced and t >= cap
+            b_stalled = forced and t < cap and not done_b
+            for j in (j for j, gone in enumerate(leave) if gone or forced):
                 results[rows[j]] = _result(
                     t, layer_a.population(j), atoms_a.finish(rows[j]), layer_b, atoms_b,
                     truncated=truncated, b_stalled=b_stalled, table_extent=table.t_extent)
-            if all(leave):
+            if forced or all(leave):
                 return results
             keep = [j for j, gone in enumerate(leave) if not gone]
-            if len(keep) < len(leave):
-                layer_a, rows = layer_a.members(keep), rows[keep]
+            layer_a, rows = layer_a.members(keep), rows[keep]
 
         next_a = step_process_a(layer_a, table, params)
         atoms_a.absorb(next_a, rows)

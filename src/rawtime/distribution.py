@@ -6,7 +6,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -91,7 +91,11 @@ class TimeDistribution:
 
 
 def write_json(path: Path, payload) -> None:
-    path.write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
+    path.write_text(_json_text(payload), encoding="utf-8", newline="\n")
+
+
+def _json_text(payload) -> str:
+    return json.dumps(payload, indent=2) + "\n"
 
 
 def _cell(value) -> str:
@@ -102,73 +106,72 @@ def _cell(value) -> str:
     return repr(value) if isinstance(value, float) else str(value)
 
 
+def _csv_lines(header: Sequence[str], rows: Iterable[Sequence]) -> Iterator[str]:
+    """The lines of ``write_rows``' CSV table, header first."""
+    yield ",".join(header) + "\n"
+    for row in rows:
+        yield ",".join(map(_cell, row)) + "\n"
+
+
 def write_rows(path: Path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
     """Write a table: CSV, or a JSON list of row objects when ``path`` ends in
     ``.json``.  CSV cells hold floats by ``repr``, bools in lower case and None
-    as an empty cell."""
+    as an empty cell; each line is written as ``rows`` yields it."""
     if path.suffix == ".json":
         write_json(path, [dict(zip(header, row)) for row in rows])
         return
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(map(_cell, row)) + "\n")
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.writelines(_csv_lines(header, rows))
+
+
+_HEADER = ("duration_us", "probability")
+
+
+def _atoms(dist: TimeDistribution) -> Iterator[tuple[int, float]]:
+    return zip(dist.durations.tolist(), dist.probabilities.tolist())
+
+
+def _json_payload(dist: TimeDistribution, extra: dict | None) -> dict:
+    return {"atoms": {str(d): p for d, p in _atoms(dist)}, "total_mass": dist.total_mass,
+            "deficit": dist.deficit, **(extra or {})}
 
 
 def write_distribution(dist: TimeDistribution, path: Path, extra: dict | None = None) -> None:
     """Write ``dist`` as CSV, or as JSON when ``path`` ends in ``.json``;
     ``extra`` adds top-level keys to the JSON object."""
-    atoms = zip(dist.durations.tolist(), dist.probabilities.tolist())
     if path.suffix == ".json":
-        write_json(path, {
-            "atoms": {str(d): p for d, p in atoms},
-            "total_mass": dist.total_mass,
-            "deficit": dist.deficit,
-            **(extra or {}),
-        })
-        return
-    write_rows(path, ("duration_us", "probability"), atoms)
+        write_json(path, _json_payload(dist, extra))
+    else:
+        write_rows(path, _HEADER, _atoms(dist))
 
 
 def load_distribution(path: Path | str) -> TimeDistribution:
-    """Read a distribution file written by this package (.csv or .json).
+    """Read a distribution file written by ``write_distribution`` (.csv or .json).
 
-    Raises ``ValueError`` on a file this package did not write: one that is
-    not valid JSON or has no ``atoms`` object, a CSV whose header or rows do
-    not hold exactly the two columns ``duration_us,probability``, a JSON atom
-    whose probability is not a number, a duration that is not all ASCII
-    digits (``int`` would take a sign, blanks, an underscore or other
-    scripts' digits), a cell or key with an underscore (which ``float``
-    would take as a digit separator), or atoms the ``TimeDistribution``
-    constructor refuses.
+    Raises ``ValueError`` unless the file is, byte for byte, the one
+    ``write_distribution`` writes for the distribution it holds (and, in JSON,
+    for its keys other than ``atoms``, ``total_mass`` and ``deficit``): the
+    file is parsed leniently, its atoms go through the ``TimeDistribution``
+    constructor, and the result is written out again and compared.
     """
     path = Path(path)
-    if path.suffix == ".json":
-        # objects as tuples of key-value pairs, so that a duplicate key stays
-        # visible and an array is not taken for an object
-        payload = json.loads(path.read_text(encoding="utf-8"), object_pairs_hook=tuple)
-        rows = dict(payload).get("atoms") if isinstance(payload, tuple) else None
-        if not isinstance(rows, tuple):
-            raise ValueError(f"{path}: no 'atoms' object")
-        # bool is a subclass of int, and float() would also take a string
-        if any(type(prob) not in (int, float) for _, prob in rows):
-            raise ValueError(f"{path}: an atom probability is not a number")
-    else:
-        with open(path, encoding="utf-8") as fh:
-            header = fh.readline().strip()
-            if header != "duration_us,probability":
-                raise ValueError(f"{path}: not a distribution CSV (header {header!r})")
-            rows = [line.split(",") for line in fh if line.strip()]
-        if any(len(row) != 2 for row in rows):
-            raise ValueError(f"{path}: a row does not hold exactly two cells")
-    if any("_" in str(cell) for row in rows for cell in row):
-        raise ValueError(f"{path}: a cell holds an underscore")
-    if not all(dur.isascii() and dur.isdigit() for dur, _ in rows):
-        raise ValueError(f"{path}: a duration is not a whole number of microseconds")
+    as_json = path.suffix == ".json"
     try:
-        return TimeDistribution([int(dur) for dur, _ in rows], [float(prob) for _, prob in rows])
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ValueError(f"{path}: {exc}") from exc
+        text = path.read_bytes().decode("utf-8")
+        if as_json:
+            extra = json.loads(text)
+            rows = extra.pop("atoms").items()
+            extra = {k: v for k, v in extra.items() if k not in ("total_mass", "deficit")}
+        else:
+            rows = [line.split(",") for line in text.splitlines()[1:]]
+        dist = TimeDistribution([int(dur) for dur, _ in rows], [float(prob) for _, prob in rows])
+        canonical = (_json_text(_json_payload(dist, extra)) if as_json
+                     else "".join(_csv_lines(_HEADER, _atoms(dist))))
+    except (AttributeError, KeyError, OverflowError, RecursionError, TypeError, ValueError) as exc:
+        raise ValueError(f"{path}: {type(exc).__name__}: {exc}") from exc
+    if text != canonical:
+        raise ValueError(f"{path}: not a distribution file as rawtime writes it")
+    return dist
 
 
 def align(

@@ -71,7 +71,7 @@ def load_manifest(data_path: Path | str) -> dict:
         raise FileNotFoundError(f"no manifest next to {data_path} (expected {path})")
     try:
         payload = json.loads(path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise ValueError(f"{path}: not valid JSON ({exc})") from exc
     if not (isinstance(payload, dict) and isinstance(payload.get("artifact"), str)
             and all(isinstance(payload.get(key), dict) for key in ("params", "durations"))):

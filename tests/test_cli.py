@@ -323,6 +323,15 @@ def test_model_conservation_error_exit_code(tmp_path, capsys, monkeypatch):
     "duration_us,probability\n\u0661\u0660,0.5\n",  # Arabic-Indic digits
     '{"atoms": {"+10": 0.5}}',
     '{"atoms": {" 20": 0.5}}',
+    # parsed leniently, but not spelled as rawtime writes it
+    "duration_us,probability\n10, 0.5\n",
+    "duration_us,probability\n10,+0.5\n",
+    "duration_us,probability\n10,\u0660.\u0665\n",  # Arabic-Indic digits
+    "duration_us,probability\n010,0.5\n",
+    "duration_us,probability\n10,0.50\n",
+    '{"atoms": {"10": 0.5}, "total_mass": 0.9, "deficit": 0.1}',
+    '{"atoms": {"10": 0.5}}',
+    pytest.param("[" * 200000, id="deeply-nested"),
 ])
 def test_compare_rejects_corrupt_distribution(tmp_path, capsys, body):
     fmt = "json" if body[0] in "{[" else "csv"
@@ -341,6 +350,7 @@ def test_compare_rejects_corrupt_distribution(tmp_path, capsys, body):
     '{"source": "simulation", "params": 5}',
     # (model side, simulation side): no artifact, params or durations on either
     pytest.param(('{"source": "model"}', '{"source": "simulation"}'), id="both-sides-bare"),
+    pytest.param("[" * 200000, id="deeply-nested"),
 ])
 def test_compare_rejects_corrupt_manifest(tmp_path, capsys, body):
     model_body, sim_body = body if isinstance(body, tuple) else (None, body)

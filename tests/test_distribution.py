@@ -1,5 +1,7 @@
 import json
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -141,6 +143,47 @@ def small_distributions(draw):
     masses = draw(st.lists(st.floats(1e-9, 1 / 6), min_size=len(durations),
                            max_size=len(durations)))
     return TimeDistribution(np.array(durations, dtype=np.int64) * 52, np.array(masses))
+
+
+def _needs_17_digits(value: float) -> bool:
+    return len(repr(value).split("e")[0].replace(".", "").strip("0")) == 17
+
+
+# below 1/8, so that six of them stay a sub-probability distribution
+_HARD_PROBABILITIES = st.one_of(
+    st.integers(1, 2**53 - 1).map(lambda m: m * 2.0**-56).filter(_needs_17_digits),
+    st.floats(5e-324, 2.2e-308, exclude_max=True),  # subnormal
+)
+
+
+@st.composite
+def extreme_distributions(draw):
+    """Up to six atoms on durations up to 2**62 with probabilities that need 17
+    significant digits or are subnormal."""
+    durations = sorted(draw(st.sets(st.integers(0, 2**62), max_size=6)))
+    masses = draw(st.lists(_HARD_PROBABILITIES, min_size=len(durations),
+                           max_size=len(durations)))
+    return TimeDistribution(np.array(durations, dtype=np.int64), np.array(masses))
+
+
+class TestWriteLoadRoundTrip:
+    @settings(max_examples=100, deadline=None)
+    @given(st.one_of(small_distributions(), extreme_distributions()),
+           st.floats(0.0, 1.0), st.integers(0, 2**62))
+    @example(EMPTY, 0.0, 0)
+    @example(TimeDistribution([0, 2**62], [0.30000000000000004, 5e-324]), 0.1, 2**62)
+    def test_every_written_file_loads_back(self, dist, p_fail, runs):
+        # hypothesis refuses function-scoped fixtures such as tmp_path
+        with tempfile.TemporaryDirectory() as tmp:
+            cases = [("d.csv", None), ("d.json", None), ("d.json", {"p_fail": p_fail}),
+                     ("d.json", {"runs": runs, "failure_count": runs // 3})]
+            for name, extra in cases:
+                path = Path(tmp) / name
+                write_distribution(dist, path, extra=extra)
+                again = load_distribution(path)
+                assert again.durations.dtype == np.int64
+                assert again.durations.tolist() == dist.durations.tolist()
+                assert again.probabilities.tobytes() == dist.probabilities.tobytes()
 
 
 class TestAlign:
