@@ -10,7 +10,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .distribution import TimeDistribution
-from .layers import StateLayer, _Total, step_process_a, step_process_b
+from .layers import StateLayer, step_process_a, step_process_b
 from .params import ModelParams, SlotDurations
 from .txprob import build_tx_prob_table
 
@@ -28,8 +28,8 @@ def _state_time(c, s, t: int, durations: SlotDurations):
 class _AtomAccumulator:
     """Sums (duration, mass) batches of ``populations`` populations into a float64 array
     indexed by population and ``duration // g``, ``g = gcd(Te, Ts, Tc)``, in arrival order
-    (one ``np.add.at`` on the flat offsets): for each population the order, and so the
-    bits, of ``TimeDistribution.from_arrays`` over its concatenated batches.  The rows
+    (one ``np.add.at`` per population): for each population the order, and so the bits,
+    of ``TimeDistribution.from_arrays`` over its concatenated batches.  The rows
     grow to the largest index seen: at most ``t_stop * max(T) / g + 1`` entries, about
     85k for 802.11ah."""
 
@@ -38,26 +38,28 @@ class _AtomAccumulator:
         self._g = math.gcd(durations.t_empty, durations.t_success, durations.t_collision)
         self._mass = np.zeros((populations, 0))
 
-    def absorb(self, layer: StateLayer, rows: np.ndarray | None = None) -> None:
+    def absorb(self, layer: StateLayer, rows=(0,)) -> None:
         """Add the absorptions of the step that made ``layer``: mass absorbed from the
         state ``(t - 1, c, s)`` lands at ``_state_time(c, s + 1, t)`` -- the absorbing
-        success slot counts.  ``rows``: the row of each population of a stack."""
+        success slot counts.  ``rows``: the row of each population of ``layer``."""
         if layer.new_p.size:
             self.add(_state_time(layer.new_c, layer.new_s + 1, layer.t, self._durations),
-                     layer.new_p, rows[layer.new_j] if layer.p.ndim == 4 else None)
+                     layer.new_p, rows, layer.new_ends)
 
-    def add(self, taus: np.ndarray, masses: np.ndarray, rows: np.ndarray | None = None) -> None:
-        """Add ``masses`` at ``taus``, to row 0 or to the ``rows`` given."""
+    def add(self, taus: np.ndarray, masses: np.ndarray, rows, ends: list[int]) -> None:
+        """Add ``masses`` at ``taus``, the run of them that ends at ``ends[i]`` to row
+        ``rows[i]``."""
         idx = taus // self._g
         top = int(idx.max(initial=-1)) + 1
         width = self._mass.shape[1]
         if top > width:  # grow geometrically: a run adds a few new indices per step
             grown = np.zeros((self._mass.shape[0], max(top, 2 * width)))
             grown[:, :width] = self._mass
-            self._mass, width = grown, grown.shape[1]
-        if rows is not None:
-            idx += rows * width
-        np.add.at(self._mass.reshape(-1), idx, masses)
+            self._mass = grown
+        start = 0
+        for row, end in zip(rows, ends):
+            np.add.at(self._mass[row], idx[start:end], masses[start:end])
+            start = end
 
     def finish(self, row: int = 0) -> TimeDistribution:
         mass = self._mass[row]
@@ -107,7 +109,8 @@ def run_chains(
     ``params.max_backoff_slots()`` virtual slots, after which process B's
     remaining mass is exactly the some-station-failed tail and can never
     absorb.  Hitting ``t_max_cap`` earlier is reported via
-    ``diagnostics.truncated``.  The run is ``run_stack``'s stack of one.
+    ``diagnostics.truncated``.  The run is ``run_stack``'s stack of one: process A's
+    box is ``p[r, 0, c, s]`` and process B's ``p[0, 0, c, s]``.
     """
     return run_stack([params], durations, compute_b=compute_b)[0]
 
@@ -127,9 +130,8 @@ def run_stack(stack: Sequence[ModelParams], durations: SlotDurations, *,
     cap = params.t_max_cap
     table = build_tx_prob_table(params, min(cap, support) + 1)
 
-    # a lone population needs no population axis
-    layer_a = StateLayer.initial([p.n_stations for p in stack] if len(stack) > 1 else None)
-    layer_b = StateLayer.initial() if compute_b else None
+    layer_a = StateLayer.initial([p.n_stations for p in stack])
+    layer_b = StateLayer.initial([params.n_stations]) if compute_b else None
     atoms_a = _AtomAccumulator(durations, len(stack))
     atoms_b = _AtomAccumulator(durations)
     rows = np.arange(len(stack))  # the accumulator row of each population still stepped
@@ -138,7 +140,7 @@ def run_stack(stack: Sequence[ModelParams], durations: SlotDurations, *,
 
     while True:
         t = layer_a.t
-        done_b = layer_b is None or layer_b.resolved() >= threshold
+        done_b = layer_b is None or layer_b.resolved(0) >= threshold
         leave = [done and done_b for done in layer_a.done(threshold)]
         # At the cap, with no mass in A or past the support every population stops; in
         # the last two no station can transmit any more, so process B's leftover mass
@@ -149,7 +151,7 @@ def run_stack(stack: Sequence[ModelParams], durations: SlotDurations, *,
             b_stalled = forced and t < cap and not done_b
             for j in (j for j, gone in enumerate(leave) if gone or forced):
                 results[rows[j]] = _result(
-                    t, layer_a.population(j), atoms_a.finish(rows[j]), layer_b, atoms_b,
+                    t, layer_a, j, atoms_a.finish(rows[j]), layer_b, atoms_b,
                     truncated=truncated, b_stalled=b_stalled, table_extent=table.t_extent)
             if forced or all(leave):
                 return results
@@ -164,21 +166,17 @@ def run_stack(stack: Sequence[ModelParams], durations: SlotDurations, *,
         layer_a = next_a
 
 
-def _result(t: int, population, p_a: TimeDistribution, layer_b: StateLayer | None,
-            atoms_b: _AtomAccumulator, **diagnostics) -> ChainResult:
-    """The result of a run whose process-A ``population`` (box and totals, from
-    ``StateLayer.population``) stops at ``t``."""
-    box, absorbed, failed, dropped = population
-    # fsum is correctly rounded: carried_mass's bits for a lone population
-    p_a, absorbed_a, residual_a, mass_error_a = _outcome(
-        p_a, math.fsum(box.ravel().tolist()), absorbed, failed, dropped)
-    p_b, absorbed_b, residual_b, mass_error_b = (None, 0.0, 0.0, 0.0) if layer_b is None else (
-        _outcome(atoms_b.finish(), layer_b.carried_mass(), layer_b.absorbed, layer_b.failed,
-                 layer_b.dropped))
-    return ChainResult(p_a=p_a, p_b=p_b, p_fail_a=failed.value, diagnostics=ChainDiagnostics(
+def _result(t: int, layer_a: StateLayer, j: int, p_a: TimeDistribution,
+            layer_b: StateLayer | None, atoms_b: _AtomAccumulator, **diagnostics) -> ChainResult:
+    """The result of a run whose process-A population ``j`` of ``layer_a`` stops at ``t``."""
+    p_a, absorbed_a, residual_a, mass_error_a = _outcome(p_a, layer_a, j)
+    p_b, absorbed_b, residual_b, mass_error_b = (
+        (None, 0.0, 0.0, 0.0) if layer_b is None else _outcome(atoms_b.finish(), layer_b, 0))
+    failed_a = layer_a.failed[j].value
+    return ChainResult(p_a=p_a, p_b=p_b, p_fail_a=failed_a, diagnostics=ChainDiagnostics(
         t_stop=t,
         absorbed_success_a=absorbed_a,
-        absorbed_failure_a=failed.value,
+        absorbed_failure_a=failed_a,
         unresolved_a=residual_a,
         absorbed_b=absorbed_b,
         unresolved_b=residual_b,
@@ -188,9 +186,10 @@ def _result(t: int, population, p_a: TimeDistribution, layer_b: StateLayer | Non
     ))
 
 
-def _outcome(dist: TimeDistribution, carried: float, absorbed: _Total, failed: _Total,
-             dropped: _Total) -> tuple[TimeDistribution, float, float, float]:
-    """A process's distribution, absorbed mass, unresolved mass (carried plus pruned) and
-    mass error."""
-    residual = carried + dropped.value
-    return dist, absorbed.value, residual, abs(dist.total_mass + failed.value + residual - 1.0)
+def _outcome(dist: TimeDistribution, layer: StateLayer,
+             j: int) -> tuple[TimeDistribution, float, float, float]:
+    """Population ``j``'s distribution, absorbed mass, unresolved mass (carried plus
+    pruned) and mass error in one process's ``layer``."""
+    residual = layer.carried_mass(j) + layer.dropped[j].value
+    return (dist, layer.absorbed[j].value, residual,
+            abs(dist.total_mass + layer.failed[j].value + residual - 1.0))

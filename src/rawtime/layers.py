@@ -7,17 +7,16 @@ all ``n_stations`` have delivered (``s == N``).
 
 Both processes share one layer type.  Every transition moves a state by a
 fixed offset in ``(c, s, r)``, so a layer is a dense float64 array over the
-bounding box of its live cells, ``StateLayer.p[r - r0, c - c0, s - s0]``;
-process B has no retry count, so its box has one row and ``r0 = 0``.  Process
-A also steps stacks of populations that differ only in their station count:
-``p[r - r0, j, c - c0, s - s0]``, one box with one origin around the live
-cells of every population ``j``, with one compensated total per population.
-The population axis sits just before ``c``, so every product of a step
-broadcasts the same way for a population and for a stack, and a population is
-the stack of one without that axis.  A step routes the mass into a box one
-larger on each axis it can grow on by shifted slice-adds, records the cells
-that absorbed (``new_c``, ``new_s``, ``new_p``, keyed by the origin cell, and
-``new_j``, its population, in a stack), and hands the rest to one shared tail:
+bounding box of its live cells.  Process A steps a stack of populations that
+differ only in their station count as one box
+``StateLayer.p[r - r0, j, c - c0, s - s0]``, with one origin around the live
+cells of every population ``j`` and one compensated total per population; a
+lone run is the stack of one.  Process B has no retry count and one
+population, so its box is ``p[0, 0, c - c0, s - s0]``.  A step routes the
+mass into a box one larger on each axis it can grow on by shifted slice-adds,
+records the cells that absorbed (``new_c``, ``new_s``, ``new_p``: the origin
+cell of each and its mass, population by population, with ``new_ends`` where
+each population's run of them ends), and hands the rest to one shared tail:
 it zeroes the cells below ``prune_floor``, trims the box to what is left on
 every axis but the population's and adds to the layer's compensated totals
 ``absorbed``, ``failed`` and ``dropped``.  Retry counts never decrease, so
@@ -48,10 +47,11 @@ B reads it from A's cached slot-type probabilities.
 For the planner's populations (k <= 70, boxes of tens to a few thousand
 cells) a step costs mostly a fixed number of numpy calls, not arithmetic, so
 each step makes as few as it can, and a stack shares them among its
-populations (each of which leaves the stack as it stops): one product with ``TxProbTable.split`` gives a layer's silent
-mass, its mass and its transmitting mass; one row-by-row pass sums the
-mixture's numerator and denominator; one product with the stacked slot-type
-probabilities gives four of the five routes.
+populations (each of which leaves the stack as it stops): one product with
+``TxProbTable.split`` gives a layer's silent mass, its mass and its
+transmitting mass; one row-by-row pass sums the mixture's numerator and
+denominator; one product with the stacked slot-type probabilities gives four
+of the five routes.
 """
 
 from __future__ import annotations
@@ -84,34 +84,34 @@ class _Total(NamedTuple):
 
 @dataclass(eq=False)
 class StateLayer:
-    """Mass box ``p[r - r0, c - c0, s - s0]`` at model time ``t`` (one row for process B),
-    or ``p[r - r0, j, c - c0, s - s0]`` for a process-A stack whose populations ``j``
-    have ``stations[j]`` stations.
+    """Mass box ``p[r - r0, j, c - c0, s - s0]`` at model time ``t`` of the populations
+    ``j``, which have ``stations[j]`` stations each; process B's box has one row and one
+    population, ``p[0, 0, c - c0, s - s0]``.
 
-    ``new_c``, ``new_s``, ``new_p``: the cells the step that made this layer absorbed
-    from, and their mass, and for a stack ``new_j``, their populations; ``absorbed``,
-    ``failed``, ``dropped``: cumulative absorbed, retry-limit-failed and pruned mass, a
-    tuple of one ``_Total`` per population for a stack.  Process B only: ``stalled``,
-    the non-zero mass of the cells retired from the box, and ``a_c0``, ``a_s0``, the
-    process-A origin they were last retired against.  Process A only: ``cell_prob``,
-    ``slot_probs``, the layer's cell mixture and its peers' slot-type probabilities once
-    ``_cell_prob`` and ``_peer_slot_probs`` have computed them, with a stack's
-    population axis before ``c``.
+    ``absorbed``, ``failed``, ``dropped``: one ``_Total`` per population of cumulative
+    absorbed, retry-limit-failed and pruned mass.  ``new_c``, ``new_s``, ``new_p``: the
+    cells the step that made this layer absorbed from and their mass, population by
+    population, and ``new_ends``: where each population's run of them ends.  Process B
+    only: ``stalled``, the non-zero mass of the cells retired from the box, and ``a_c0``,
+    ``a_s0``, the process-A origin they were last retired against.  Process A only:
+    ``cell_prob``, ``slot_probs``, the layer's cell mixture and its peers' slot-type
+    probabilities once ``_cell_prob`` and ``_peer_slot_probs`` have computed them, with
+    the population axis before ``c``.
     """
 
     t: int
     p: np.ndarray
+    stations: np.ndarray
+    absorbed: tuple[_Total, ...]
+    failed: tuple[_Total, ...]
+    dropped: tuple[_Total, ...]
     c0: int = 0
     s0: int = 0
     r0: int = 0
-    stations: np.ndarray | None = None
-    new_j: np.ndarray = field(default_factory=lambda: _EMPTY_I)
     new_c: np.ndarray = field(default_factory=lambda: _EMPTY_I)
     new_s: np.ndarray = field(default_factory=lambda: _EMPTY_I)
     new_p: np.ndarray = field(default_factory=lambda: _EMPTY_F)
-    absorbed: _Total | tuple[_Total, ...] = _Total()
-    failed: _Total | tuple[_Total, ...] = _Total()
-    dropped: _Total | tuple[_Total, ...] = _Total()
+    new_ends: list[int] = field(default_factory=list)
     stalled: tuple[np.ndarray, ...] = ()
     a_c0: int = 0
     a_s0: int = 0
@@ -119,38 +119,28 @@ class StateLayer:
     slot_probs: np.ndarray | None = field(default=None, init=False, repr=False)
 
     @classmethod
-    def initial(cls, stations=None) -> StateLayer:
-        """The layer at ``t = 0``: all mass in the origin cell; with ``stations``, a stack
-        of populations of that many stations each."""
-        if stations is None:
-            return cls(t=0, p=np.ones((1, 1, 1)))
+    def initial(cls, stations) -> StateLayer:
+        """The layer at ``t = 0`` of populations of ``stations`` stations each: all mass in
+        the origin cell."""
         zero = (_Total(),) * len(stations)
         return cls(t=0, p=np.ones((1, len(stations), 1, 1)), stations=np.asarray(stations),
                    absorbed=zero, failed=zero, dropped=zero)
 
-    def carried_mass(self) -> float:
+    def carried_mass(self, j: int) -> float:
+        """Mass population ``j`` still carries."""
         # fsum is correctly rounded, so splitting the cells between box and store keeps every bit
-        return math.fsum(np.concatenate((self.p.ravel(), *self.stalled)).tolist())
+        return math.fsum(np.concatenate((self.p[:, j].ravel(), *self.stalled)).tolist())
 
-    def resolved(self) -> float:
-        """Mass no longer carried: absorbed, failed or pruned."""
-        return self.absorbed.value + self.failed.value + self.dropped.value
+    def resolved(self, j: int) -> float:
+        """Mass population ``j`` no longer carries: absorbed, failed or pruned."""
+        return self.absorbed[j].value + self.failed[j].value + self.dropped[j].value
 
     def done(self, threshold: float) -> list[bool]:
-        """Whether each population (the layer's own, or each of a stack's) has resolved
-        ``threshold`` of its mass or carries none."""
-        if self.p.ndim == 3:
-            return [self.resolved() >= threshold or self.p.size == 0]
+        """Whether each population has resolved ``threshold`` of its mass or carries none."""
+        if len(self.stations) == 1:  # a trimmed box holds mass while it has cells
+            return [self.resolved(0) >= threshold or self.p.size == 0]
         live = self.p.any(axis=(0, 2, 3)).tolist()
-        return [a.value + f.value + d.value >= threshold or not alive
-                for a, f, d, alive in zip(self.absorbed, self.failed, self.dropped, live)]
-
-    def population(self, j: int) -> tuple[np.ndarray, _Total, _Total, _Total]:
-        """Box and totals ``absorbed``, ``failed``, ``dropped`` of population ``j`` of a
-        stack, or of the layer's own (``j = 0``)."""
-        if self.p.ndim == 3:
-            return self.p, self.absorbed, self.failed, self.dropped
-        return self.p[:, j], self.absorbed[j], self.failed[j], self.dropped[j]
+        return [self.resolved(j) >= threshold or not alive for j, alive in enumerate(live)]
 
     def members(self, keep: list[int]) -> StateLayer:
         """The stack of the populations ``keep`` indexes; the next step trims its box."""
@@ -160,15 +150,11 @@ class StateLayer:
                              for name in ("absorbed", "failed", "dropped")})
 
 
-# A stack's population axis lies between r and c, so every product below
-# broadcasts the same way for a population and for a stack.
-
 def _split(layer: StateLayer, table: TxProbTable) -> np.ndarray:
     """``w[r, 0]``, ``w[r, 1]``, ``w[r, 2]``: a process-A layer's silent mass, its mass and
     its transmitting mass on retry row ``r``, from one product with ``table.split``."""
     m, r0 = layer.p, layer.r0
-    split = table.split_row(layer.t)[r0 : r0 + m.shape[0]]
-    return m[:, None] * split.reshape(split.shape + (1,) * (m.ndim - 1))
+    return m[:, None] * table.split_row(layer.t)[r0 : r0 + m.shape[0], :, None, None, None]
 
 
 def _cell_prob(layer: StateLayer, table: TxProbTable, w: np.ndarray | None = None) -> np.ndarray:
@@ -190,14 +176,10 @@ def _peer_slot_probs(layer: StateLayer, table: TxProbTable, params: ModelParams,
     cell, kept on the layer: process B reads its P(empty).  ``w``: as for ``_cell_prob``."""
     if layer.slot_probs is None:
         prob = _cell_prob(layer, table, w)
-        # The peer counts of the columns and one more, as floats: mixed int/float
-        # arithmetic would cast through a buffer on every call.
-        if layer.stations is None:
-            k0 = params.n_stations - 1 - layer.s0
-            k = np.arange(k0, k0 - prob.shape[-1] - 1, -1.0)
-        else:  # each population of a stack has its own
-            k = layer.stations[:, None, None] - np.arange(1.0 + layer.s0, 2.0 + layer.s0
-                                                          + prob.shape[-1])
+        # Each population's peer counts of the columns and one more, as floats: mixed
+        # int/float arithmetic would cast through a buffer on every call.
+        k = layer.stations[:, None, None] - np.arange(1.0 + layer.s0, 2.0 + layer.s0
+                                                      + prob.shape[-1])
         layer.slot_probs = _slot_probs(prob, k)
     return layer.slot_probs
 
@@ -227,62 +209,66 @@ def _span(any_: np.ndarray) -> tuple[int, int]:
     return (int(nz[0]), int(nz[-1]) + 1) if nz.size else (0, 0)
 
 
-def _member_sums(values: np.ndarray, members: np.ndarray, k: int) -> list[float]:
-    """One ``np.sum`` per population of a stack of ``k`` over ``values``, which are
-    grouped by their population ``members`` in increasing order (0.0 for a population
-    with none)."""
-    sums, start = [], 0
-    for end in np.searchsorted(members, np.arange(1, k + 1)).tolist():
-        sums.append(float(values[start:end].sum()) if end > start else 0.0)
-        start = end
-    return sums
+def _ends(keys: np.ndarray, k: int, per: int) -> list[int]:
+    """Where the run of each of ``k`` populations ends in the increasing ``keys``, in which
+    population ``j``'s keys lie in ``[j * per, (j + 1) * per)``."""
+    if k == 1:  # a lone run: one run, nothing to search
+        return [keys.size]
+    return np.searchsorted(keys, np.arange(per, (k + 1) * per, per)).tolist()
+
+
+def _run_sums(values: np.ndarray, ends: list[int]) -> list[float]:
+    """One ``np.sum`` over each run of ``values`` (0.0 for an empty run); the runs end at
+    ``ends``."""
+    if len(ends) == 1:  # a lone run: the whole array, with no slicing
+        return [float(values.sum())]
+    return [float(values[start:end].sum()) for start, end in zip([0, *ends], ends)]
 
 
 def _idle(layer: StateLayer, **kept) -> StateLayer:
     """The layer after ``layer`` when its box is empty: nothing moves or absorbs."""
-    return replace(layer, t=layer.t + 1, new_j=_EMPTY_I, new_c=_EMPTY_I, new_s=_EMPTY_I,
-                   new_p=_EMPTY_F, **kept)
+    return replace(layer, t=layer.t + 1, new_c=_EMPTY_I, new_s=_EMPTY_I, new_p=_EMPTY_F,
+                   new_ends=[], **kept)
+
+
+def _plus(totals: tuple[_Total, ...], values: list[float]) -> tuple[_Total, ...]:
+    return tuple(map(_Total.plus, totals, values))
 
 
 def _next(layer: StateLayer, out: np.ndarray, floor: float, new_c: np.ndarray,
-          new_s: np.ndarray, new_p: np.ndarray, new_j: np.ndarray = _EMPTY_I,
-          failed=0.0, **kept) -> StateLayer:
+          new_s: np.ndarray, new_p: np.ndarray, new_ends: list[int], failed: list[float],
+          **kept) -> StateLayer:
     """The layer after ``layer``, whose routed mass is ``out`` (the axes and origin of
     ``layer.p``): cells below ``floor`` are zeroed into the dropped mass and the box is
-    trimmed to the rest on every axis but a stack's.  The step absorbed ``new_p`` from
-    the cells ``(new_c, new_s)`` of ``layer``'s box (of the populations ``new_j`` of a
-    stack, in increasing order) and failed ``failed`` (a list over a stack's
-    populations); ``kept``: further fields."""
-    n_r, (n_c, n_s) = out.shape[0], out.shape[-2:]
+    trimmed to the rest on every axis but the population's.  The step absorbed ``new_p``
+    from the cells ``(new_c, new_s)`` of ``layer``'s box, population ``j``'s run of them
+    ending at ``new_ends[j]``, and population ``j`` failed ``failed[j]``; ``kept``:
+    further fields."""
+    n_r, k, n_c, n_s = out.shape
     row = out.size // n_r
     flat = ((out < floor) & (out > 0.0)).ravel().nonzero()[0]  # pruned, in (r, j, c, s) order
-    low = _EMPTY_F
+    low, low_ends = _EMPTY_F, [0] * k
     if flat.size:
         # a stable sort on the (j, c, s) index puts them in (j, c, s, r) order
-        flat = flat[(flat % row).argsort(kind="stable")]
+        within = flat % row
+        order = within.argsort(kind="stable")
+        flat, low_ends = flat[order], _ends(within[order], k, n_c * n_s)
         low = out.take(flat)
         out.put(flat, 0.0)
     (r_lo, r_hi) = _span(out.reshape(n_r, row).any(axis=1))
     cells = out.reshape(-1, n_c, n_s).any(axis=0)
     (c_lo, c_hi), (s_lo, s_hi) = _span(cells.any(axis=1)), _span(cells.any(axis=0))
-    if out.ndim == 4:
-        k = out.shape[1]
-        absorbed = tuple(map(_Total.plus, layer.absorbed, _member_sums(new_p, new_j, k)))
-        failed = tuple(map(_Total.plus, layer.failed, failed or [0.0] * k))
-        members = flat % row // (n_c * n_s)
-        dropped = tuple(map(_Total.plus, layer.dropped, _member_sums(low, members, k)))
-    else:
-        absorbed, failed = layer.absorbed.plus(float(new_p.sum())), layer.failed.plus(failed)
-        dropped = layer.dropped.plus(float(low.sum()))
     return StateLayer(
-        t=layer.t + 1, p=out[r_lo:r_hi, ..., c_lo:c_hi, s_lo:s_hi], c0=layer.c0 + c_lo,
-        s0=layer.s0 + s_lo, r0=layer.r0 + r_lo, stations=layer.stations, new_j=new_j,
-        new_c=layer.c0 + new_c, new_s=layer.s0 + new_s, new_p=new_p, absorbed=absorbed,
-        failed=failed, dropped=dropped, **kept)
+        t=layer.t + 1, p=out[r_lo:r_hi, :, c_lo:c_hi, s_lo:s_hi], c0=layer.c0 + c_lo,
+        s0=layer.s0 + s_lo, r0=layer.r0 + r_lo, stations=layer.stations,
+        new_c=layer.c0 + new_c, new_s=layer.s0 + new_s, new_p=new_p, new_ends=new_ends,
+        absorbed=_plus(layer.absorbed, _run_sums(new_p, new_ends)),
+        failed=_plus(layer.failed, failed),
+        dropped=_plus(layer.dropped, _run_sums(low, low_ends)), **kept)
 
 
 def step_process_a(layer: StateLayer, table: TxProbTable, params: ModelParams) -> StateLayer:
-    """Advance the tagged-station layer (or stack) one virtual slot.
+    """Advance the tagged-station stack one virtual slot.
 
     Routing from each carried state, with q the tagged station's transmission
     probability and the peers' slot-type probabilities from the cell mixture:
@@ -292,38 +278,42 @@ def step_process_a(layer: StateLayer, table: TxProbTable, params: ModelParams) -
     * tagged transmits and is not alone  -> (t+1, c+1, s, r+1) or retry-limit failure
     * peers collide without tagged       -> (t+1, c+1, s, r)
 
-    A stack's populations take their station counts from ``layer.stations`` and the
-    rest of the model from ``params``.
+    The populations take their station counts from ``layer.stations`` and the rest
+    of the model from ``params``.
     """
     m, rl, r0 = layer.p, params.retry_limit, layer.r0
     if m.size == 0:
         return _idle(layer)
-    n_r, n_c, n_s = m.shape[0], *m.shape[-2:]
+    n_r, k, n_c, n_s = m.shape
     w = _split(layer, table)
     pi = _peer_slot_probs(layer, table, params, w)
     # One product gives the silent share times (P(one), P(collision)) and the
     # transmitting share times (P(empty), 1 - P(empty)): [r, share, slot type].
     routes = w[:, ::2, None] * pi.reshape(2, 2, *pi.shape[1:])
     r_out = min(n_r + 1, rl - r0)
-    out = np.zeros((r_out, *m.shape[1:-2], n_c + 1, n_s + 1))
+    out = np.zeros((r_out, k, n_c + 1, n_s + 1))
     # A cell receives stay, peer success, other collision, tagged collision, in
     # that order; the stay route is written straight into the zeroed box.
-    np.multiply(w[:, 0], pi[2], out=out[:n_r, ..., :n_c, :n_s])
-    out[:n_r, ..., :n_c, 1:] += routes[:, 0, 0]
-    out[:n_r, ..., 1:, :n_s] += routes[:, 0, 1]
+    np.multiply(w[:, 0], pi[2], out=out[:n_r, :, :n_c, :n_s])
+    out[:n_r, :, :n_c, 1:] += routes[:, 0, 0]
+    out[:n_r, :, 1:, :n_s] += routes[:, 0, 1]
     tagged_coll = routes[:, 1, 1]
-    out[1:, ..., 1:, :n_s] += tagged_coll[: r_out - 1]
-    failed = 0.0
+    out[1:, :, 1:, :n_s] += tagged_coll[: r_out - 1]
+    failed = [0.0] * k
     if r0 + n_r == rl:  # tagged collisions on the last retry row fail
         top = m[-1] > 0.0
         lost = tagged_coll[-1][top]
-        failed = (_member_sums(lost, top.nonzero()[0], len(top)) if m.ndim == 4
-                  else float(lost.sum()))
+        # a lone run skips the nonzero that finds a stack's runs
+        failed = _run_sums(lost, [lost.size] if k == 1 else _ends(top.nonzero()[0], k, 1))
     succ = reduce(np.add, routes[:, 1, 0])
     hit = succ > 0.0
-    *new_j, new_c, new_s = hit.nonzero()
-    return _next(layer, out, params.prune_floor, new_c, new_s, succ[hit], *new_j,
-                 failed=failed)
+    if k == 1:  # a lone run: nonzero costs less without the population axis
+        new_c, new_s = hit[0].nonzero()
+        ends = [new_c.size]
+    else:
+        new_j, new_c, new_s = hit.nonzero()
+        ends = _ends(new_j, k, 1)
+    return _next(layer, out, params.prune_floor, new_c, new_s, succ[hit], ends, failed)
 
 
 def step_process_b(
@@ -346,30 +336,30 @@ def step_process_b(
                          f"({layer.a_c0}, {layer.a_s0}) process B was retired against")
     dc, ds = max(a_c0 - layer.c0, 0), max(a_s0 - layer.s0, 0)
     if dc or ds:
-        m = layer.p
-        frozen = np.concatenate((m[:, :dc].ravel(), m[:, dc:, :ds].ravel()))
+        m = layer.p[0, 0]
+        frozen = np.concatenate((m[:dc].ravel(), m[dc:, :ds].ravel()))
         frozen = frozen[frozen > 0.0]
-        layer = replace(layer, p=m[:, dc:, ds:], c0=layer.c0 + dc, s0=layer.s0 + ds,
+        layer = replace(layer, p=layer.p[..., dc:, ds:], c0=layer.c0 + dc, s0=layer.s0 + ds,
                         stalled=layer.stalled + (frozen,) if frozen.size else layer.stalled)
     if layer.p.size == 0:
         return _idle(layer, a_c0=a_c0, a_s0=a_s0)
-    m, c0, s0 = layer.p[0], layer.c0, layer.s0
+    m, c0, s0 = layer.p[0, 0], layer.c0, layer.s0
     n_c, n_s = m.shape
     # The box now starts at or above A's origin, so its overlap with A's box is
     # the corner [:h, :w].  Outside it P = 0, so P(empty) = 1 exactly and all
     # mass stays; only the overlap needs the slot-type probabilities.
     ia, ja = c0 - a_c0, s0 - a_s0
-    h, w = max(min(n_c, a.shape[1] - ia), 0), max(min(n_s, a.shape[2] - ja), 0)
-    out = np.zeros((1, n_c + 1, n_s + 1))
-    o = out[0]
+    h, w = max(min(n_c, a.shape[2] - ia), 0), max(min(n_s, a.shape[3] - ja), 0)
+    out = np.zeros((1, 1, n_c + 1, n_s + 1))
+    o = out[0, 0]
     o[h:n_c, :n_s] = m[h:]
     o[:h, w:n_s] = m[:h, w:]
     new_c, new_p = _EMPTY_I, _EMPTY_F
     if h and w:
         # With k = N - s contenders, P(one) = k q (1 - q)^(k - 1), and (1 - q)^(k - 1)
         # is process A's P(empty) for the N - 1 - s peers of the same cell.
-        prob = _cell_prob(layer_a, table)[ia : ia + h, ja : ja + w]
-        empty_a = _peer_slot_probs(layer_a, table, params)[2, ia : ia + h, ja : ja + w]
+        prob = _cell_prob(layer_a, table)[0, ia : ia + h, ja : ja + w]
+        empty_a = _peer_slot_probs(layer_a, table, params)[2, 0, ia : ia + h, ja : ja + w]
         k = np.arange(n - s0, n - s0 - w, -1.0)
         empty = np.power(1.0 - prob, k)
         pi = np.empty((2, h, w))
@@ -389,4 +379,4 @@ def step_process_b(
         o[:h, 1 : w + 1] += succ
         o[1 : h + 1, :w] += coll
     return _next(layer, out, params.prune_floor, new_c, np.full_like(new_c, n - 1 - s0), new_p,
-                 stalled=layer.stalled, a_c0=a_c0, a_s0=a_s0)
+                 [new_c.size], [0.0], stalled=layer.stalled, a_c0=a_c0, a_s0=a_s0)

@@ -25,22 +25,23 @@ from reference import DenseChainReference, atoms
 SMALL = SlotDurations(t_empty=52, t_success=2184, t_collision=2184)
 
 
-def layer_a(t, mass):
-    """Process-A layer at time ``t`` holding ``mass``, keyed (c, s, r); its box starts at r = 0."""
+def layer_a(t, mass, n):
+    """Process-A layer of one population of ``n`` stations at time ``t`` holding ``mass``, keyed
+    (c, s, r); its box starts at r = 0."""
     c0 = min(c for c, _, _ in mass)
     s0 = min(s for _, s, _ in mass)
     shape = [max(key[i] for key in mass) + 1 - lo for i, lo in ((2, 0), (0, c0), (1, s0))]
     p = np.zeros(shape)
     for (c, s, r), m in mass.items():
         p[r, c - c0, s - s0] = m
-    return StateLayer(t=t, p=p, c0=c0, s0=s0)
+    return replace(StateLayer.initial([n]), t=t, p=p[:, None], c0=c0, s0=s0)
 
 
 def mass_a(layer):
-    """Carried mass of a process-A layer, keyed (c, s, r)."""
+    """Carried mass of a one-population process-A layer, keyed (c, s, r)."""
     return {
-        (layer.c0 + int(c), layer.s0 + int(s), layer.r0 + int(r)): float(layer.p[r, c, s])
-        for r, c, s in zip(*np.nonzero(layer.p))
+        (layer.c0 + int(c), layer.s0 + int(s), layer.r0 + int(r)): float(layer.p[r, 0, c, s])
+        for r, c, s in zip(*np.nonzero(layer.p[:, 0]))
     }
 
 
@@ -52,16 +53,25 @@ def absorbed_records(layer):
     }
 
 
-def newly_resolved(before, after):
-    """Mass the step from ``before`` to ``after`` absorbed, failed and pruned."""
-    return sum(getattr(after, f).value - getattr(before, f).value
+def newly_resolved(before, after, j=0):
+    """Mass of population ``j`` the step from ``before`` to ``after`` absorbed, failed and
+    pruned."""
+    return sum(getattr(after, f)[j].value - getattr(before, f)[j].value
                for f in ("absorbed", "failed", "dropped"))
+
+
+def assert_conserved(before, after):
+    """Each population's carried mass before a step equals its carried mass after it plus
+    what the step absorbed, failed and pruned of it."""
+    for j in range(len(before.stations)):
+        assert after.carried_mass(j) + newly_resolved(before, after, j) == pytest.approx(
+            before.carried_mass(j), abs=1e-12)
 
 
 def cond_tx(layer, table, c, s):
     """Transmission probability the layer's (c, s) cell mixture gives a
     contending station; 0 outside the layer's box."""
-    prob = _cell_prob(layer, table)
+    prob = _cell_prob(layer, table)[0]
     i, j = c - layer.c0, s - layer.s0
     inside = 0 <= i < prob.shape[0] and 0 <= j < prob.shape[1]
     return float(prob[i, j]) if inside else 0.0
@@ -98,23 +108,23 @@ class TestCondTxProb:
     def test_initial_state_single_term(self):
         params = ah_params(7)
         table = build_tx_prob_table(params, 10)
-        layer = StateLayer.initial()
+        layer = StateLayer.initial([7])
         assert cond_tx(layer, table, 0, 0) == 1 / 16
 
     def test_unreachable_state_is_zero(self):
         params = ah_params(7)
         table = build_tx_prob_table(params, 10)
-        layer = StateLayer.initial()
+        layer = StateLayer.initial([7])
         assert cond_tx(layer, table, 3, 2) == 0.0
         # a cell inside the box that holds no mass
-        layer = layer_a(0, {(0, 0, 0): 0.5, (1, 1, 0): 0.5})
+        layer = layer_a(0, {(0, 0, 0): 0.5, (1, 1, 0): 0.5}, 7)
         assert cond_tx(layer, table, 0, 1) == 0.0
 
     def test_against_dense_reference_at_t20(self):
         params = ah_params(7, prune_floor=0.0)
         table = build_tx_prob_table(params, 25)
         ref = DenseChainReference(7, 16, 1024, 7, AH_SLOT_DURATIONS)
-        layer = StateLayer.initial()
+        layer = StateLayer.initial([7])
         for _ in range(20):
             layer = step_process_a(layer, table, params)
             ref.step()
@@ -123,7 +133,7 @@ class TestCondTxProb:
         assert cells
         box = {
             (layer.c0 + i, layer.s0 + j)
-            for i in range(layer.p.shape[1]) for j in range(layer.p.shape[2])
+            for i in range(layer.p.shape[2]) for j in range(layer.p.shape[3])
         }
         assert cells <= box
         for c, s in sorted(box | {(max(c for c, _ in box) + 1, 0)}):
@@ -136,22 +146,22 @@ class TestStepProcessA:
     def test_single_station_success_mass_is_uniform(self):
         params = ah_params(1)
         table = build_tx_prob_table(params, 20)
-        layer = StateLayer.initial()
+        layer = StateLayer.initial([1])
         for t in range(16):
             layer = step_process_a(layer, table, params)
             # only absorption record: origin (t, 0, 0) with mass 1/CW0
             assert absorbed_records(layer) == pytest.approx({(t, 0, 0): 1 / 16}, abs=1e-15)
         assert layer.p.size == 0
-        assert layer.absorbed.value == pytest.approx(1.0, abs=1e-12)
+        assert layer.absorbed[0].value == pytest.approx(1.0, abs=1e-12)
 
     def test_mass_conserved_each_step(self):
         params = ModelParams(n_stations=3, cw_min=4, cw_max=8, retry_limit=3, prune_floor=0.0)
         table = build_tx_prob_table(params, params.max_backoff_slots() + 1)
-        layer = StateLayer.initial()
+        layer = StateLayer.initial([3])
         for _ in range(params.max_backoff_slots()):
-            before = layer.carried_mass()
+            before = layer.carried_mass(0)
             nxt = step_process_a(layer, table, params)
-            assert nxt.carried_mass() + newly_resolved(layer, nxt) == pytest.approx(
+            assert nxt.carried_mass(0) + newly_resolved(layer, nxt) == pytest.approx(
                 before, abs=1e-12)
             layer = nxt
 
@@ -159,7 +169,7 @@ class TestStepProcessA:
         params = harsh_params(2)
         table = build_tx_prob_table(params, params.max_backoff_slots() + 1)
         ref = DenseChainReference(2, 4, 4, 2, SMALL)
-        layer = StateLayer.initial()
+        layer = StateLayer.initial([2])
         records = {}
         for _ in range(params.max_backoff_slots()):
             layer = step_process_a(layer, table, params)
@@ -169,13 +179,13 @@ class TestStepProcessA:
         assert set(records) == set(ref.success_records)
         for key, mass in ref.success_records.items():
             assert records[key] == pytest.approx(mass, abs=1e-12)
-        assert layer.failed.value == pytest.approx(ref.fail_a, abs=1e-12)
+        assert layer.failed[0].value == pytest.approx(ref.fail_a, abs=1e-12)
 
     def test_no_peers_left_forces_empty_or_own_success(self):
         # state with all six peers already done: peer activity impossible
         params = ah_params(7)
         table = build_tx_prob_table(params, 10)
-        layer = layer_a(3, {(0, 6, 0): 1.0})
+        layer = layer_a(3, {(0, 6, 0): 1.0}, 7)
         nxt = step_process_a(layer, table, params)
         q = float(table.p_tx[3, 0])
         assert absorbed_records(nxt) == pytest.approx({(3, 0, 6): q}, abs=1e-15)
@@ -185,7 +195,7 @@ class TestStepProcessA:
         # every fresh backoff ends within the first window, so row r = 0 empties
         params = ah_params(7)
         table = build_tx_prob_table(params, 40)
-        layer = StateLayer.initial()
+        layer = StateLayer.initial([7])
         for _ in range(params.cw_min):
             assert layer.r0 == 0
             layer = step_process_a(layer, table, params)
@@ -196,10 +206,10 @@ class TestStepProcessA:
     def test_box_of_dead_rows_trims_to_nothing(self):
         params = ModelParams(n_stations=3, cw_min=4, cw_max=8, retry_limit=3, prune_floor=1e-9)
         table = build_tx_prob_table(params, 10)
-        layer = layer_a(2, {(0, 0, 0): 1e-12, (1, 0, 1): 1e-12, (2, 1, 2): 1e-12})
+        layer = layer_a(2, {(0, 0, 0): 1e-12, (1, 0, 1): 1e-12, (2, 1, 2): 1e-12}, 3)
         nxt = step_process_a(layer, table, params)
-        assert nxt.p.shape == (0, 0, 0)
-        assert nxt.resolved() == pytest.approx(3e-12, rel=1e-12)
+        assert nxt.p.shape == (0, 1, 0, 0)
+        assert nxt.resolved(0) == pytest.approx(3e-12, rel=1e-12)
 
     def test_pruned_mass_sums_in_c_s_r_order(self):
         # sub-floor cells over several c, s and r, of magnitudes for which the
@@ -212,7 +222,7 @@ class TestStepProcessA:
             for c in range(3) for s in range(3) for r in range(3)
         }
         mass[(0, 0, 0)] = 1.0
-        layer = layer_a(2, mass)
+        layer = layer_a(2, mass, 6)
         routed = mass_a(step_process_a(layer, table, replace(params, prune_floor=0.0)))
         low = sorted((key, m) for key, m in routed.items() if m < floor)
         assert all(len({key[i] for key, _ in low}) >= 3 for i in range(3))
@@ -220,44 +230,44 @@ class TestStepProcessA:
         by_rcs = np.sum([m for _, m in sorted(low, key=lambda km: km[0][2:] + km[0][:2])])
         assert by_csr != by_rcs
         nxt = step_process_a(layer, table, params)
-        assert nxt.dropped.value == by_csr
+        assert nxt.dropped[0].value == by_csr
         assert all(m >= floor for m in mass_a(nxt).values())
 
     def test_failure_booked_only_from_last_retry_row(self):
         params = ModelParams(n_stations=3, cw_min=4, cw_max=8, retry_limit=3, prune_floor=1e-6)
         table = build_tx_prob_table(params, 10)
         # the top row's mass is too small to outlive one step
-        layer = layer_a(2, {(0, 0, 0): 1.0, (2, 0, 2): 1e-9})
+        layer = layer_a(2, {(0, 0, 0): 1.0, (2, 0, 2): 1e-9}, 3)
         nxt = step_process_a(layer, table, params)
-        assert 0.0 < nxt.failed.value < 1e-9
+        assert 0.0 < nxt.failed[0].value < 1e-9
         assert (nxt.r0, nxt.p.shape[0]) == (0, 2)
         # row 1's tagged collisions move up into row rl - 1 and fail nothing yet
         after = step_process_a(nxt, table, params)
-        assert after.failed.value == nxt.failed.value
+        assert after.failed[0].value == nxt.failed[0].value
         assert any(r == 2 for _, _, r in mass_a(after))
         last = step_process_a(after, table, params)
-        assert last.failed.value > after.failed.value
+        assert last.failed[0].value > after.failed[0].value
 
 
 class TestStepProcessB:
     def test_single_station_matches_process_a(self):
         params = ah_params(1)
         table = build_tx_prob_table(params, 20)
-        la, lb = StateLayer.initial(), StateLayer.initial()
+        la, lb = StateLayer.initial([1]), StateLayer.initial([1])
         for t in range(16):
             lb = step_process_b(lb, table, la, params)
             la = step_process_a(la, table, params)
             assert absorbed_records(lb) == pytest.approx({(t, 0, 0): 1 / 16}, abs=1e-15)
-        assert lb.absorbed.value == pytest.approx(1.0, abs=1e-12)
+        assert lb.absorbed[0].value == pytest.approx(1.0, abs=1e-12)
 
     def test_mass_conserved_each_step(self):
         params = ModelParams(n_stations=3, cw_min=4, cw_max=8, retry_limit=3, prune_floor=0.0)
         table = build_tx_prob_table(params, params.max_backoff_slots() + 1)
-        la, lb = StateLayer.initial(), StateLayer.initial()
+        la, lb = StateLayer.initial([3]), StateLayer.initial([3])
         for _ in range(params.max_backoff_slots()):
-            before = lb.carried_mass()
+            before = lb.carried_mass(0)
             nxt = step_process_b(lb, table, la, params)
-            assert nxt.carried_mass() + newly_resolved(lb, nxt) == pytest.approx(
+            assert nxt.carried_mass(0) + newly_resolved(lb, nxt) == pytest.approx(
                 before, abs=1e-12)
             lb = nxt
             la = step_process_a(la, table, params)
@@ -265,34 +275,34 @@ class TestStepProcessB:
     def test_time_mismatch_rejected(self):
         params = ah_params(2)
         table = build_tx_prob_table(params, 10)
-        la = layer_a(1, {(0, 0, 0): 1.0})
+        la = layer_a(1, {(0, 0, 0): 1.0}, 2)
         with pytest.raises(ValueError):
-            step_process_b(StateLayer.initial(), table, la, params)
+            step_process_b(StateLayer.initial([2]), table, la, params)
 
     def test_cells_below_process_a_origin_retire(self):
         params = ah_params(3)
         table = build_tx_prob_table(params, 10)
-        lb = StateLayer(t=2, p=np.array([[[0.25, 0.0], [0.25, 0.5]]]))
-        nxt = step_process_b(lb, table, layer_a(2, {(1, 1, 0): 1.0}), params)
+        lb = replace(StateLayer.initial([3]), t=2, p=np.array([[[[0.25, 0.0], [0.25, 0.5]]]]))
+        nxt = step_process_b(lb, table, layer_a(2, {(1, 1, 0): 1.0}, 3), params)
         # (0, 0) lies below A's c0 and (1, 0) below its s0: both stall, unmoved
         assert sorted(np.concatenate(nxt.stalled).tolist()) == [0.25, 0.25]
         assert (nxt.c0, nxt.s0) == (1, 1)
-        assert nxt.carried_mass() + nxt.resolved() == pytest.approx(1.0, abs=1e-15)
+        assert nxt.carried_mass(0) + nxt.resolved(0) == pytest.approx(1.0, abs=1e-15)
         # retirement assumes A's origin never falls, so a layer whose does is refused
         for c, s in ((0, 1), (1, 0)):
             with pytest.raises(ValueError, match="fell below"):
-                step_process_b(nxt, table, layer_a(3, {(c, s, 0): 1.0}), params)
+                step_process_b(nxt, table, layer_a(3, {(c, s, 0): 1.0}, 3), params)
 
     def test_box_above_process_a_origin(self):
         # B's box may start above A's; each cell still reads A's mixture at its own (c, s)
         params = ah_params(3)
         table = build_tx_prob_table(params, 10)
-        la = layer_a(2, {(0, 1, 1): 0.5, (1, 1, 0): 0.5})
-        nxt = step_process_b(StateLayer(t=2, p=np.ones((1, 1, 1)), c0=1, s0=1), table, la, params)
+        la = layer_a(2, {(0, 1, 1): 0.5, (1, 1, 0): 0.5}, 3)
+        nxt = step_process_b(replace(StateLayer.initial([3]), t=2, c0=1, s0=1), table, la, params)
         q = float(table.p_tx[2, 0])
         assert float(table.p_tx[2, 1]) != q  # A's (0, 1) cell would give other routes
-        assert nxt.p.shape[0] == 1
-        cells = nxt.p[0]
+        assert nxt.p.shape[:2] == (1, 1)
+        cells = nxt.p[0, 0]
         got = {(nxt.c0 + c, nxt.s0 + s): float(cells[c, s]) for c, s in zip(*np.nonzero(cells))}
         stay, one = (1 - q) ** 2, 2 * q * (1 - q)
         assert got == pytest.approx({(1, 1): stay, (1, 2): one, (2, 1): 1 - stay - one}, abs=1e-15)
@@ -420,7 +430,7 @@ class TestAtomAccumulator:
             s = rng.integers(0, t - c + 1)
             batch_taus = _state_time(c, s, t, durations)
             batch_masses = rng.random(c.size) * 1e-3
-            acc.add(batch_taus, batch_masses)
+            acc.add(batch_taus, batch_masses, [0], [batch_taus.size])
             taus.append(batch_taus)
             masses.append(batch_masses)
         got = acc.finish()
@@ -461,13 +471,12 @@ def conserving_steps(params):
     yields each pair of new layers after the process-A layer both were stepped from."""
     support = params.max_backoff_slots()
     table = build_tx_prob_table(params, support + 1)
-    la, lb = StateLayer.initial(), StateLayer.initial()
+    la, lb = StateLayer.initial([params.n_stations]), StateLayer.initial([params.n_stations])
     for _ in range(support):
         na = step_process_a(la, table, params)
         nb = step_process_b(lb, table, la, params)
-        for before, after in ((la, na), (lb, nb)):
-            assert after.carried_mass() + newly_resolved(before, after) == pytest.approx(
-                before.carried_mass(), abs=1e-12)
+        assert_conserved(la, na)
+        assert_conserved(lb, nb)
         yield la, na, nb
         la, lb = na, nb
 
@@ -493,9 +502,10 @@ def test_random_small_configs_equal_dense_reference(config):
 
 
 def assert_tight_box(p, floor):
-    """No cell of ``p`` lies in (0, floor) and every face of the box holds a live cell."""
+    """No cell of ``p[r, j, c, s]`` lies in (0, floor) and every face of the box holds a live
+    cell; the population axis ``j`` is never trimmed."""
     assert not np.any((p > 0.0) & (p < floor))
-    for axis in range(p.ndim):
+    for axis in (0, 2, 3):
         if p.size:
             faces = np.moveaxis(p, axis, 0)
             assert np.any(faces[0]) and np.any(faces[-1])
@@ -556,6 +566,10 @@ class TestRunStack:
         with pytest.raises(ValueError, match="only in n_stations"):
             run_stack([ah_params(2), ah_params(3, retry_limit=3)], AH_SLOT_DURATIONS)
 
+    def test_process_b_runs_one_population_at_a_time(self):
+        with pytest.raises(ValueError, match="one population at a time"):
+            run_stack([ah_params(2), ah_params(3)], AH_SLOT_DURATIONS, compute_b=True)
+
 
 @settings(max_examples=25, deadline=None)
 @given(small_configs(prune_floors=(0.0, 1e-6, 1e-3)),
@@ -563,3 +577,20 @@ class TestRunStack:
 def test_random_small_stacks_equal_single_runs(config, stations):
     params, durations = config
     assert_stack_equals_single_runs([params.with_stations(n) for n in stations], durations)
+
+
+@settings(max_examples=25, deadline=None)
+@given(small_configs(prune_floors=(0.0, 1e-6, 1e-3)),
+       st.lists(st.integers(1, 6), min_size=2, max_size=4, unique=True))
+def test_random_small_stacks_conserve_each_population(config, stations):
+    # every population of a stack keeps its own books at every step, and the shared box
+    # stays tight on r, c and s
+    params, _ = config
+    support = params.max_backoff_slots()
+    table = build_tx_prob_table(params, support + 1)
+    layer = StateLayer.initial(stations)
+    for _ in range(support):
+        nxt = step_process_a(layer, table, params)
+        assert_conserved(layer, nxt)
+        assert_tight_box(nxt.p, params.prune_floor)
+        layer = nxt
