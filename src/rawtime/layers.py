@@ -9,18 +9,24 @@ Both processes share one layer type.  Every transition moves a state by a
 fixed offset in ``(c, s, r)``, so a layer is a dense float64 array over the
 bounding box of its live cells.  Process A steps a stack of populations that
 differ only in their station count as one box
-``StateLayer.p[r - r0, j, c - c0, s - s0]``, with one origin around the live
-cells of every population ``j`` and one compensated total per population; a
-lone run is the stack of one.  Process B has no retry count and one
-population, so its box is ``p[0, 0, c - c0, s - s0]``.  A step routes the
-mass into a box one larger on each axis it can grow on by shifted slice-adds,
-records the cells that absorbed (``new_c``, ``new_s``, ``new_p``: the origin
-cell of each and its mass, population by population, with ``new_ends`` where
-each population's run of them ends), and hands the rest to one shared tail:
-it zeroes the cells below ``prune_floor``, trims the box to what is left on
-every axis but the population's and adds to the layer's compensated totals
-``absorbed``, ``failed`` and ``dropped``.  Retry counts never decrease, so
-rows below ``r0`` stay empty for the rest of the run.
+``StateLayer.p[r - r0, j, c - c0[j], s - s0[j]]``: the retry rows share one
+origin ``r0``, each population ``j`` has its own ``(c, s)`` origin
+``(c0[j], s0[j])`` at its own live cells, so the box's c and s extents are the
+largest of the populations' own, and each population has one compensated
+total; a lone run is the stack of one.  Process B has no retry count and one
+population, so its box is ``p[0, 0, c - c0[0], s - s0[0]]``.  A step routes
+the mass into a box one larger on each axis it can grow on by shifted
+slice-adds, records the cells that absorbed (``new_c``, ``new_s``, ``new_p``:
+the origin cell of each and its mass, population by population, with
+``new_ends`` where each population's run of them ends), and hands the rest to
+one shared tail: it zeroes the cells below ``prune_floor``, trims the rows and
+each population's slab to what is left, and adds to the layer's compensated
+totals ``absorbed``, ``failed`` and ``dropped``.  Mass only moves up in c and
+s, so while every population still holds a live cell on its own low c and
+low s faces one slice of the box trims them all; only on a step where some
+population's low face has emptied is each slab copied down to its own
+origin.  Retry counts never decrease, so rows below ``r0`` stay empty for
+the rest of the run.
 
 Each floating-point sum has a fixed order, so a population gives the same
 bits whatever the extent of its box, and so in any stack: a cell receives its
@@ -35,8 +41,8 @@ within a row, which keeps ``r`` rising within a cell and is the identity on a
 one-row box.
 
 A process-B cell transmits with process A's cell mixture, which is 0 where A
-holds no mass.  A's ``c0`` and ``s0`` never fall, so a B cell below either can
-never move again: each B step first cuts those strips from the box and keeps
+holds no mass.  A's ``c0[0]`` and ``s0[0]`` never fall, so a B cell below either
+can never move again: each B step first cuts those strips from the box and keeps
 their non-zero values in ``stalled``.  ``carried_mass`` sums box and store
 with ``math.fsum``, which is correctly rounded, so the split moves no bit;
 frozen cells never change and are never pruned, so the pruned mass keeps its
@@ -45,13 +51,14 @@ order too.  B's P(one) for the ``N - s`` stations of a cell needs
 B reads it from A's cached slot-type probabilities.
 
 For the planner's populations (k <= 70, boxes of tens to a few thousand
-cells) a step costs mostly a fixed number of numpy calls, not arithmetic, so
-each step makes as few as it can, and a stack shares them among its
-populations (each of which leaves the stack as it stops): one product with
-``TxProbTable.split`` gives a layer's silent mass, its mass and its
-transmitting mass; one row-by-row pass sums the mixture's numerator and
-denominator; one product with the stacked slot-type probabilities gives four
-of the five routes.
+cells) a step costs both a fixed number of numpy calls and arithmetic on
+every cell of its box (lone runs over k = 10-90 fit about 120 us per step
+plus 20-60 ns per box cell), so each step makes as few calls as it can, and
+a stack shares them among its populations (each of which leaves the stack as
+it stops): one product with ``TxProbTable.split`` gives a layer's silent
+mass, its mass and its transmitting mass; one row-by-row pass sums the
+mixture's numerator and denominator; one product with the stacked slot-type
+probabilities gives four of the five routes.
 """
 
 from __future__ import annotations
@@ -84,9 +91,11 @@ class _Total(NamedTuple):
 
 @dataclass(eq=False)
 class StateLayer:
-    """Mass box ``p[r - r0, j, c - c0, s - s0]`` at model time ``t`` of the populations
-    ``j``, which have ``stations[j]`` stations each; process B's box has one row and one
-    population, ``p[0, 0, c - c0, s - s0]``.
+    """Mass box ``p[r - r0, j, c - c0[j], s - s0[j]]`` at model time ``t`` of the
+    populations ``j``, which have ``stations[j]`` stations each: ``c0`` and ``s0`` are
+    int arrays with one origin per population, each population's slab starts at its own
+    live cells, and the rows share ``r0``.  Process B's box has one row and one
+    population, ``p[0, 0, c - c0[0], s - s0[0]]``.
 
     ``absorbed``, ``failed``, ``dropped``: one ``_Total`` per population of cumulative
     absorbed, retry-limit-failed and pruned mass.  ``new_c``, ``new_s``, ``new_p``: the
@@ -105,8 +114,8 @@ class StateLayer:
     absorbed: tuple[_Total, ...]
     failed: tuple[_Total, ...]
     dropped: tuple[_Total, ...]
-    c0: int = 0
-    s0: int = 0
+    c0: np.ndarray
+    s0: np.ndarray
     r0: int = 0
     new_c: np.ndarray = field(default_factory=lambda: _EMPTY_I)
     new_s: np.ndarray = field(default_factory=lambda: _EMPTY_I)
@@ -122,9 +131,10 @@ class StateLayer:
     def initial(cls, stations) -> StateLayer:
         """The layer at ``t = 0`` of populations of ``stations`` stations each: all mass in
         the origin cell."""
-        zero = (_Total(),) * len(stations)
-        return cls(t=0, p=np.ones((1, len(stations), 1, 1)), stations=np.asarray(stations),
-                   absorbed=zero, failed=zero, dropped=zero)
+        k = len(stations)
+        zero, origin = (_Total(),) * k, np.zeros(k, dtype=np.int64)
+        return cls(t=0, p=np.ones((1, k, 1, 1)), stations=np.asarray(stations),
+                   absorbed=zero, failed=zero, dropped=zero, c0=origin, s0=origin)
 
     def carried_mass(self, j: int) -> float:
         """Mass population ``j`` still carries."""
@@ -137,15 +147,19 @@ class StateLayer:
 
     def done(self, threshold: float) -> list[bool]:
         """Whether each population has resolved ``threshold`` of its mass or carries none."""
-        if len(self.stations) == 1:  # a trimmed box holds mass while it has cells
-            return [self.resolved(0) >= threshold or self.p.size == 0]
-        live = self.p.any(axis=(0, 2, 3)).tolist()
+        # a trimmed box holds a live cell on each live population's own low c face
+        if self.p.size == 0:
+            live = [False] * len(self.stations)
+        elif len(self.stations) == 1:
+            live = [True]
+        else:
+            live = self.p[:, :, 0].any(axis=(0, 2)).tolist()
         return [self.resolved(j) >= threshold or not alive for j, alive in enumerate(live)]
 
     def members(self, keep: list[int]) -> StateLayer:
         """The stack of the populations ``keep`` indexes; the next step trims its box."""
-        return StateLayer(t=self.t, p=self.p[:, keep], c0=self.c0, s0=self.s0, r0=self.r0,
-                          stations=self.stations[keep],
+        return StateLayer(t=self.t, p=self.p[:, keep], c0=self.c0[keep], s0=self.s0[keep],
+                          r0=self.r0, stations=self.stations[keep],
                           **{name: tuple(getattr(self, name)[i] for i in keep)
                              for name in ("absorbed", "failed", "dropped")})
 
@@ -178,8 +192,7 @@ def _peer_slot_probs(layer: StateLayer, table: TxProbTable, params: ModelParams,
         prob = _cell_prob(layer, table, w)
         # Each population's peer counts of the columns and one more, as floats: mixed
         # int/float arithmetic would cast through a buffer on every call.
-        k = layer.stations[:, None, None] - np.arange(1.0 + layer.s0, 2.0 + layer.s0
-                                                      + prob.shape[-1])
+        k = (layer.stations - layer.s0)[:, None, None] - np.arange(1.0, 2.0 + prob.shape[-1])
         layer.slot_probs = _slot_probs(prob, k)
     return layer.slot_probs
 
@@ -222,7 +235,8 @@ def _run_sums(values: np.ndarray, ends: list[int]) -> list[float]:
     ``ends``."""
     if len(ends) == 1:  # a lone run: the whole array, with no slicing
         return [float(values.sum())]
-    return [float(values[start:end].sum()) for start, end in zip([0, *ends], ends)]
+    return [float(values[start:end].sum()) if end > start else 0.0
+            for start, end in zip([0, *ends], ends)]
 
 
 def _idle(layer: StateLayer, **kept) -> StateLayer:
@@ -238,15 +252,15 @@ def _plus(totals: tuple[_Total, ...], values: list[float]) -> tuple[_Total, ...]
 def _next(layer: StateLayer, out: np.ndarray, floor: float, new_c: np.ndarray,
           new_s: np.ndarray, new_p: np.ndarray, new_ends: list[int], failed: list[float],
           **kept) -> StateLayer:
-    """The layer after ``layer``, whose routed mass is ``out`` (the axes and origin of
+    """The layer after ``layer``, whose routed mass is ``out`` (the axes and origins of
     ``layer.p``): cells below ``floor`` are zeroed into the dropped mass and the box is
     trimmed to the rest on every axis but the population's.  The step absorbed ``new_p``
-    from the cells ``(new_c, new_s)`` of ``layer``'s box, population ``j``'s run of them
-    ending at ``new_ends[j]``, and population ``j`` failed ``failed[j]``; ``kept``:
-    further fields."""
+    from the cells ``(new_c, new_s)``, population ``j``'s run of them ending at
+    ``new_ends[j]``, and population ``j`` failed ``failed[j]``; ``kept``: further fields."""
     n_r, k, n_c, n_s = out.shape
     row = out.size // n_r
-    flat = ((out < floor) & (out > 0.0)).ravel().nonzero()[0]  # pruned, in (r, j, c, s) order
+    live = out >= max(floor, _TINY)  # mass is never negative: neither pruned nor 0
+    flat = ((out > 0.0) ^ live).ravel().nonzero()[0]  # pruned, in (r, j, c, s) order
     low, low_ends = _EMPTY_F, [0] * k
     if flat.size:
         # a stable sort on the (j, c, s) index puts them in (j, c, s, r) order
@@ -255,16 +269,44 @@ def _next(layer: StateLayer, out: np.ndarray, floor: float, new_c: np.ndarray,
         flat, low_ends = flat[order], _ends(within[order], k, n_c * n_s)
         low = out.take(flat)
         out.put(flat, 0.0)
-    (r_lo, r_hi) = _span(out.reshape(n_r, row).any(axis=1))
-    cells = out.reshape(-1, n_c, n_s).any(axis=0)
-    (c_lo, c_hi), (s_lo, s_hi) = _span(cells.any(axis=1)), _span(cells.any(axis=0))
+    # Boolean reductions cost about half as much as ``any`` on the float box.
+    r_lo, r_hi = _span(np.logical_or.reduce(live.reshape(n_r, row), axis=1))
+    union = np.logical_or.reduce(live.reshape(-1, n_c, n_s), axis=0)
+    (c_lo, c_hi) = _span(np.logical_or.reduce(union, axis=1))
+    (s_lo, s_hi) = _span(np.logical_or.reduce(union, axis=0))
+    c0, s0 = layer.c0, layer.s0
+    if k == 1 or (all(np.logical_or.reduce(live[:, :, 0], axis=(0, 2)).tolist())
+                  and all(np.logical_or.reduce(live[:, :, :, 0], axis=(0, 2)).tolist())):
+        # every population still holds a live cell on its own low c and low s faces
+        # (a lone one's are the box's), so one slice of the box trims them all
+        p = out[r_lo:r_hi, :, c_lo:c_hi, s_lo:s_hi]
+        c0, s0 = c0 + c_lo if c_lo else c0, s0 + s_lo if s_lo else s0
+    else:
+        p, c0, s0 = _own_origins(out[r_lo:r_hi], live, c0, s0)
     return StateLayer(
-        t=layer.t + 1, p=out[r_lo:r_hi, :, c_lo:c_hi, s_lo:s_hi], c0=layer.c0 + c_lo,
-        s0=layer.s0 + s_lo, r0=layer.r0 + r_lo, stations=layer.stations,
-        new_c=layer.c0 + new_c, new_s=layer.s0 + new_s, new_p=new_p, new_ends=new_ends,
+        t=layer.t + 1, p=p, c0=c0, s0=s0, r0=layer.r0 + r_lo, stations=layer.stations,
+        new_c=new_c, new_s=new_s, new_p=new_p, new_ends=new_ends,
         absorbed=_plus(layer.absorbed, _run_sums(new_p, new_ends)),
         failed=_plus(layer.failed, failed),
         dropped=_plus(layer.dropped, _run_sums(low, low_ends)), **kept)
+
+
+def _own_origins(out: np.ndarray, live: np.ndarray, c0: np.ndarray,
+                 s0: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """A stack's box ``out`` with each population's slab moved down to its own live cells,
+    which ``live`` (the axes of the box before its rows were trimmed) marks, and the new
+    origins; a population with no live cell keeps its origin."""
+    cells = np.logical_or.reduce(live, axis=0)
+    c_any, s_any = np.logical_or.reduce(cells, axis=2), np.logical_or.reduce(cells, axis=1)
+    alive = np.logical_or.reduce(c_any, axis=1)
+    c_lo, s_lo = c_any.argmax(axis=1), s_any.argmax(axis=1)  # 0 where none is live
+    c_ext = np.where(alive, c_any.shape[1] - c_any[:, ::-1].argmax(axis=1) - c_lo, 0)
+    s_ext = np.where(alive, s_any.shape[1] - s_any[:, ::-1].argmax(axis=1) - s_lo, 0)
+    p = np.zeros((*out.shape[:2], c_ext.max(), s_ext.max()))
+    for j, (c, s, h, w) in enumerate(zip(c_lo.tolist(), s_lo.tolist(), c_ext.tolist(),
+                                         s_ext.tolist())):
+        p[:, j, :h, :w] = out[:, j, c : c + h, s : s + w]
+    return p, c0 + c_lo, s0 + s_lo
 
 
 def step_process_a(layer: StateLayer, table: TxProbTable, params: ModelParams) -> StateLayer:
@@ -309,9 +351,13 @@ def step_process_a(layer: StateLayer, table: TxProbTable, params: ModelParams) -
     hit = succ > 0.0
     if k == 1:  # a lone run: nonzero costs less without the population axis
         new_c, new_s = hit[0].nonzero()
+        new_c += layer.c0[0]
+        new_s += layer.s0[0]
         ends = [new_c.size]
-    else:
+    else:  # each cell offset by its own population's origin
         new_j, new_c, new_s = hit.nonzero()
+        new_c += layer.c0[new_j]
+        new_s += layer.s0[new_j]
         ends = _ends(new_j, k, 1)
     return _next(layer, out, params.prune_floor, new_c, new_s, succ[hit], ends, failed)
 
@@ -324,17 +370,17 @@ def step_process_b(
     Each cell transmits with process A's cell mixture at the same time; where A
     holds no mass that is 0 and the cell self-loops through empty slots until
     mass arrives (or never, once A has resolved: the some-station-failed tail).
-    A's ``c0`` and ``s0`` never fall, so a cell below either can never move
-    again: it is retired from the box into ``stalled`` before the step.
-    Absorptions come from ``s == N - 1``.
+    A's ``c0`` and ``s0`` (those of its one population) never fall, so a cell
+    below either can never move again: it is retired from the box into
+    ``stalled`` before the step.  Absorptions come from ``s == N - 1``.
     """
-    n, a, a_c0, a_s0 = params.n_stations, layer_a.p, layer_a.c0, layer_a.s0
+    n, a, a_c0, a_s0 = params.n_stations, layer_a.p, int(layer_a.c0[0]), int(layer_a.s0[0])
     if layer_a.t != layer.t:
         raise ValueError(f"process A layer at t={layer_a.t}, process B at t={layer.t}")
     if a_c0 < layer.a_c0 or a_s0 < layer.a_s0:
         raise ValueError(f"process A origin (c0, s0) = ({a_c0}, {a_s0}) fell below the "
                          f"({layer.a_c0}, {layer.a_s0}) process B was retired against")
-    dc, ds = max(a_c0 - layer.c0, 0), max(a_s0 - layer.s0, 0)
+    dc, ds = max(a_c0 - int(layer.c0[0]), 0), max(a_s0 - int(layer.s0[0]), 0)
     if dc or ds:
         m = layer.p[0, 0]
         frozen = np.concatenate((m[:dc].ravel(), m[dc:, :ds].ravel()))
@@ -343,7 +389,7 @@ def step_process_b(
                         stalled=layer.stalled + (frozen,) if frozen.size else layer.stalled)
     if layer.p.size == 0:
         return _idle(layer, a_c0=a_c0, a_s0=a_s0)
-    m, c0, s0 = layer.p[0, 0], layer.c0, layer.s0
+    m, c0, s0 = layer.p[0, 0], int(layer.c0[0]), int(layer.s0[0])
     n_c, n_s = m.shape
     # The box now starts at or above A's origin, so its overlap with A's box is
     # the corner [:h, :w].  Outside it P = 0, so P(empty) = 1 exactly and all
@@ -378,5 +424,5 @@ def step_process_b(
             succ[:, -1] = 0.0
         o[:h, 1 : w + 1] += succ
         o[1 : h + 1, :w] += coll
-    return _next(layer, out, params.prune_floor, new_c, np.full_like(new_c, n - 1 - s0), new_p,
+    return _next(layer, out, params.prune_floor, new_c + c0, np.full_like(new_c, n - 1), new_p,
                  [new_c.size], [0.0], stalled=layer.stalled, a_c0=a_c0, a_s0=a_s0)

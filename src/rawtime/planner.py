@@ -61,12 +61,16 @@ class MixtureSpec:
 #: Most populations a chain run steps as one stack.
 _STACK = 8
 
-#: Largest population stepped in a stack.  A step of a small population costs
-#: mostly a fixed number of numpy calls, which a stack shares; at 802.11ah
-#: parameters a box holds thousands of cells from about k = 100, and a stack's
-#: shared box (1.7-1.9 times its populations' own) then costs more than the
-#: calls save.  Measured per 8 neighbours, stacked against alone: k = 72-86,
-#: 3.0 vs 3.8 s; k = 100-121, 5.1 vs 4.8 s; k = 287-336, 15.9 vs 10.9 s.
+#: Largest population stepped in a stack.  A step costs a fixed number of
+#: numpy calls, which a stack shares, plus arithmetic on every cell of its box.
+#: With one (c, s) origin per population a stack of k >= 16 holds 1.1-1.3 times
+#: its populations' own cells, and a step copies every slab down to its own
+#: origin when some population's lowest c or s has emptied: on 31% of the
+#: steps at k = 72-86, 40% at 100-121 and 83% at 287-336.  Measured per 8
+#: neighbours at 802.11ah parameters, stacked against alone, CPU seconds over
+#: five runs: k = 72-86, 2.1-2.6 vs 3.0-3.9; k = 100-121, 3.0-3.7 vs 3.8-5.2;
+#: k = 287-336, 10.9-12.2 vs 8.3-10.1.  The bound stays at 90 although stacking
+#: paid up to k = 121: no benchmarked workload runs a larger population.
 _STACK_MAX_K = 90
 
 

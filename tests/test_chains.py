@@ -34,13 +34,15 @@ def layer_a(t, mass, n):
     p = np.zeros(shape)
     for (c, s, r), m in mass.items():
         p[r, c - c0, s - s0] = m
-    return replace(StateLayer.initial([n]), t=t, p=p[:, None], c0=c0, s0=s0)
+    return replace(StateLayer.initial([n]), t=t, p=p[:, None], c0=np.array([c0]),
+                   s0=np.array([s0]))
 
 
 def mass_a(layer):
     """Carried mass of a one-population process-A layer, keyed (c, s, r)."""
     return {
-        (layer.c0 + int(c), layer.s0 + int(s), layer.r0 + int(r)): float(layer.p[r, 0, c, s])
+        (int(layer.c0[0] + c), int(layer.s0[0] + s), layer.r0 + int(r)):
+            float(layer.p[r, 0, c, s])
         for r, c, s in zip(*np.nonzero(layer.p[:, 0]))
     }
 
@@ -72,7 +74,7 @@ def cond_tx(layer, table, c, s):
     """Transmission probability the layer's (c, s) cell mixture gives a
     contending station; 0 outside the layer's box."""
     prob = _cell_prob(layer, table)[0]
-    i, j = c - layer.c0, s - layer.s0
+    i, j = c - layer.c0[0], s - layer.s0[0]
     inside = 0 <= i < prob.shape[0] and 0 <= j < prob.shape[1]
     return float(prob[i, j]) if inside else 0.0
 
@@ -132,7 +134,7 @@ class TestCondTxProb:
         cells = {(c, s) for (c, s, _r) in ref.layer_a}
         assert cells
         box = {
-            (layer.c0 + i, layer.s0 + j)
+            (int(layer.c0[0]) + i, int(layer.s0[0]) + j)
             for i in range(layer.p.shape[2]) for j in range(layer.p.shape[3])
         }
         assert cells <= box
@@ -286,7 +288,7 @@ class TestStepProcessB:
         nxt = step_process_b(lb, table, layer_a(2, {(1, 1, 0): 1.0}, 3), params)
         # (0, 0) lies below A's c0 and (1, 0) below its s0: both stall, unmoved
         assert sorted(np.concatenate(nxt.stalled).tolist()) == [0.25, 0.25]
-        assert (nxt.c0, nxt.s0) == (1, 1)
+        assert (nxt.c0.tolist(), nxt.s0.tolist()) == ([1], [1])
         assert nxt.carried_mass(0) + nxt.resolved(0) == pytest.approx(1.0, abs=1e-15)
         # retirement assumes A's origin never falls, so a layer whose does is refused
         for c, s in ((0, 1), (1, 0)):
@@ -298,12 +300,14 @@ class TestStepProcessB:
         params = ah_params(3)
         table = build_tx_prob_table(params, 10)
         la = layer_a(2, {(0, 1, 1): 0.5, (1, 1, 0): 0.5}, 3)
-        nxt = step_process_b(replace(StateLayer.initial([3]), t=2, c0=1, s0=1), table, la, params)
+        lb = replace(StateLayer.initial([3]), t=2, c0=np.array([1]), s0=np.array([1]))
+        nxt = step_process_b(lb, table, la, params)
         q = float(table.p_tx[2, 0])
         assert float(table.p_tx[2, 1]) != q  # A's (0, 1) cell would give other routes
         assert nxt.p.shape[:2] == (1, 1)
         cells = nxt.p[0, 0]
-        got = {(nxt.c0 + c, nxt.s0 + s): float(cells[c, s]) for c, s in zip(*np.nonzero(cells))}
+        got = {(int(nxt.c0[0] + c), int(nxt.s0[0] + s)): float(cells[c, s])
+               for c, s in zip(*np.nonzero(cells))}
         stay, one = (1 - q) ** 2, 2 * q * (1 - q)
         assert got == pytest.approx({(1, 1): stay, (1, 2): one, (2, 1): 1 - stay - one}, abs=1e-15)
 
@@ -502,13 +506,17 @@ def test_random_small_configs_equal_dense_reference(config):
 
 
 def assert_tight_box(p, floor):
-    """No cell of ``p[r, j, c, s]`` lies in (0, floor) and every face of the box holds a live
-    cell; the population axis ``j`` is never trimmed."""
+    """No cell of ``p[r, j, c, s]`` lies in (0, floor); the shared r axis holds a live cell on
+    both faces; each population with a live cell holds one on the low c and the low s face
+    of its own slab, which starts at its own origin; and some population reaches the box's
+    high c and high s faces.  The population axis ``j`` is never trimmed."""
     assert not np.any((p > 0.0) & (p < floor))
-    for axis in (0, 2, 3):
-        if p.size:
-            faces = np.moveaxis(p, axis, 0)
-            assert np.any(faces[0]) and np.any(faces[-1])
+    if p.size:
+        assert np.any(p[0]) and np.any(p[-1])
+        for j in range(p.shape[1]):
+            slab = p[:, j]
+            assert not np.any(slab) or (np.any(slab[:, 0]) and np.any(slab[:, :, 0]))
+        assert np.any(p[:, :, -1]) and np.any(p[:, :, :, -1])
 
 
 @settings(max_examples=40, deadline=None)
@@ -520,8 +528,8 @@ def test_random_small_configs_prune_conserving_tight_boxes(config):
         assert_tight_box(na.p, params.prune_floor)
         assert_tight_box(nb.p, params.prune_floor)
         # process B retires the cells below A's origin, which must never fall
-        assert na.c0 >= la.c0 and na.s0 >= la.s0
-        assert nb.p.size == 0 or (nb.c0 >= la.c0 and nb.s0 >= la.s0)
+        assert np.all(na.c0 >= la.c0) and np.all(na.s0 >= la.s0)
+        assert nb.p.size == 0 or (np.all(nb.c0 >= la.c0) and np.all(nb.s0 >= la.s0))
     result = run_chains(params, durations)
     assert result.diagnostics.mass_error_a < 1e-12
     assert result.diagnostics.mass_error_b < 1e-12
@@ -562,6 +570,19 @@ class TestRunStack:
         assert all(single.diagnostics.unresolved_a > 0.0 for single in singles)
         assert singles[-1].p_fail_a > 0.0
 
+    def test_distant_populations_keep_their_own_origins(self):
+        # k = 2, 30 and 60 soon live far apart in (c, s): each slab starts at its own
+        # origin, and the stack still gives every population its own run's bits
+        stack = [ah_params(k) for k in (2, 30, 60)]
+        table = build_tx_prob_table(stack[0], 200)
+        layer, apart = StateLayer.initial([2, 30, 60]), False
+        for _ in range(120):
+            layer = step_process_a(layer, table, stack[0])
+            assert_tight_box(layer.p, stack[0].prune_floor)
+            apart |= len(set(layer.c0.tolist())) == len(set(layer.s0.tolist())) == 3
+        assert apart
+        assert_stack_equals_single_runs(stack, AH_SLOT_DURATIONS)
+
     def test_populations_must_share_the_model(self):
         with pytest.raises(ValueError, match="only in n_stations"):
             run_stack([ah_params(2), ah_params(3, retry_limit=3)], AH_SLOT_DURATIONS)
@@ -573,7 +594,7 @@ class TestRunStack:
 
 @settings(max_examples=25, deadline=None)
 @given(small_configs(prune_floors=(0.0, 1e-6, 1e-3)),
-       st.lists(st.integers(1, 6), min_size=2, max_size=4, unique=True))
+       st.lists(st.integers(1, 30), min_size=2, max_size=4, unique=True))
 def test_random_small_stacks_equal_single_runs(config, stations):
     params, durations = config
     assert_stack_equals_single_runs([params.with_stations(n) for n in stations], durations)
@@ -581,10 +602,10 @@ def test_random_small_stacks_equal_single_runs(config, stations):
 
 @settings(max_examples=25, deadline=None)
 @given(small_configs(prune_floors=(0.0, 1e-6, 1e-3)),
-       st.lists(st.integers(1, 6), min_size=2, max_size=4, unique=True))
+       st.lists(st.integers(1, 30), min_size=2, max_size=4, unique=True))
 def test_random_small_stacks_conserve_each_population(config, stations):
-    # every population of a stack keeps its own books at every step, and the shared box
-    # stays tight on r, c and s
+    # every population of a stack keeps its own books at every step, and each population's
+    # slab stays tight at its own origin
     params, _ = config
     support = params.max_backoff_slots()
     table = build_tx_prob_table(params, support + 1)
