@@ -253,8 +253,8 @@ def _next(layer: StateLayer, out: np.ndarray, floor: float, new_c: np.ndarray,
           new_s: np.ndarray, new_p: np.ndarray, new_ends: list[int], failed: list[float],
           **kept) -> StateLayer:
     """The layer after ``layer``, whose routed mass is ``out`` (the axes and origins of
-    ``layer.p``): cells below ``floor`` are zeroed into the dropped mass and the box is
-    trimmed to the rest on every axis but the population's.  The step absorbed ``new_p``
+    ``layer.p``): cells below ``floor`` are zeroed into the dropped mass, and the rows and
+    each population's slab are trimmed to the rest.  The step absorbed ``new_p``
     from the cells ``(new_c, new_s)``, population ``j``'s run of them ending at
     ``new_ends[j]``, and population ``j`` failed ``failed[j]``; ``kept``: further fields."""
     n_r, k, n_c, n_s = out.shape
