@@ -140,8 +140,8 @@ def run_stack(stack: Sequence[ModelParams], durations: SlotDurations, *,
 
     while True:
         t = layer_a.t
-        done_b = layer_b is None or layer_b.resolved(0) >= threshold
-        leave = [done and done_b for done in layer_a.done(threshold)]
+        done_b = layer_b is None or layer_b.resolved()[0] >= threshold
+        leave = (layer_a.done(threshold) & done_b).tolist()
         # At the cap, with no mass in A or past the support every population stops; in
         # the last two no station can transmit any more, so process B's leftover mass
         # is the tail where one station failed.
@@ -172,7 +172,7 @@ def _result(t: int, layer_a: StateLayer, j: int, p_a: TimeDistribution,
     p_a, absorbed_a, residual_a, mass_error_a = _outcome(p_a, layer_a, j)
     p_b, absorbed_b, residual_b, mass_error_b = (
         (None, 0.0, 0.0, 0.0) if layer_b is None else _outcome(atoms_b.finish(), layer_b, 0))
-    failed_a = layer_a.failed[j].value
+    failed_a = float(layer_a.totals[1, j])
     return ChainResult(p_a=p_a, p_b=p_b, p_fail_a=failed_a, diagnostics=ChainDiagnostics(
         t_stop=t,
         absorbed_success_a=absorbed_a,
@@ -190,6 +190,6 @@ def _outcome(dist: TimeDistribution, layer: StateLayer,
              j: int) -> tuple[TimeDistribution, float, float, float]:
     """Population ``j``'s distribution, absorbed mass, unresolved mass (carried plus
     pruned) and mass error in one process's ``layer``."""
-    residual = layer.carried_mass(j) + layer.dropped[j].value
-    return (dist, layer.absorbed[j].value, residual,
-            abs(dist.total_mass + layer.failed[j].value + residual - 1.0))
+    absorbed, failed, dropped = layer.totals[:, j].tolist()
+    residual = layer.carried_mass(j) + dropped
+    return dist, absorbed, residual, abs(dist.total_mass + failed + residual - 1.0)

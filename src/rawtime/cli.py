@@ -420,8 +420,8 @@ def main(argv: list[str] | None = None) -> int:
         return args.run(args)
     except SystemExit as exc:  # --help or --version has printed its text
         return exc.code
-    except (ConfigurationError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (ConfigurationError, OSError, MemoryError) as exc:
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 1
 
 

@@ -12,21 +12,22 @@ differ only in their station count as one box
 ``StateLayer.p[r - r0, j, c - c0[j], s - s0[j]]``: the retry rows share one
 origin ``r0``, each population ``j`` has its own ``(c, s)`` origin
 ``(c0[j], s0[j])`` at its own live cells, so the box's c and s extents are the
-largest of the populations' own, and each population has one compensated
-total; a lone run is the stack of one.  Process B has no retry count and one
-population, so its box is ``p[0, 0, c - c0[0], s - s0[0]]``.  A step routes
-the mass into a box one larger on each axis it can grow on by shifted
-slice-adds, records the cells that absorbed (``new_c``, ``new_s``, ``new_p``:
-the origin cell of each and its mass, population by population, with
+largest of the populations' own, and each population has its own column ``j``
+of the compensated totals; a lone run is the stack of one.  Process B has no
+retry count and one population, so its box is ``p[0, 0, c - c0[0], s - s0[0]]``.
+A step routes the mass into a box one larger on each axis it can grow on by
+shifted slice-adds, records the cells that absorbed (``new_c``, ``new_s``,
+``new_p``: the origin cell of each and its mass, population by population, with
 ``new_ends`` where each population's run of them ends), and hands the rest to
 one shared tail: it zeroes the cells below ``prune_floor``, trims the rows and
-each population's slab to what is left, and adds to the layer's compensated
-totals ``absorbed``, ``failed`` and ``dropped``.  Mass only moves up in c and
-s, so while every population still holds a live cell on its own low c and
-low s faces one slice of the box trims them all; only on a step where some
-population's low face has emptied is each slab copied down to its own
-origin.  Retry counts never decrease, so rows below ``r0`` stay empty for
-the rest of the run.
+each population's slab to what is left, and adds every population's absorbed,
+failed and pruned mass to the layer's compensated totals, two ``(3, k)``
+arrays of values ``totals`` and compensations ``comps``, with one vectorised
+Kahan update.  Mass only moves up in c and s, so while every population still
+holds a live cell on its own low c and low s faces one slice of the box trims
+them all; only on a step where some population's low face has emptied is each
+slab copied down to its own origin.  Retry counts never decrease, so rows below
+``r0`` stay empty for the rest of the run.
 
 Each floating-point sum has a fixed order, so a population gives the same
 bits whatever the extent of its box, and so in any stack: a cell receives its
@@ -66,7 +67,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 from functools import reduce
-from typing import NamedTuple
 
 import numpy as np
 
@@ -77,18 +77,6 @@ _EMPTY_I, _EMPTY_F = np.empty(0, dtype=np.int64), np.empty(0, dtype=np.float64)
 _TINY = float(np.nextafter(0.0, 1.0))  # the least positive float64
 
 
-class _Total(NamedTuple):
-    """A compensated (Kahan) sum; keeps totals honest over thousands of steps."""
-
-    value: float = 0.0
-    comp: float = 0.0
-
-    def plus(self, x: float) -> _Total:
-        y = x - self.comp
-        t = self.value + y
-        return _Total(t, (t - self.value) - y)
-
-
 @dataclass(eq=False)
 class StateLayer:
     """Mass box ``p[r - r0, j, c - c0[j], s - s0[j]]`` at model time ``t`` of the
@@ -97,23 +85,24 @@ class StateLayer:
     live cells, and the rows share ``r0``.  Process B's box has one row and one
     population, ``p[0, 0, c - c0[0], s - s0[0]]``.
 
-    ``absorbed``, ``failed``, ``dropped``: one ``_Total`` per population of cumulative
-    absorbed, retry-limit-failed and pruned mass.  ``new_c``, ``new_s``, ``new_p``: the
-    cells the step that made this layer absorbed from and their mass, population by
-    population, and ``new_ends``: where each population's run of them ends.  Process B
-    only: ``stalled``, the non-zero mass of the cells retired from the box, and ``a_c0``,
-    ``a_s0``, the process-A origin they were last retired against.  Process A only:
-    ``cell_prob``, ``slot_probs``, the layer's cell mixture and its peers' slot-type
-    probabilities once ``_cell_prob`` and ``_peer_slot_probs`` have computed them, with
-    the population axis before ``c``.
+    ``totals``, ``comps``: float64 arrays of shape ``(3, k)``, whose rows are the
+    cumulative absorbed, retry-limit-failed and pruned mass and whose columns are the
+    populations, kept as compensated (Kahan) sums that stay honest over thousands of
+    steps: ``totals`` holds the running values and ``comps`` their compensations.
+    ``new_c``, ``new_s``, ``new_p``: the cells the step that made this layer absorbed from
+    and their mass, population by population, and ``new_ends``: where each population's
+    run of them ends.  Process B only: ``stalled``, the non-zero mass of the cells
+    retired from the box, and ``a_c0``, ``a_s0``, the process-A origin they were last
+    retired against.  Process A only: ``cell_prob``, ``slot_probs``, the layer's cell
+    mixture and its peers' slot-type probabilities once ``_cell_prob`` and
+    ``_peer_slot_probs`` have computed them, with the population axis before ``c``.
     """
 
     t: int
     p: np.ndarray
     stations: np.ndarray
-    absorbed: tuple[_Total, ...]
-    failed: tuple[_Total, ...]
-    dropped: tuple[_Total, ...]
+    totals: np.ndarray
+    comps: np.ndarray
     c0: np.ndarray
     s0: np.ndarray
     r0: int = 0
@@ -132,36 +121,35 @@ class StateLayer:
         """The layer at ``t = 0`` of populations of ``stations`` stations each: all mass in
         the origin cell."""
         k = len(stations)
-        zero, origin = (_Total(),) * k, np.zeros(k, dtype=np.int64)
+        origin = np.zeros(k, dtype=np.int64)
         return cls(t=0, p=np.ones((1, k, 1, 1)), stations=np.asarray(stations),
-                   absorbed=zero, failed=zero, dropped=zero, c0=origin, s0=origin)
+                   totals=np.zeros((3, k)), comps=np.zeros((3, k)), c0=origin, s0=origin)
 
     def carried_mass(self, j: int) -> float:
         """Mass population ``j`` still carries."""
         # fsum is correctly rounded, so splitting the cells between box and store keeps every bit
         return math.fsum(np.concatenate((self.p[:, j].ravel(), *self.stalled)).tolist())
 
-    def resolved(self, j: int) -> float:
-        """Mass population ``j`` no longer carries: absorbed, failed or pruned."""
-        return self.absorbed[j].value + self.failed[j].value + self.dropped[j].value
+    def resolved(self) -> np.ndarray:
+        """Mass each population no longer carries: absorbed, failed or pruned, added in
+        that order."""
+        return self.totals[0] + self.totals[1] + self.totals[2]
 
-    def done(self, threshold: float) -> list[bool]:
+    def done(self, threshold: float) -> np.ndarray:
         """Whether each population has resolved ``threshold`` of its mass or carries none."""
-        # a trimmed box holds a live cell on each live population's own low c face
         if self.p.size == 0:
-            live = [False] * len(self.stations)
-        elif len(self.stations) == 1:
-            live = [True]
-        else:
-            live = self.p[:, :, 0].any(axis=(0, 2)).tolist()
-        return [self.resolved(j) >= threshold or not alive for j, alive in enumerate(live)]
+            return np.ones(len(self.stations), dtype=bool)
+        done = self.resolved() >= threshold
+        if len(self.stations) > 1:
+            # a trimmed box holds a live cell on each live population's own low c face
+            done |= ~self.p[:, :, 0].any(axis=(0, 2))
+        return done
 
     def members(self, keep: list[int]) -> StateLayer:
         """The stack of the populations ``keep`` indexes; the next step trims its box."""
         return StateLayer(t=self.t, p=self.p[:, keep], c0=self.c0[keep], s0=self.s0[keep],
                           r0=self.r0, stations=self.stations[keep],
-                          **{name: tuple(getattr(self, name)[i] for i in keep)
-                             for name in ("absorbed", "failed", "dropped")})
+                          totals=self.totals[:, keep], comps=self.comps[:, keep])
 
 
 def _split(layer: StateLayer, table: TxProbTable) -> np.ndarray:
@@ -184,7 +172,7 @@ def _cell_prob(layer: StateLayer, table: TxProbTable, w: np.ndarray | None = Non
     return layer.cell_prob
 
 
-def _peer_slot_probs(layer: StateLayer, table: TxProbTable, params: ModelParams,
+def _peer_slot_probs(layer: StateLayer, table: TxProbTable,
                      w: np.ndarray | None = None) -> np.ndarray:
     """``_slot_probs`` of a process-A layer's cell mixture for the ``N - 1 - s`` peers of each
     cell, kept on the layer: process B reads its P(empty).  ``w``: as for ``_cell_prob``."""
@@ -245,8 +233,13 @@ def _idle(layer: StateLayer, **kept) -> StateLayer:
                    new_ends=[], **kept)
 
 
-def _plus(totals: tuple[_Total, ...], values: list[float]) -> tuple[_Total, ...]:
-    return tuple(map(_Total.plus, totals, values))
+def _compensated_add(totals: np.ndarray, comps: np.ndarray,
+                     values) -> tuple[np.ndarray, np.ndarray]:
+    """``values`` added to the compensated (Kahan) sums ``totals``, whose compensations are
+    ``comps``, entry by entry: the new totals and compensations."""
+    y = np.subtract(values, comps)
+    t = totals + y
+    return t, (t - totals) - y
 
 
 def _next(layer: StateLayer, out: np.ndarray, floor: float, new_c: np.ndarray,
@@ -283,12 +276,12 @@ def _next(layer: StateLayer, out: np.ndarray, floor: float, new_c: np.ndarray,
         c0, s0 = c0 + c_lo if c_lo else c0, s0 + s_lo if s_lo else s0
     else:
         p, c0, s0 = _own_origins(out[r_lo:r_hi], live, c0, s0)
+    totals, comps = _compensated_add(layer.totals, layer.comps, [
+        _run_sums(new_p, new_ends), failed, _run_sums(low, low_ends)])
     return StateLayer(
         t=layer.t + 1, p=p, c0=c0, s0=s0, r0=layer.r0 + r_lo, stations=layer.stations,
-        new_c=new_c, new_s=new_s, new_p=new_p, new_ends=new_ends,
-        absorbed=_plus(layer.absorbed, _run_sums(new_p, new_ends)),
-        failed=_plus(layer.failed, failed),
-        dropped=_plus(layer.dropped, _run_sums(low, low_ends)), **kept)
+        new_c=new_c, new_s=new_s, new_p=new_p, new_ends=new_ends, totals=totals,
+        comps=comps, **kept)
 
 
 def _own_origins(out: np.ndarray, live: np.ndarray, c0: np.ndarray,
@@ -328,7 +321,7 @@ def step_process_a(layer: StateLayer, table: TxProbTable, params: ModelParams) -
         return _idle(layer)
     n_r, k, n_c, n_s = m.shape
     w = _split(layer, table)
-    pi = _peer_slot_probs(layer, table, params, w)
+    pi = _peer_slot_probs(layer, table, w)
     # One product gives the silent share times (P(one), P(collision)) and the
     # transmitting share times (P(empty), 1 - P(empty)): [r, share, slot type].
     routes = w[:, ::2, None] * pi.reshape(2, 2, *pi.shape[1:])
@@ -405,7 +398,7 @@ def step_process_b(
         # With k = N - s contenders, P(one) = k q (1 - q)^(k - 1), and (1 - q)^(k - 1)
         # is process A's P(empty) for the N - 1 - s peers of the same cell.
         prob = _cell_prob(layer_a, table)[0, ia : ia + h, ja : ja + w]
-        empty_a = _peer_slot_probs(layer_a, table, params)[2, 0, ia : ia + h, ja : ja + w]
+        empty_a = _peer_slot_probs(layer_a, table)[2, 0, ia : ia + h, ja : ja + w]
         k = np.arange(n - s0, n - s0 - w, -1.0)
         empty = np.power(1.0 - prob, k)
         pi = np.empty((2, h, w))

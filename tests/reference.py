@@ -19,6 +19,17 @@ def ref_windows(cw_min: int, cw_max: int, retry_limit: int) -> tuple[int, ...]:
     return tuple(out)
 
 
+def kahan(values) -> tuple[float, float]:
+    """Compensated (Kahan) sum of ``values``, added one float at a time: the total and
+    its compensation."""
+    total = comp = 0.0
+    for x in values:
+        y = x - comp
+        t = total + y
+        total, comp = t, (t - total) - y
+    return total, comp
+
+
 def make_ref_tx_prob(cw_min: int, cw_max: int, retry_limit: int):
     """Direct-summation evaluation of the large-population attempt recursion.
 

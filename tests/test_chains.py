@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from rawtime import (
     AH_SLOT_DURATIONS,
@@ -17,12 +18,20 @@ from rawtime import (
 )
 from rawtime import pool
 from rawtime.chains import _AtomAccumulator, _state_time, run_stack
-from rawtime.layers import StateLayer, _cell_prob, step_process_a, step_process_b
+from rawtime.layers import (
+    StateLayer,
+    _cell_prob,
+    _compensated_add,
+    step_process_a,
+    step_process_b,
+)
 from rawtime.txprob import build_tx_prob_table
 
-from reference import DenseChainReference, atoms
+from reference import DenseChainReference, atoms, kahan
 
 SMALL = SlotDurations(t_empty=52, t_success=2184, t_collision=2184)
+# the rows of StateLayer.totals
+ABSORBED, FAILED, DROPPED = range(3)
 
 
 def layer_a(t, mass, n):
@@ -58,8 +67,7 @@ def absorbed_records(layer):
 def newly_resolved(before, after, j=0):
     """Mass of population ``j`` the step from ``before`` to ``after`` absorbed, failed and
     pruned."""
-    return sum(getattr(after, f)[j].value - getattr(before, f)[j].value
-               for f in ("absorbed", "failed", "dropped"))
+    return sum((after.totals[:, j] - before.totals[:, j]).tolist())
 
 
 def assert_conserved(before, after):
@@ -68,6 +76,13 @@ def assert_conserved(before, after):
     for j in range(len(before.stations)):
         assert after.carried_mass(j) + newly_resolved(before, after, j) == pytest.approx(
             before.carried_mass(j), abs=1e-12)
+
+
+def cells(layer, j):
+    """Carried mass of population ``j`` of a process-A layer, keyed (r, c, s)."""
+    r, c, s = np.nonzero(layer.p[:, j])
+    keys = zip((r + layer.r0).tolist(), (c + layer.c0[j]).tolist(), (s + layer.s0[j]).tolist())
+    return dict(zip(keys, layer.p[:, j][r, c, s].tolist()))
 
 
 def cond_tx(layer, table, c, s):
@@ -154,7 +169,7 @@ class TestStepProcessA:
             # only absorption record: origin (t, 0, 0) with mass 1/CW0
             assert absorbed_records(layer) == pytest.approx({(t, 0, 0): 1 / 16}, abs=1e-15)
         assert layer.p.size == 0
-        assert layer.absorbed[0].value == pytest.approx(1.0, abs=1e-12)
+        assert layer.totals[ABSORBED, 0] == pytest.approx(1.0, abs=1e-12)
 
     def test_mass_conserved_each_step(self):
         params = ModelParams(n_stations=3, cw_min=4, cw_max=8, retry_limit=3, prune_floor=0.0)
@@ -181,7 +196,7 @@ class TestStepProcessA:
         assert set(records) == set(ref.success_records)
         for key, mass in ref.success_records.items():
             assert records[key] == pytest.approx(mass, abs=1e-12)
-        assert layer.failed[0].value == pytest.approx(ref.fail_a, abs=1e-12)
+        assert layer.totals[FAILED, 0] == pytest.approx(ref.fail_a, abs=1e-12)
 
     def test_no_peers_left_forces_empty_or_own_success(self):
         # state with all six peers already done: peer activity impossible
@@ -211,7 +226,7 @@ class TestStepProcessA:
         layer = layer_a(2, {(0, 0, 0): 1e-12, (1, 0, 1): 1e-12, (2, 1, 2): 1e-12}, 3)
         nxt = step_process_a(layer, table, params)
         assert nxt.p.shape == (0, 1, 0, 0)
-        assert nxt.resolved(0) == pytest.approx(3e-12, rel=1e-12)
+        assert nxt.resolved()[0] == pytest.approx(3e-12, rel=1e-12)
 
     def test_pruned_mass_sums_in_c_s_r_order(self):
         # sub-floor cells over several c, s and r, of magnitudes for which the
@@ -232,7 +247,7 @@ class TestStepProcessA:
         by_rcs = np.sum([m for _, m in sorted(low, key=lambda km: km[0][2:] + km[0][:2])])
         assert by_csr != by_rcs
         nxt = step_process_a(layer, table, params)
-        assert nxt.dropped[0].value == by_csr
+        assert nxt.totals[DROPPED, 0] == by_csr
         assert all(m >= floor for m in mass_a(nxt).values())
 
     def test_failure_booked_only_from_last_retry_row(self):
@@ -241,14 +256,14 @@ class TestStepProcessA:
         # the top row's mass is too small to outlive one step
         layer = layer_a(2, {(0, 0, 0): 1.0, (2, 0, 2): 1e-9}, 3)
         nxt = step_process_a(layer, table, params)
-        assert 0.0 < nxt.failed[0].value < 1e-9
+        assert 0.0 < nxt.totals[FAILED, 0] < 1e-9
         assert (nxt.r0, nxt.p.shape[0]) == (0, 2)
         # row 1's tagged collisions move up into row rl - 1 and fail nothing yet
         after = step_process_a(nxt, table, params)
-        assert after.failed[0].value == nxt.failed[0].value
+        assert after.totals[FAILED, 0] == nxt.totals[FAILED, 0]
         assert any(r == 2 for _, _, r in mass_a(after))
         last = step_process_a(after, table, params)
-        assert last.failed[0].value > after.failed[0].value
+        assert last.totals[FAILED, 0] > after.totals[FAILED, 0]
 
 
 class TestStepProcessB:
@@ -260,7 +275,7 @@ class TestStepProcessB:
             lb = step_process_b(lb, table, la, params)
             la = step_process_a(la, table, params)
             assert absorbed_records(lb) == pytest.approx({(t, 0, 0): 1 / 16}, abs=1e-15)
-        assert lb.absorbed[0].value == pytest.approx(1.0, abs=1e-12)
+        assert lb.totals[ABSORBED, 0] == pytest.approx(1.0, abs=1e-12)
 
     def test_mass_conserved_each_step(self):
         params = ModelParams(n_stations=3, cw_min=4, cw_max=8, retry_limit=3, prune_floor=0.0)
@@ -289,7 +304,7 @@ class TestStepProcessB:
         # (0, 0) lies below A's c0 and (1, 0) below its s0: both stall, unmoved
         assert sorted(np.concatenate(nxt.stalled).tolist()) == [0.25, 0.25]
         assert (nxt.c0.tolist(), nxt.s0.tolist()) == ([1], [1])
-        assert nxt.carried_mass(0) + nxt.resolved(0) == pytest.approx(1.0, abs=1e-15)
+        assert nxt.carried_mass(0) + nxt.resolved()[0] == pytest.approx(1.0, abs=1e-15)
         # retirement assumes A's origin never falls, so a layer whose does is refused
         for c, s in ((0, 1), (1, 0)):
             with pytest.raises(ValueError, match="fell below"):
@@ -449,6 +464,29 @@ class TestAtomAccumulator:
         assert dist.total_mass == 0.0
 
 
+class TestTotals:
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 5), st.integers(1, 40), st.data())
+    def test_equal_scalar_kahan_sums(self, k, steps, data):
+        # each (total, population) entry gets the bits of its own scalar compensated sum
+        values = data.draw(hnp.arrays(np.float64, (steps, 3, k), elements=st.floats(0.0, 1.0)))
+        totals = comps = np.zeros((3, k))
+        for step in values:
+            totals, comps = _compensated_add(totals, comps, step.tolist())
+        want = [[kahan(values[:, i, j].tolist()) for j in range(k)] for i in range(3)]
+        assert np.stack((totals, comps), axis=-1).tobytes() == np.array(want).tobytes()
+
+    def test_compensation_is_on(self):
+        # each 1e-16 is below half an ulp of 1.0: plain += drops every one of them
+        totals, comps = _compensated_add(np.zeros((3, 2)), np.zeros((3, 2)), np.ones((3, 2)))
+        plain = 1.0
+        for _ in range(10):
+            totals, comps = _compensated_add(totals, comps, np.full((3, 2), 1e-16))
+            plain += 1e-16
+        assert plain == 1.0
+        assert np.all(totals > 1.0)
+
+
 @st.composite
 def small_configs(draw, prune_floors=(0.0,)):
     cw_min = draw(st.sampled_from([2, 4]))
@@ -582,6 +620,28 @@ class TestRunStack:
             apart |= len(set(layer.c0.tolist())) == len(set(layer.s0.tolist())) == 3
         assert apart
         assert_stack_equals_single_runs(stack, AH_SLOT_DURATIONS)
+
+    def test_members_keep_their_columns_and_bits(self):
+        params, keep = ah_params(2), [0, 2]
+        table = build_tx_prob_table(params, 200)
+        layer = StateLayer.initial([2, 9, 30, 60])
+        for _ in range(60):  # until k = 60 spans the widest c and s extents
+            layer = step_process_a(layer, table, params)
+        assert np.all(layer.resolved() < 1.0) and np.all(layer.totals[ABSORBED] > 0.0)
+        kept = layer.members(keep)
+        assert (kept.t, kept.r0) == (layer.t, layer.r0)
+        for name in ("totals", "comps"):
+            assert getattr(kept, name).tobytes() == getattr(layer, name)[:, keep].tobytes()
+        for name in ("c0", "s0", "stations"):
+            assert getattr(kept, name).tolist() == getattr(layer, name)[keep].tolist()
+        assert kept.p.tobytes() == layer.p[:, keep].tobytes()
+        # a population's values do not depend on the extent of its box
+        nxt_kept, nxt = step_process_a(kept, table, params), step_process_a(layer, table, params)
+        assert nxt_kept.p.shape[2:] != nxt.p.shape[2:]  # the kept box trims to its own
+        for name in ("totals", "comps"):
+            assert getattr(nxt_kept, name).tobytes() == getattr(nxt, name)[:, keep].tobytes()
+        for i, j in enumerate(keep):
+            assert cells(nxt_kept, i) == cells(nxt, j)
 
     def test_populations_must_share_the_model(self):
         with pytest.raises(ValueError, match="only in n_stations"):

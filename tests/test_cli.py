@@ -294,6 +294,18 @@ def test_model_conservation_error_exit_code(tmp_path, capsys, monkeypatch):
     assert load_manifest(f"{out}.pb.csv")["extra"]["mass_error_b"] == 2e-9
 
 
+@pytest.mark.parametrize("exc", [MemoryError(), MemoryError("Unable to allocate 56.0 GiB")])
+def test_out_of_memory_is_one_error_line(tmp_path, capsys, monkeypatch, exc):
+    def exhausted(*args, **kwargs):
+        raise exc
+
+    monkeypatch.setattr(rawtime.cli, "run_chains", exhausted)
+    assert main(["model", "--n", "2", "--paper-params", "--out", str(tmp_path / "x")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and len(err.strip().splitlines()) == 1
+    assert str(exc) in err and "Traceback" not in err
+
+
 @pytest.mark.parametrize("body", [
     "duration_us,probability\n10,0.5\n10,0.2\n",
     "duration_us,probability\n10,0.5\n20,nan\n",
