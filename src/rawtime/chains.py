@@ -1,5 +1,5 @@
-"""Full chain runs: interleaved process A/B stepping, stacks of process-A populations and
-duration extraction."""
+"""Full chain runs: interleaved process A/B stepping, stacks of process-A populations that
+can be advanced step budget by step budget, and duration extraction."""
 
 from __future__ import annotations
 
@@ -121,49 +121,111 @@ def run_stack(stack: Sequence[ModelParams], durations: SlotDurations, *,
     ``stack``, bit for bit, with process A stepped for all of them as one stack.  The
     populations may differ only in ``n_stations``; each stops on its own test and then
     leaves the stack.  Process B runs for a stack of one only."""
-    params = stack[0]
-    if any(p.with_stations(params.n_stations) != params for p in stack):
-        raise ValueError("a stack's populations may differ only in n_stations")
-    if compute_b and len(stack) > 1:
-        raise ValueError("process B runs one population at a time")
-    support = params.max_backoff_slots()
-    cap = params.t_max_cap
-    table = build_tx_prob_table(params, min(cap, support) + 1)
+    run = StackRun(stack, durations, compute_b=compute_b)
+    run.advance()
+    return run.results
 
-    layer_a = StateLayer.initial([p.n_stations for p in stack])
-    layer_b = StateLayer.initial([params.n_stations]) if compute_b else None
-    atoms_a = _AtomAccumulator(durations, len(stack))
-    atoms_b = _AtomAccumulator(durations)
-    rows = np.arange(len(stack))  # the accumulator row of each population still stepped
-    results: list[ChainResult | None] = [None] * len(stack)
-    threshold = 1.0 - params.epsilon
 
-    while True:
-        t = layer_a.t
-        done_b = layer_b is None or layer_b.resolved()[0] >= threshold
-        leave = (layer_a.done(threshold) & done_b).tolist()
-        # At the cap, with no mass in A or past the support every population stops; in
-        # the last two no station can transmit any more, so process B's leftover mass
-        # is the tail where one station failed.
-        forced = not all(leave) and (t >= cap or t >= support or layer_a.p.size == 0)
-        if forced or any(leave):
-            truncated = forced and t >= cap
-            b_stalled = forced and t < cap and not done_b
-            for j in (j for j, gone in enumerate(leave) if gone or forced):
-                results[rows[j]] = _result(
-                    t, layer_a, j, atoms_a.finish(rows[j]), layer_b, atoms_b,
-                    truncated=truncated, b_stalled=b_stalled, table_extent=table.t_extent)
-            if forced or all(leave):
-                return results
-            keep = [j for j, gone in enumerate(leave) if not gone]
-            layer_a, rows = layer_a.members(keep), rows[keep]
+class StackRun:
+    """``run_stack``'s run, resumable: each ``advance`` steps it on, and ``results[j]``
+    holds population ``j``'s ``ChainResult`` once it has stopped.
 
-        next_a = step_process_a(layer_a, table, params)
-        atoms_a.absorb(next_a, rows)
-        if layer_b is not None:
-            layer_b = step_process_b(layer_b, table, layer_a, params)
-            atoms_b.absorb(layer_b)
-        layer_a = next_a
+    Every population leaves the stack at the step its own run stops, whatever budgets
+    the run was advanced in, so the results are ``run_stack``'s bit for bit.  ``drop``
+    takes populations out of the stack with no result, which leaves the others' bits
+    alone.  ``steps`` counts population-steps: each step once per population it
+    carries.
+    """
+
+    def __init__(self, stack: Sequence[ModelParams], durations: SlotDurations, *,
+                 compute_b: bool = False):
+        params = stack[0]
+        if any(p.with_stations(params.n_stations) != params for p in stack):
+            raise ValueError("a stack's populations may differ only in n_stations")
+        if compute_b and len(stack) > 1:
+            raise ValueError("process B runs one population at a time")
+        self.params, self.durations = params, durations
+        self._support = params.max_backoff_slots()
+        self._table = build_tx_prob_table(params, min(params.t_max_cap, self._support) + 1)
+        self._layer_a = StateLayer.initial([p.n_stations for p in stack])
+        self._layer_b = StateLayer.initial([params.n_stations]) if compute_b else None
+        self._atoms_a = _AtomAccumulator(durations, len(stack))
+        self._atoms_b = _AtomAccumulator(durations)
+        self._rows = np.arange(len(stack))  # the accumulator row of each population stepped
+        self.results: list[ChainResult | None] = [None] * len(stack)
+        self.steps = 0
+
+    def advance(self, budget: int | None = None) -> bool:
+        """Step the stack until every population has stopped, or ``budget`` steps;
+        whether every population has stopped (or been dropped)."""
+        layer_a, layer_b, rows, atoms_a, atoms_b = (
+            self._layer_a, self._layer_b, self._rows, self._atoms_a, self._atoms_b)
+        params, table, support = self.params, self._table, self._support
+        cap, threshold = params.t_max_cap, 1.0 - params.epsilon
+        steps = carried = 0
+        while rows.size:
+            t = layer_a.t
+            done_b = layer_b is None or layer_b.resolved()[0] >= threshold
+            leave = (layer_a.done(threshold) & done_b).tolist()
+            # At the cap, with no mass in A or past the support every population stops; in
+            # the last two no station can transmit any more, so process B's leftover mass
+            # is the tail where one station failed.
+            forced = not all(leave) and (t >= cap or t >= support or layer_a.p.size == 0)
+            if forced or any(leave):
+                truncated = forced and t >= cap
+                b_stalled = forced and t < cap and not done_b
+                for j in (j for j, gone in enumerate(leave) if gone or forced):
+                    self.results[rows[j]] = _result(
+                        t, layer_a, j, atoms_a.finish(rows[j]), layer_b, atoms_b,
+                        truncated=truncated, b_stalled=b_stalled, table_extent=table.t_extent)
+                keep = [] if forced else [j for j, gone in enumerate(leave) if not gone]
+                layer_a, rows = layer_a.members(keep), rows[keep]
+                if not keep:
+                    break
+            if steps == budget:
+                break
+            next_a = step_process_a(layer_a, table, params)
+            atoms_a.absorb(next_a, rows)
+            if layer_b is not None:
+                layer_b = step_process_b(layer_b, table, layer_a, params)
+                atoms_b.absorb(layer_b)
+            layer_a = next_a
+            steps += 1
+            carried += rows.size
+        self._layer_a, self._layer_b, self._rows = layer_a, layer_b, rows
+        self.steps += carried
+        return not rows.size
+
+    def drop(self, populations) -> None:
+        """Take the populations ``populations`` indexes out of the stack, with no result."""
+        gone = set(populations)
+        keep = [j for j, row in enumerate(self._rows.tolist()) if row not in gone]
+        self._layer_a, self._rows = self._layer_a.members(keep), self._rows[keep]
+
+    def bounds(self) -> np.ndarray:
+        """For each population, a duration below which its P_A gains no more mass: inf
+        once it has left the stack, else the least ``_state_time(c, s + 1, t + 1)`` over
+        its live process-A cells ``(c, s)`` at the stack's time ``t``.
+
+        A step moves mass from ``(t, c, s)`` to ``t + 1`` and never lowers ``c`` or
+        ``s``, and a success absorbed from ``(t', c', s')`` lands at ``_state_time(c',
+        s' + 1, t' + 1)``, which is ``(c' - c)(Tc - Te) + (s' - s)(Ts - Te) + (t' - t)
+        Te`` above ``_state_time(c, s + 1, t + 1)``: no less, as ``Ts, Tc >= Te``.  So
+        every later absorption lands at or above the bound, and the atoms below it are
+        final to the bit.
+        """
+        bounds = np.full(len(self.results), np.inf)
+        layer = self._layer_a
+        if self._rows.size:
+            j, c, s = np.logical_or.reduce(layer.p > 0.0, axis=0).nonzero()
+            times = _state_time(layer.c0[j] + c, layer.s0[j] + s + 1, layer.t + 1,
+                                self.durations)
+            np.minimum.at(bounds, self._rows[j], times)
+        return bounds
+
+    def atoms(self, population: int) -> TimeDistribution:
+        """The P_A atoms population ``population`` has absorbed so far."""
+        return self._atoms_a.finish(population)
 
 
 def _result(t: int, layer_a: StateLayer, j: int, p_a: TimeDistribution,

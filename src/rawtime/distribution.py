@@ -79,8 +79,7 @@ class TimeDistribution:
 
     def quantile(self, q: float) -> int:
         """Smallest duration whose cumulative mass reaches ``q``."""
-        if not 0.0 < q < 1.0:
-            raise ValueError(f"quantile level must lie in (0, 1), got {q}")
+        check_level(q)
         if q > self.total_mass:
             raise UnsatisfiableQuantileError(q, self.total_mass)
         cum = self.cumulative()
@@ -88,6 +87,12 @@ class TimeDistribution:
         if idx >= self.durations.size:
             idx = self.durations.size - 1
         return int(self.durations[idx])
+
+
+def check_level(q: float) -> None:
+    """``ValueError`` unless ``q`` is a quantile level, in (0, 1)."""
+    if not 0.0 < q < 1.0:
+        raise ValueError(f"quantile level must lie in (0, 1), got {q}")
 
 
 def write_json(path: Path, payload) -> None:

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 import time
-from contextlib import suppress
 from dataclasses import dataclass
 from enum import Enum
 from itertools import repeat
@@ -19,10 +18,15 @@ from typing import Iterator
 
 import numpy as np
 
-from .chains import run_chains, run_stack
-from .distribution import TimeDistribution, UnsatisfiableQuantileError, merge_weighted
+from .chains import StackRun, run_chains, run_stack
+from .distribution import (
+    TimeDistribution,
+    UnsatisfiableQuantileError,
+    check_level,
+    merge_weighted,
+)
 from .params import ConfigurationError, ModelParams, SlotDurations
-from .pool import map_jobs
+from .pool import ResidentJobs, map_jobs
 
 #: Longest RAW slot the 802.11ah signalling can encode, in microseconds.
 MAX_RAW_SLOT_US = 246_140
@@ -74,10 +78,14 @@ _STACK = 8
 _STACK_MAX_K = 90
 
 
+#: Steps of the first round of an early-stopping sweep; each later round doubles it.
+_FIRST_ROUND = 64
+
+
 def _chain_run(stack: list[ModelParams], durations: SlotDurations, compute_b: bool):
     """Cold chain runs of one job: (P_B of its one population if ``compute_b``,
     else P_A of each population of the stack; seconds the job took where it
-    ran).
+    ran; its population-steps).
 
     Module-level so a process pool can send it by name; it looks up
     ``run_chains`` and ``run_stack`` in this module at call time.
@@ -85,10 +93,56 @@ def _chain_run(stack: list[ModelParams], durations: SlotDurations, compute_b: bo
     started = time.perf_counter()
     if compute_b:
         (params,) = stack
-        dists = [run_chains(params, durations).p_b]
+        results = [run_chains(params, durations)]
     else:
-        dists = [result.p_a for result in run_stack(stack, durations)]
-    return dists, time.perf_counter() - started
+        results = run_stack(stack, durations)
+    dists = [result.p_b if compute_b else result.p_a for result in results]
+    steps = sum(result.diagnostics.t_stop for result in results)
+    return dists, time.perf_counter() - started, steps
+
+
+def _stacks(ks: list[int], compute_b: bool) -> list[list[int]]:
+    """The jobs that run the populations ``ks`` (largest first): process A alone steps
+    neighbouring populations of at most ``_STACK_MAX_K`` stations as one stack, cut into
+    contiguous stacks of at most ``_STACK``, as even as possible; a larger population, or
+    a run of process B, is a job of its own."""
+    alone = [[k] for k in ks if compute_b or k > _STACK_MAX_K]
+    small = ks[len(alone):]
+    n, count = len(small), -(-len(small) // _STACK)
+    return alone + [small[n * i // count : n * (i + 1) // count] for i in range(count)]
+
+
+class _Rounds:
+    """One stack's early-stopping run where it is kept (``ResidentJobs`` state): the
+    run, and the indices of the populations it still reports on."""
+
+    def __init__(self, stack: list[ModelParams], durations: SlotDurations):
+        self.run = StackRun(stack, durations)
+        self.ks = [params.n_stations for params in stack]
+        self.reporting = set(range(len(stack)))
+
+
+def _round(state: _Rounds, budget: int, drop: set[int]):
+    """Drop the populations in ``drop``, advance the stack ``budget`` steps and report
+    (its populations' news, seconds the round took where it ran, population-steps).
+
+    A population's news is ``(k, None, P_A)`` once it has stopped, else ``(k, bound,
+    atoms)``: its ``StackRun.bounds`` entry and the atoms it has absorbed so far.  Each
+    population is reported until it stops or is dropped."""
+    run, started, steps = state.run, time.perf_counter(), state.run.steps
+    dropped = {j for j in state.reporting if state.ks[j] in drop}
+    run.drop(dropped)
+    state.reporting -= dropped
+    run.advance(budget)
+    bounds, news = run.bounds(), []
+    for j in sorted(state.reporting):
+        result = run.results[j]
+        if result is None:
+            news.append((state.ks[j], float(bounds[j]), run.atoms(j)))
+        else:
+            news.append((state.ks[j], None, result.p_a))
+            state.reporting.remove(j)
+    return news, time.perf_counter() - started, run.steps - steps
 
 
 class DistributionCache:
@@ -98,12 +152,18 @@ class DistributionCache:
     of an A-only run, ``pb(k)`` P_B of a run of both processes, so which of
     the two was asked for first never changes the other.
     ``params.n_stations`` is ignored; the population comes from the lookup
-    key.  ``chain_runs`` counts cold runs, one per population also where
-    ``fill`` stepped several as one stack; ``cache_hits`` counts the
-    ``pa``/``pb`` lookups served without one; ``chain_run_s`` sums the seconds
-    of ``fill``'s jobs where they ran, a stack's once.  The first lookup a run
-    was made for is its miss, whether ``fill`` ran it ahead of the lookup or
-    the lookup itself did.
+    key.  It stores complete runs only: a problem-A ``optimize_groups`` stops
+    the runs its quantiles no longer need and stores the runs that complete, so
+    a later ``pa(k)`` of a population it stopped runs it in full.
+
+    ``chain_runs`` counts cold runs, one per population also where several
+    were stepped as one stack, complete or stopped early; ``chain_steps``
+    counts their population-steps, a stack step once per population it
+    carried; ``cache_hits`` counts the lookups served without a cold run: the
+    ``pa``/``pb`` calls and ``optimize_groups``' reads of its components;
+    ``chain_run_s`` sums the seconds of the jobs where they ran, a stack's
+    once.  The first lookup a run was made for is its miss, whether ``fill``
+    ran it ahead of the lookup, a sweep ran it or the lookup itself did.
     """
 
     def __init__(self, params: ModelParams, durations: SlotDurations):
@@ -115,41 +175,39 @@ class DistributionCache:
         # the keys of the runs whose first lookup is still to come
         self._unread: set[tuple[int, bool]] = set()
         self.chain_runs = 0
+        self.chain_steps = 0
         self.cache_hits = 0
         self.chain_run_s = 0.0
 
     def counters(self) -> dict:
-        return {"chain_runs": self.chain_runs, "cache_hits": self.cache_hits,
-                "chain_run_s": self.chain_run_s}
+        return {"chain_runs": self.chain_runs, "chain_steps": self.chain_steps,
+                "cache_hits": self.cache_hits, "chain_run_s": self.chain_run_s}
 
     def fill(self, ks, compute_b: bool) -> None:
         """Run every population in ``ks`` that ``pa`` (or ``pb`` when
-        ``compute_b``) would miss, in one batch.
-
-        Process A alone steps neighbouring populations of at most
-        ``_STACK_MAX_K`` stations as one stack (``run_stack``): sorted, they
-        are cut into contiguous stacks of at most ``_STACK``, as even as
-        possible.  A larger population, or a run of process B, is a job of its
-        own.  The jobs are independent, so with more than one usable CPU and a
-        forking platform they go to a process pool of at most one worker per
-        CPU, largest populations (the longest runs) first.  Results are stored
-        exactly as serial lookups would store them, bit for bit.
+        ``compute_b``) would miss, in one batch of ``_stacks`` jobs
+        (``run_stack`` for each stack).  The jobs are independent, so with more
+        than one usable CPU and a forking platform they go to a process pool of
+        at most one worker per CPU, largest populations (the longest runs)
+        first.  Results are stored exactly as serial lookups would store them,
+        bit for bit.
         """
-        missing = [k for k in sorted({int(k) for k in ks}, reverse=True)
-                   if (k, compute_b) not in self._runs]
-        alone = [[k] for k in missing if compute_b or k > _STACK_MAX_K]
-        small = missing[len(alone):]
-        n, count = len(small), -(-len(small) // _STACK)
-        stacks = alone + [small[n * i // count : n * (i + 1) // count] for i in range(count)]
+        stacks = _stacks(self._missing(ks, compute_b), compute_b)
         results = map_jobs(_chain_run, ([self.params.with_stations(k) for k in stack]
                                         for stack in stacks),
                            repeat(self.durations), repeat(compute_b))
-        for stack, (dists, seconds) in zip(stacks, results):
+        for stack, (dists, seconds, steps) in zip(stacks, results):
             for k, dist in zip(stack, dists):
                 self._runs[k, compute_b] = dist
                 self._unread.add((k, compute_b))
             self.chain_runs += len(stack)
             self.chain_run_s += seconds
+            self.chain_steps += steps
+
+    def _missing(self, ks, compute_b: bool) -> list[int]:
+        """The distinct populations of ``ks`` with no stored run, largest first."""
+        return [k for k in sorted({int(k) for k in ks}, reverse=True)
+                if (k, compute_b) not in self._runs]
 
     def pa(self, k: int) -> TimeDistribution:
         return self._lookup(k, compute_b=False)
@@ -161,11 +219,14 @@ class DistributionCache:
         key = (k, compute_b)
         if key not in self._runs:
             self.fill([k], compute_b)
+        self._count_read(key)
+        return self._runs[key]
+
+    def _count_read(self, key: tuple[int, bool]) -> None:
         if key in self._unread:
             self._unread.remove(key)
         else:
             self.cache_hits += 1
-        return self._runs[key]
 
 
 def _binom_pmf(n: int, p: float) -> np.ndarray:
@@ -274,16 +335,124 @@ def _spec_lattice(
 
 
 def _mixtures(
-    specs: list[MixtureSpec], cache: DistributionCache, problem_b: bool, k_stride: int | str
+    lattices: list[tuple[np.ndarray, np.ndarray]], cache: DistributionCache, problem_b: bool
 ) -> Iterator[TimeDistribution]:
-    """Each spec's P_A (or, with ``problem_b``, P_B) mixture in turn, after
-    one batch that runs every population their lattices need.  A mixture is
+    """Each lattice's P_A (or, with ``problem_b``, P_B) mixture in turn, after
+    one batch that runs every population the lattices need.  A mixture is
     built only when asked for, so a sweep holds one at a time."""
-    lattices = [_spec_lattice(spec, problem_b, k_stride) for spec in specs]
     cache.fill(np.concatenate([ks for ks, _ in lattices]), compute_b=problem_b)
     component = cache.pb if problem_b else cache.pa
     for ks, weights in lattices:
-        yield merge_weighted((float(w), component(int(k))) for k, w in zip(ks, weights))
+        yield _merge(ks, weights, component)
+
+
+def _merge(ks: np.ndarray, weights: np.ndarray, component) -> TimeDistribution:
+    """The mixture of the distributions ``component(k)`` with the weights ``weights``."""
+    return merge_weighted((float(w), component(int(k))) for k, w in zip(ks, weights))
+
+
+_NO_ATOMS = TimeDistribution([], [])
+
+
+def _early_quantiles(
+    lattices: list[tuple[np.ndarray, np.ndarray]], cache: DistributionCache, q: float
+) -> list[int | None]:
+    """Each lattice's P_A mixture q-quantile, or None where its mass falls short of
+    ``q``, bit for bit what ``_mixtures`` gives, with each population run only as long
+    as some quantile may still depend on it.
+
+    The runs the cache lacks are cut into ``_stacks`` and kept on ``ResidentJobs``;
+    each round advances them (``_FIRST_ROUND`` steps, twice as many each round after)
+    and reports each population's atoms so far and its ``StackRun.bounds`` entry,
+    below which its atoms are final.  A mixture built from the atoms so far, in
+    ``_mixtures``' order and weights, has ``U``, its least duration whose cumulative
+    mass reaches ``q`` (none if the mass is short of ``q`` or the sums never reach
+    it).  The mass still to come is non-negative and float addition is monotone, so
+    every bin, every cumulative sum and the ``math.fsum`` mass of the full mixture is
+    at least the partial one's: ``U`` is an upper bound on the final quantile, and it
+    can only fall from round to round.  Once ``U`` lies below the bound of every
+    component, the atoms at or below ``U``, their concatenation order and the
+    ``bincount`` that sums them are those of the full mixture, so ``U`` is its
+    quantile to the bit, and the mixture is settled.  A population whose bound lies
+    above the ``U`` of every unsettled mixture it is a component of is dropped for
+    good, and keeps its atoms and bound: its bound stays above those ``U``, so it
+    never holds a mixture back.  A mixture whose components all completed is
+    ``_mixtures``' own, and gives its quantile as ``TimeDistribution.quantile`` does.
+    The runs that complete are stored in the cache; the dropped ones are not.
+    """
+    check_level(q)
+    missing = cache._missing(np.concatenate([ks for ks, _ in lattices]), False)
+    cache.chain_runs += len(missing)
+    cache._unread.update((k, False) for k in missing)  # each is read by a mixture below
+    # each population's atoms so far, and the bound below which they are final
+    parts = {k: cache._runs.get((k, False), _NO_ATOMS)
+             for ks, _ in lattices for k in ks.tolist()}
+    bounds = {k: 0.0 if k in missing else math.inf for k in parts}
+    slots: dict[int, int | None] = {}
+
+    def unsettled() -> dict[int, float]:
+        """Settle what the atoms so far settle; the U of each mixture left, inf where
+        it has none."""
+        uppers = {}
+        for i, (ks, weights) in enumerate(lattices):
+            if i not in slots:
+                settled, slot = _settle(_merge(ks, weights, parts.__getitem__),
+                                        min(bounds[k] for k in ks.tolist()), q)
+                if not settled:
+                    uppers[i] = slot
+                    continue
+                slots[i] = slot
+                for k in ks.tolist():
+                    cache._count_read((k, False))
+        return uppers
+
+    uppers = unsettled()
+    stacks = [([cache.params.with_stations(k) for k in stack], cache.durations)
+              for stack in _stacks(missing, False)]
+    with ResidentJobs(_Rounds, _round, stacks) as jobs:
+        budgets = [_FIRST_ROUND] * jobs.groups
+        for group in range(jobs.groups):
+            jobs.send(group, _FIRST_ROUND, set())
+        while uppers:
+            # A group answers with the news of its populations; it runs on, dropping
+            # those no mixture needs, while it holds one that some mixture needs.
+            group, replies = jobs.receive()
+            held = set()
+            for news, seconds, steps in replies:
+                cache.chain_run_s += seconds
+                cache.chain_steps += steps
+                for k, bound, atoms in news:
+                    parts[k] = atoms
+                    if bound is None:  # the run is complete
+                        cache._runs[k, False], bound = atoms, math.inf
+                    else:
+                        held.add(k)
+                    bounds[k] = bound
+            uppers = unsettled()
+            needed = {k for i, upper in uppers.items() for k in lattices[i][0].tolist()
+                      if bounds[k] <= upper}
+            if held & needed:
+                budgets[group] *= 2
+                jobs.send(group, budgets[group], held - needed)
+    return [slots[i] for i in range(len(lattices))]
+
+
+def _settle(mixture: TimeDistribution, limit: float, q: float) -> tuple[bool, float | None]:
+    """Whether ``mixture``, whose atoms below ``limit`` are final (``_early_quantiles``),
+    is settled, and then its q-quantile, or None where its mass falls short of ``q``;
+    else its ``U``, or inf where it has none."""
+    if limit == math.inf:
+        try:
+            return True, mixture.quantile(q)
+        except UnsatisfiableQuantileError:
+            return True, None
+    if q > mixture.total_mass:
+        return False, math.inf
+    idx = int(np.searchsorted(mixture.cumulative(), q, side="left"))
+    if idx == mixture.durations.size:
+        return False, math.inf
+    upper = int(mixture.durations[idx])
+    return upper < limit, upper
 
 
 def mixture_pa(
@@ -297,7 +466,7 @@ def mixture_pa(
     the neighbouring lattice points; the lattice is anchored on absolute
     multiples of the stride so sweeps share runs.
     """
-    return next(_mixtures([spec], cache, False, k_stride))
+    return next(_mixtures([_spec_lattice(spec, False, k_stride)], cache, False))
 
 
 def mixture_pb(
@@ -307,7 +476,7 @@ def mixture_pb(
     p_active) active count; zero active stations complete instantly (atom at
     duration 0).  Every station of the group is counted, so
     ``spec.conditioning`` plays no part."""
-    return next(_mixtures([spec], cache, True, k_stride))
+    return next(_mixtures([_spec_lattice(spec, True, k_stride)], cache, True))
 
 
 @dataclass(frozen=True)
@@ -347,7 +516,9 @@ def optimize_groups(
     as possible and per-group active counts are binomial in the group size.
     A group count is feasible when every one of its groups can reach q; with
     none feasible, ``UnsatisfiableQuantileError`` names the best group's mass.
-    Ties in total reserved time resolve toward fewer groups.
+    Ties in total reserved time resolve toward fewer groups.  Problem "A" runs
+    each population only as long as some group size's quantile may still
+    depend on it (``_early_quantiles``); its plans are those of full runs.
     """
     if problem not in ("A", "B"):
         raise ConfigurationError(f"problem must be 'A' or 'B', got {problem!r}")
@@ -358,12 +529,14 @@ def optimize_groups(
         )
     counts = range(g_min, g_max + 1)
     sizes = sorted({size for g in counts for size in _even_split(spec.n_total, g)})
-    specs = [MixtureSpec(size, spec.p_active, spec.conditioning) for size in sizes]
-    slot_by_size, best_mass = {}, 0.0
-    for size, dist in zip(sizes, _mixtures(specs, cache, problem == "B", k_stride)):
-        best_mass = max(best_mass, dist.total_mass)
-        with suppress(UnsatisfiableQuantileError):
-            slot_by_size[size] = dist.quantile(q)
+    problem_b = problem == "B"
+    lattices = [_spec_lattice(MixtureSpec(size, spec.p_active, spec.conditioning),
+                              problem_b, k_stride) for size in sizes]
+    if problem_b:
+        quantiles = [_settle(dist, math.inf, q)[1] for dist in _mixtures(lattices, cache, True)]
+    else:
+        quantiles = _early_quantiles(lattices, cache, q)
+    slot_by_size = {size: slot for size, slot in zip(sizes, quantiles) if slot is not None}
 
     plans = []
     for g in counts:
@@ -372,7 +545,8 @@ def optimize_groups(
             slots = [slot_by_size[size] for size in group_sizes]
             plans.append(GroupPlan(g, group_sizes, slots[0], sum(slots), q,
                                    slots[0] <= MAX_RAW_SLOT_US))
-    if not plans:
-        raise UnsatisfiableQuantileError(q, best_mass)
+    if not plans:  # the best mass needs every run complete
+        raise UnsatisfiableQuantileError(q, max(
+            dist.total_mass for dist in _mixtures(lattices, cache, problem_b)))
     best = min(plans, key=lambda plan: (plan.total_reserved, plan.group_count))
     return plans, best

@@ -388,3 +388,47 @@ def ref_compare(first: dict, second: dict) -> tuple[float, dict]:
     cdf_first, cdf_second = cdf(first), cdf(second)
     distance = max((abs(cdf_first[d] - cdf_second[d]) for d in support), default=0.0)
     return distance, {d: first.get(d, 0.0) - second.get(d, 0.0) for d in support}
+
+
+def full_run_sweep(spec, params, durations, q, g_range, k_stride):
+    """Problem A's ``optimize_groups`` as it was before it stopped any run early:
+    every group size's P_A mixture merged from the full ``run_chains`` run of each
+    population on its lattice, and its ``TimeDistribution.quantile``.
+
+    It checks which runs the sweep may stop, so it shares the lattice, the merge and
+    the quantile with the package.  Returns ``(plans, best)``, or raises
+    ``UnsatisfiableQuantileError`` with the best size's mass.
+    """
+    from rawtime import GroupPlan, MixtureSpec, UnsatisfiableQuantileError, merge_weighted
+    from rawtime import run_chains
+    from rawtime.planner import MAX_RAW_SLOT_US, _even_split, _spec_lattice
+
+    runs = {}
+
+    def p_a(k):
+        if k not in runs:
+            runs[k] = run_chains(params.with_stations(k), durations, compute_b=False).p_a
+        return runs[k]
+
+    counts = range(g_range[0], g_range[1] + 1)
+    sizes = sorted({size for g in counts for size in _even_split(spec.n_total, g)})
+    slots, masses = {}, []
+    for size in sizes:
+        ks, weights = _spec_lattice(MixtureSpec(size, spec.p_active, spec.conditioning),
+                                    False, k_stride)
+        mixture = merge_weighted((float(w), p_a(int(k))) for k, w in zip(ks, weights))
+        masses.append(mixture.total_mass)
+        try:
+            slots[size] = mixture.quantile(q)
+        except UnsatisfiableQuantileError:
+            pass
+    plans = []
+    for g in counts:
+        group_sizes = _even_split(spec.n_total, g)
+        if all(size in slots for size in group_sizes):
+            per_group = [slots[size] for size in group_sizes]
+            plans.append(GroupPlan(g, group_sizes, per_group[0], sum(per_group), q,
+                                   per_group[0] <= MAX_RAW_SLOT_US))
+    if not plans:
+        raise UnsatisfiableQuantileError(q, max(masses))
+    return plans, min(plans, key=lambda plan: (plan.total_reserved, plan.group_count))

@@ -1,4 +1,6 @@
 import hashlib
+import multiprocessing
+import pickle
 from dataclasses import replace
 
 import numpy as np
@@ -17,7 +19,7 @@ from rawtime import (
     run_chains,
 )
 from rawtime import pool
-from rawtime.chains import _AtomAccumulator, _state_time, run_stack
+from rawtime.chains import StackRun, _AtomAccumulator, _state_time, run_stack
 from rawtime.layers import (
     StateLayer,
     _cell_prob,
@@ -675,3 +677,96 @@ def test_random_small_stacks_conserve_each_population(config, stations):
         assert_conserved(layer, nxt)
         assert_tight_box(nxt.p, params.prune_floor)
         layer = nxt
+
+
+def assert_results_equal(results, expected):
+    for got, want in zip(results, expected, strict=True):
+        assert chain_digest(got) == chain_digest(want)
+        assert repr(got.diagnostics) == repr(want.diagnostics)
+
+
+@settings(max_examples=25, deadline=None)
+@given(small_configs(prune_floors=(0.0, 1e-6, 1e-3)),
+       st.lists(st.integers(1, 30), min_size=1, max_size=4, unique=True),
+       st.lists(st.integers(0, 12), max_size=8), st.integers(0, 8))
+def test_stack_run_in_random_budgets_equals_run_stack(config, stations, budgets, trip):
+    # a stack advanced in any split of budgets, and pickled and restored in between as
+    # a worker's state would be, gives run_stack's results bit for bit
+    params, durations = config
+    stack = [params.with_stations(n) for n in stations]
+    run = StackRun(stack, durations)
+    for i, budget in enumerate(budgets):
+        if i == trip:
+            run = pickle.loads(pickle.dumps(run))
+        run.advance(budget)
+    assert run.advance()
+    assert_results_equal(run.results, run_stack(stack, durations))
+    assert run.steps == sum(result.diagnostics.t_stop for result in run.results)
+
+
+def _advance(run, budget):
+    run.advance(budget)
+    return run.results
+
+
+def test_stack_run_kept_on_a_worker_equals_run_stack(monkeypatch):
+    monkeypatch.setattr(pool, "_usable_cpus", lambda: 2)
+    stacks = [[ah_params(k) for k in (1, 4, 9)], [ah_params(k) for k in (2, 3)]]
+    with pool.ResidentJobs(StackRun, _advance,
+                           [(stack, AH_SLOT_DURATIONS) for stack in stacks]) as jobs:
+        for budget in (5, 40, None):
+            for group in range(2):
+                jobs.send(group, budget)
+            answers = dict(jobs.receive() for _ in range(2))
+    assert multiprocessing.active_children() == []
+    for group, stack in enumerate(stacks):
+        (results,) = answers[group]
+        assert_results_equal(results, run_stack(stack, AH_SLOT_DURATIONS))
+
+
+@settings(max_examples=25, deadline=None)
+@given(small_configs(prune_floors=(0.0, 1e-6, 1e-3)),
+       st.lists(st.integers(1, 30), min_size=1, max_size=3, unique=True))
+def test_atoms_below_the_bound_are_final(config, stations):
+    # at every step, the atoms each population has absorbed below its bound are the
+    # full run's atoms below that bound: none of them gains mass later
+    params, durations = config
+    stack = [params.with_stations(n) for n in stations]
+    run, snapshots = StackRun(stack, durations), []
+    while not run.advance(1):
+        bounds = run.bounds()
+        assert np.all(bounds >= _state_time(0, 1, run._layer_a.t + 1, durations))
+        snapshots.append([(bound, run.atoms(j)) for j, bound in enumerate(bounds)])
+    for snapshot in snapshots:
+        for (bound, partial), result in zip(snapshot, run.results):
+            final = result.p_a
+            below, partial_below = final.durations < bound, partial.durations < bound
+            assert final.durations[below].tolist() == partial.durations[partial_below].tolist()
+            assert (final.probabilities[below].tobytes()
+                    == partial.probabilities[partial_below].tobytes())
+
+
+@settings(max_examples=25, deadline=None)
+@given(small_configs(prune_floors=(0.0, 1e-6, 1e-3)),
+       st.lists(st.integers(1, 30), min_size=2, max_size=4, unique=True),
+       st.integers(0, 20_000))
+def test_dropped_population_keeps_the_full_runs_atoms_up_to_h(config, stations, h):
+    # each population is dropped at the first step its bound passes h: it keeps the
+    # full run's atoms at or below h, and the populations left keep their bits
+    params, durations = config
+    stack = [params.with_stations(n) for n in stations]
+    run, dropped = StackRun(stack, durations), {}
+    while not run.advance(1):
+        gone = [j for j, bound in enumerate(run.bounds()) if h < bound < np.inf]
+        run.drop(gone)
+        dropped.update((j, run.atoms(j)) for j in gone)
+    for j, (result, full) in enumerate(zip(run.results, run_stack(stack, durations))):
+        if j not in dropped:
+            assert_results_equal([result], [full])
+            continue
+        assert result is None
+        kept, final = dropped[j], full.p_a
+        assert kept.durations[kept.durations <= h].tolist() == final.durations[
+            final.durations <= h].tolist()
+        assert kept.probabilities[kept.durations <= h].tobytes() == final.probabilities[
+            final.durations <= h].tobytes()

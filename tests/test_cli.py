@@ -390,8 +390,8 @@ def test_cli_import_loads_no_scipy_or_click():
 _MANIFEST_KEYS = {"artifact", "command", "created_utc", "durations", "extra", "outputs",
                   "params", "runs", "seed", "source", "version", "wall_clock_s"}
 _DIST_KEYS = {"atoms", "total_mass", "deficit"}
-_PLANNER_EXTRA = {"p_active", "q", "conditioning", "k_stride", "chain_runs", "cache_hits",
-                  "chain_run_s"}
+_PLANNER_EXTRA = {"p_active", "q", "conditioning", "k_stride", "chain_runs", "chain_steps",
+                  "cache_hits", "chain_run_s"}
 
 # command -> (argv, {output suffix: CSV header or top-level JSON keys},
 #             manifest extra keys); "{fmt}" is the --format value

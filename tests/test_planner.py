@@ -1,5 +1,6 @@
 import concurrent.futures
 import math
+import multiprocessing
 import os
 import subprocess
 import sys
@@ -11,6 +12,8 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rawtime import (
     AH_SLOT_DURATIONS,
@@ -33,7 +36,7 @@ from rawtime import (
 from rawtime import planner, pool
 from rawtime.planner import _binom_pmf, _stride_from_weights
 
-from reference import atoms
+from reference import atoms, full_run_sweep
 
 PARAMS = ah_params(1)
 DUR = AH_SLOT_DURATIONS
@@ -287,9 +290,13 @@ class TestBatchedRuns:
 
         monkeypatch.setattr(cache, "fill", recording_fill)
         first = optimize_groups(SMALL_SPEC, cache, 0.9, (1, 6), "A")
-        assert runs_after_fill == [12]
+        assert runs_after_fill == []  # problem A runs its sweep in rounds, not through fill
         assert cache.chain_runs == 12 and cache.cache_hits > 0
         assert cache.chain_run_s > 0.0
+        # every run completes within the first round, so the cache holds them all
+        assert cache.chain_steps == sum(
+            run_chains(SMALL.with_stations(k), SMALL_DUR, compute_b=False).diagnostics.t_stop
+            for k in range(1, 13))
         again = optimize_groups(SMALL_SPEC, cache, 0.9, (1, 6), "A")
         assert again == first and cache.chain_runs == 12
 
@@ -365,6 +372,223 @@ class TestBatchedRuns:
         with pytest.raises(AttributeError, match="has no attribute"):
             cache.fill([1, 2, 3], compute_b=False)
         assert cache.chain_runs == 0
+
+
+def _sweep_or_mass(sweep):
+    """``sweep()``'s plans, or the mass its ``UnsatisfiableQuantileError`` names."""
+    try:
+        return sweep()
+    except UnsatisfiableQuantileError as exc:
+        return exc.total_mass
+
+
+@st.composite
+def sweep_configs(draw):
+    cw_min = draw(st.sampled_from([2, 4, 8, 16]))
+    params = ModelParams(
+        n_stations=1, cw_min=cw_min,
+        cw_max=draw(st.sampled_from([w for w in (2, 4, 8, 16) if w >= cw_min])),
+        retry_limit=draw(st.integers(1, 5)))
+    t_empty = draw(st.integers(1, 60))
+    durations = SlotDurations(t_empty=t_empty, t_success=draw(st.integers(t_empty, 3000)),
+                              t_collision=draw(st.integers(t_empty, 3000)))
+    # several group sizes share most of their populations
+    n = draw(st.integers(4, 40))
+    spec = MixtureSpec(n, draw(st.sampled_from([0.1, 0.3, 0.5, 0.9, 1.0])))
+    g_range = (draw(st.integers(1, 2)), draw(st.integers(2, min(n, 8))))
+    return params, durations, spec, g_range, draw(st.sampled_from([1, "auto"]))
+
+
+class TestEarlyStoppingSweep:
+    """Problem A's sweep stops runs early; its plans must be those of full runs."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(sweep_configs(), st.data())
+    def test_equals_full_run_sweep(self, config, data):
+        params, durations, spec, g_range, k_stride = config
+        q = data.draw(st.floats(0.5, 0.999))
+        if data.draw(st.booleans()):
+            # next to a size's mixture mass, where the cumulative sums may fall short of
+            # a q the mass reaches
+            size = data.draw(st.sampled_from(sorted({
+                max(planner._even_split(spec.n_total, g))
+                for g in range(g_range[0], g_range[1] + 1)})))
+            mass = mixture_pa(MixtureSpec(size, spec.p_active),
+                              DistributionCache(params, durations), k_stride=k_stride).total_mass
+            nearby = [mass, np.nextafter(mass, 0.0), np.nextafter(mass, 1.0)]
+            q = data.draw(st.sampled_from(nearby).filter(lambda q: 0.0 < q < 1.0))
+        expected = _sweep_or_mass(lambda: full_run_sweep(spec, params, durations, q, g_range,
+                                                         k_stride))
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(planner, "_FIRST_ROUND", data.draw(st.sampled_from([1, 3, 64])))
+            patch.setattr(pool, "_usable_cpus", lambda: 1)
+            cache = DistributionCache(params, durations)
+            cache.fill(data.draw(st.lists(st.integers(1, spec.n_total), max_size=6)), False)
+            usable = data.draw(st.sampled_from([1, 2]))
+            patch.setattr(pool, "_usable_cpus", lambda: usable)
+            got = _sweep_or_mass(lambda: optimize_groups(spec, cache, q, g_range, "A",
+                                                         k_stride=k_stride))
+        assert got == expected
+        for k in range(1, spec.n_total + 1):  # the cache keeps complete runs only
+            if (k, False) in cache._runs:
+                full = run_chains(params.with_stations(k), durations, compute_b=False).p_a
+                _assert_same_bits(cache._runs[k, False], full)
+
+    @pytest.mark.parametrize("first_round, windows, slots, n, p, g_max, q", [
+        (1, (2, 16, 5), (12, 2580, 2057), 14, 0.3, 2, 0.72),
+        (3, (8, 16, 3), (48, 1721, 1481), 30, 0.3, 4, 0.7),
+    ])
+    @pytest.mark.parametrize("usable", [1, 2])
+    def test_population_shared_by_unsettled_sizes(self, monkeypatch, usable, first_round,
+                                                  windows, slots, n, p, g_max, q):
+        # a population some unsettled size still needs, while another size's U already
+        # lies below its bound, must run on
+        monkeypatch.setattr(planner, "_FIRST_ROUND", first_round)
+        monkeypatch.setattr(pool, "_usable_cpus", lambda: usable)
+        params = ModelParams(1, *windows)
+        durations = SlotDurations(*slots)
+        cache = DistributionCache(params, durations)
+        got = optimize_groups(MixtureSpec(n, p), cache, q, (1, g_max), "A")
+        assert got == full_run_sweep(MixtureSpec(n, p), params, durations, q, (1, g_max), 1)
+
+    def test_stops_runs_early_with_the_same_plans(self, monkeypatch):
+        spec = MixtureSpec(30, 0.3)
+        expected = full_run_sweep(spec, PARAMS, DUR, 0.9, (1, 3), "auto")
+        full = DistributionCache(PARAMS, DUR)
+        for size in (10, 15, 30):  # the sweep's group sizes, one at a time
+            mixture_pa(MixtureSpec(size, 0.3), full, k_stride="auto")
+        for usable in (1, 2):
+            monkeypatch.setattr(pool, "_usable_cpus", lambda: usable)
+            cache = DistributionCache(PARAMS, DUR)
+            assert optimize_groups(spec, cache, 0.9, (1, 3), "A", k_stride="auto") == expected
+            assert (cache.chain_runs, cache.cache_hits) == (full.chain_runs, full.cache_hits)
+            assert cache.chain_steps < full.chain_steps / 2
+            # the cache keeps only the runs that completed; a later lookup of a stopped
+            # population runs it in full
+            stopped = [k for k, b in full._runs if not b and (k, False) not in cache._runs]
+            assert stopped
+            _assert_same_bits(cache.pa(stopped[0]), full._runs[stopped[0], False])
+            assert cache.chain_runs == full.chain_runs + 1
+
+    def test_cached_runs_are_reused(self, monkeypatch):
+        monkeypatch.setattr(pool, "_usable_cpus", lambda: 1)  # the same runs stop each time
+        spec = MixtureSpec(12, 0.4)
+        expected = full_run_sweep(spec, PARAMS, DUR, 0.9, (1, 6), 1)
+        cache = DistributionCache(PARAMS, DUR)
+        assert optimize_groups(spec, cache, 0.9, (1, 6), "A") == expected
+        runs, complete = cache.chain_runs, sum(1 for key in cache._runs if not key[1])
+        assert 0 < complete < runs == 12  # the sweep stopped some runs
+        # a second sweep runs again only the populations the first one stopped
+        assert optimize_groups(spec, cache, 0.9, (1, 6), "A") == expected
+        assert cache.chain_runs == runs + runs - complete
+        cache.fill(range(1, 13), compute_b=False)
+        runs = cache.chain_runs
+        assert optimize_groups(spec, cache, 0.9, (1, 6), "A") == expected
+        assert cache.chain_runs == runs
+
+    def test_unsatisfiable_sweep_names_the_full_runs_mass(self, monkeypatch):
+        monkeypatch.setattr(planner, "_FIRST_ROUND", 3)
+        # every g has a size that falls short of q, and the sweep stops one population
+        # of a size that reaches it: naming the best mass runs that one again in full
+        params = ModelParams(n_stations=1, cw_min=2, cw_max=2, retry_limit=5)
+        durations = SlotDurations(t_empty=40, t_success=2004, t_collision=2378)
+        spec = MixtureSpec(11, 1.0)  # sizes 11, 6, 5, 4, 3 and 2, one population each
+        with pytest.raises(UnsatisfiableQuantileError) as expected:
+            full_run_sweep(spec, params, durations, 0.9, (1, 4), 1)
+        cache = DistributionCache(params, durations)
+        with pytest.raises(UnsatisfiableQuantileError) as got:
+            optimize_groups(spec, cache, 0.9, (1, 4), "A")
+        assert got.value.total_mass == expected.value.total_mass
+        assert cache.chain_runs == 7
+
+    def test_bad_level_rejected_before_any_run(self):
+        cache = DistributionCache(SMALL, SMALL_DUR)
+        for q in (0.0, 1.0, float("nan")):
+            with pytest.raises(ValueError, match="quantile level"):
+                optimize_groups(SMALL_SPEC, cache, q, (1, 6), "A")
+        assert cache.chain_runs == 0
+
+    @pytest.mark.parametrize("usable", [1, 2])
+    def test_worker_exception_reaches_caller(self, monkeypatch, usable):
+        monkeypatch.setattr(pool, "_usable_cpus", lambda: usable)
+        cache = DistributionCache(SMALL, SimpleNamespace())  # no slot durations
+        with pytest.raises(AttributeError, match="has no attribute"):
+            optimize_groups(SMALL_SPEC, cache, 0.9, (1, 6), "A")
+        assert multiprocessing.active_children() == []
+
+
+def _start(values):
+    return list(values)
+
+
+def _step(state, extra):
+    if extra == "fail" and state[0] == 3:
+        raise ValueError(f"state {state} failed")
+    state.append(extra)
+    return list(state)
+
+
+class TestResidentJobs:
+    JOBS = [([1],), ([2],), ([3],)]
+
+    def test_workers_keep_their_states(self, monkeypatch):
+        monkeypatch.setattr(pool, "_usable_cpus", lambda: 2)
+        with pool.ResidentJobs(_start, _step, self.JOBS) as jobs:
+            assert jobs.groups == 2
+            for round_ in ("a", "b"):
+                for group in range(2):
+                    jobs.send(group, round_)
+                answers = dict(jobs.receive() for _ in range(2))
+            # the jobs are dealt out in turn
+            assert answers == {0: [[1, "a", "b"], [3, "a", "b"]], 1: [[2, "a", "b"]]}
+            assert len(multiprocessing.active_children()) == 2
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("serial_because", ["one usable CPU", "one job", "macOS",
+                                                "caller thread"])
+    def test_serially_in_one_group(self, monkeypatch, serial_because):
+        monkeypatch.setattr(pool, "_usable_cpus",
+                            lambda: 1 if serial_because == "one usable CPU" else 2)
+        if serial_because == "macOS":
+            monkeypatch.setattr(sys, "platform", "darwin")
+        stop = threading.Event()
+        if serial_because == "caller thread":
+            threading.Thread(target=stop.wait, daemon=True).start()
+        jobs_ = self.JOBS[:1] if serial_because == "one job" else self.JOBS
+        try:
+            with pool.ResidentJobs(_start, _step, jobs_) as jobs:
+                assert jobs.groups == 1 and multiprocessing.active_children() == []
+                jobs.send(0, "a")
+                jobs.send(0, "b")
+                assert jobs.receive() == (0, [[*job[0], "a"] for job in jobs_])
+                assert jobs.receive() == (0, [[*job[0], "a", "b"] for job in jobs_])
+        finally:
+            stop.set()
+
+    def test_worker_exception_reaches_caller(self, monkeypatch):
+        monkeypatch.setattr(pool, "_usable_cpus", lambda: 2)
+        with pytest.raises(ValueError, match=r"state \[3\] failed"):
+            with pool.ResidentJobs(_start, _step, self.JOBS) as jobs:
+                for group in range(2):
+                    jobs.send(group, "fail")
+                for _ in range(2):
+                    jobs.receive()
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("usable", [1, 2])
+    def test_receive_without_a_call_raises(self, monkeypatch, usable):
+        monkeypatch.setattr(pool, "_usable_cpus", lambda: usable)
+        with pool.ResidentJobs(_start, _step, self.JOBS) as jobs:
+            jobs.send(0, "a")
+            jobs.receive()
+            with pytest.raises(RuntimeError, match="no group has a call"):
+                jobs.receive()
+
+    def test_leaving_stops_a_busy_worker(self, monkeypatch):
+        monkeypatch.setattr(pool, "_usable_cpus", lambda: 2)
+        with pool.ResidentJobs(_start, _step, self.JOBS) as jobs:
+            jobs.send(0, "never read")
+        assert multiprocessing.active_children() == []
 
 
 def test_group_optimum_cross_checked_by_simulation(ah_cache):
