@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import reduce
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -202,26 +203,35 @@ class StackRun:
         keep = [j for j, row in enumerate(self._rows.tolist()) if row not in gone]
         self._layer_a, self._rows = self._layer_a.members(keep), self._rows[keep]
 
-    def bounds(self) -> np.ndarray:
-        """For each population, a duration below which its P_A gains no more mass: inf
-        once it has left the stack, else the least ``_state_time(c, s + 1, t + 1)`` over
-        its live process-A cells ``(c, s)`` at the stack's time ``t``.
+    def profiles(self) -> list[tuple[np.ndarray, np.ndarray]]:
+        """Each population's reach profile at the stack's time ``t``: the distinct
+        ``_state_time(c, s + 1, t + 1)`` of its live process-A cells ``(c, s)``, rising,
+        and the cumulative mass those cells carry (summed over ``r``, then over the
+        times up to each).  A population that has left the stack has no cells.
 
         A step moves mass from ``(t, c, s)`` to ``t + 1`` and never lowers ``c`` or
         ``s``, and a success absorbed from ``(t', c', s')`` lands at ``_state_time(c',
         s' + 1, t' + 1)``, which is ``(c' - c)(Tc - Te) + (s' - s)(Ts - Te) + (t' - t)
         Te`` above ``_state_time(c, s + 1, t + 1)``: no less, as ``Ts, Tc >= Te``.  So
-        every later absorption lands at or above the bound, and the atoms below it are
-        final to the bit.
+        every later absorption lands at or above the first time, and the atoms below
+        it are final to the bit.  A step passes a cell's mass on, absorbs, fails or
+        prunes it and creates none, so the mass the run absorbs from now on below a
+        duration ``d`` is at most the cumulative mass of the times below ``d``, up to
+        the rounding of the steps (``planner._SLACK`` bounds it).
         """
-        bounds = np.full(len(self.results), np.inf)
+        none = (np.empty(0, dtype=np.int64), np.empty(0))
+        profiles = [none] * len(self.results)
         layer = self._layer_a
-        if self._rows.size:
-            j, c, s = np.logical_or.reduce(layer.p > 0.0, axis=0).nonzero()
+        if not (self._rows.size and layer.p.size):
+            return profiles
+        mass = reduce(np.add, layer.p)  # [j, c, s], rows added in increasing r
+        for j, row in enumerate(self._rows.tolist()):
+            c, s = mass[j].nonzero()
             times = _state_time(layer.c0[j] + c, layer.s0[j] + s + 1, layer.t + 1,
                                 self.durations)
-            np.minimum.at(bounds, self._rows[j], times)
-        return bounds
+            distinct, inverse = np.unique(times, return_inverse=True)
+            profiles[row] = (distinct, np.cumsum(np.bincount(inverse, mass[j][c, s])))
+        return profiles
 
     def atoms(self, population: int) -> TimeDistribution:
         """The P_A atoms population ``population`` has absorbed so far."""

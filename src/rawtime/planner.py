@@ -14,7 +14,7 @@ import time
 from dataclasses import dataclass
 from enum import Enum
 from itertools import repeat
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
@@ -78,8 +78,54 @@ _STACK = 8
 _STACK_MAX_K = 90
 
 
-#: Steps of the first round of an early-stopping sweep; each later round doubles it.
-_FIRST_ROUND = 64
+#: Steps each stack of an early-stopping sweep takes per round.  After a round
+#: the stack reports each population's atoms and reach profile, and the calling
+#: process re-tests the group sizes the report changed while that worker waits.
+#: Longer rounds step populations further past the step from which no size
+#: needs them; shorter ones make more reports and re-tests.
+_ROUND = 64
+
+#: Share of a group size's room (its lattice's weight sum less q) that it may
+#: leave to components that have not run: before the first round each size
+#: marks its lightest components among the runs to make whose weights sum to at
+#: most this share, and a population that every size of it marks is deferred.
+#: The deferred weight has to stay below a size's quantile gap (q less its CDF
+#: just below U), or its deferred runs must start after all and finish last.
+#: On the ``groups`` workload (N=120) the g=1 size's gap is 2.2e-4 and its room
+#: 0.1, so this share defers its k = 62-70 (weight about 1e-5); a share of 0.5
+#: deferred components that size needed.
+_DEFER = 1e-4
+
+#: The mass test's allowance (delta) for rounding: an unsettled size is settled
+#: at U once ``below + R (1 + delta) + delta < q`` (``_Sweep._fits``).  With
+#: u = 2**-53, a computed sum of m non-negative terms lies within a factor
+#: (1 + u)**m of the exact sum of those terms, and each product within 1 + u:
+#:
+#: * A step of a population of k stations splits a cell's mass by the table's
+#:   (1 - p, p) and then by its peers' slot-type probabilities.  For n peers
+#:   P(one) is computed from the rounded 1 - prob, so it may exceed 1 - P(empty)
+#:   by n u; the routes of a cell sum to at most 1 + (n + 8) u of its mass, a
+#:   landing cell adds at most four routes and an absorption sums at most RL
+#:   rows.  So the mass descending from a set of cells grows by at most a factor
+#:   (1 + u)**(k + RL + 16) per step, over at most T = min(t_max_cap,
+#:   max_backoff_slots()) steps.
+#: * An atom of a run sums at most T k absorptions (``np.add.at``; the states of
+#:   one duration), the mixture weights it by one product and sums at most L
+#:   components into a bin (``bincount``, in input order), and the cumulative
+#:   sum up to U adds at most A = (T + 1) max(Ts, Tc) / g + 1 bins,
+#:   g = gcd(Te, Ts, Tc).
+#: * A reach sums at most RL rows, then at most (T + 1) k cells, and R weights
+#:   and sums at most L reaches.
+#:
+#: So the full mixture's CDF just below U is at most (below + R)(1 + e), which
+#: is at most below + R (1 + e) + e as below < q < 1, with e <= 1.01 M u for
+#: M = (T + 1)(3 k + RL + 17) + A + 2 L + RL + 8; underflow adds under 1e-300.
+#: The test's own three roundings add at most 3 u.  ``_mass_test_sound`` checks
+#: 1.01 M u <= delta / 2 for the sweep's largest population and lattice, and a
+#: sweep that fails it settles by the bound rule alone: at 802.11ah parameters
+#: populations of up to about 700 stations pass.  A larger delta would weaken
+#: the test only where a size's quantile gap is about as small.
+_SLACK = 1e-9
 
 
 def _chain_run(stack: list[ModelParams], durations: SlotDurations, compute_b: bool):
@@ -114,31 +160,38 @@ def _stacks(ks: list[int], compute_b: bool) -> list[list[int]]:
 
 class _Rounds:
     """One stack's early-stopping run where it is kept (``ResidentJobs`` state): the
-    run, and the indices of the populations it still reports on."""
+    run, the indices of the populations it still reports on, and whether it has
+    started (a deferred stack starts once a round names one of its populations)."""
 
-    def __init__(self, stack: list[ModelParams], durations: SlotDurations):
+    def __init__(self, stack: list[ModelParams], durations: SlotDurations, deferred: bool):
         self.run = StackRun(stack, durations)
         self.ks = [params.n_stations for params in stack]
         self.reporting = set(range(len(stack)))
+        self.started = not deferred
 
 
-def _round(state: _Rounds, budget: int, drop: set[int]):
-    """Drop the populations in ``drop``, advance the stack ``budget`` steps and report
-    (its populations' news, seconds the round took where it ran, population-steps).
+def _round(state: _Rounds, budget: int, drop: set[int], start: set[int]):
+    """Start the stack if ``start`` names one of its populations, drop the populations in
+    ``drop``, advance the stack ``budget`` steps and report (its populations' news,
+    seconds the round took where it ran, population-steps); a stack that has not
+    started reports nothing.
 
-    A population's news is ``(k, None, P_A)`` once it has stopped, else ``(k, bound,
-    atoms)``: its ``StackRun.bounds`` entry and the atoms it has absorbed so far.  Each
+    A population's news is ``(k, None, P_A)`` once it has stopped, else ``(k, profile,
+    atoms)``: its ``StackRun.profiles`` entry and the atoms it has absorbed so far.  Each
     population is reported until it stops or is dropped."""
+    state.started = state.started or not start.isdisjoint(state.ks)
+    if not state.started:
+        return [], 0.0, 0
     run, started, steps = state.run, time.perf_counter(), state.run.steps
     dropped = {j for j in state.reporting if state.ks[j] in drop}
     run.drop(dropped)
     state.reporting -= dropped
     run.advance(budget)
-    bounds, news = run.bounds(), []
+    profiles, news = run.profiles(), []
     for j in sorted(state.reporting):
         result = run.results[j]
         if result is None:
-            news.append((state.ks[j], float(bounds[j]), run.atoms(j)))
+            news.append((state.ks[j], profiles[j], run.atoms(j)))
         else:
             news.append((state.ks[j], None, result.p_a))
             state.reporting.remove(j)
@@ -153,12 +206,15 @@ class DistributionCache:
     the two was asked for first never changes the other.
     ``params.n_stations`` is ignored; the population comes from the lookup
     key.  It stores complete runs only: a problem-A ``optimize_groups`` stops
-    the runs its quantiles no longer need and stores the runs that complete, so
-    a later ``pa(k)`` of a population it stopped runs it in full.
+    the runs its quantiles no longer need, never starts the light ones no
+    quantile needs, and stores the runs that complete, so a later ``pa(k)`` of
+    a population it stopped or skipped runs it in full.
 
-    ``chain_runs`` counts cold runs, one per population also where several
-    were stepped as one stack, complete or stopped early; ``chain_steps``
-    counts their population-steps, a stack step once per population it
+    ``chain_runs`` counts cold runs, one per population stepped at least once,
+    also where several were stepped as one stack, complete or stopped early;
+    ``chain_runs_skipped`` counts the populations a sweep settled its sizes
+    without stepping, which are neither runs nor cache hits; ``chain_steps``
+    counts the runs' population-steps, a stack step once per population it
     carried; ``cache_hits`` counts the lookups served without a cold run: the
     ``pa``/``pb`` calls and ``optimize_groups``' reads of its components;
     ``chain_run_s`` sums the seconds of the jobs where they ran, a stack's
@@ -175,13 +231,15 @@ class DistributionCache:
         # the keys of the runs whose first lookup is still to come
         self._unread: set[tuple[int, bool]] = set()
         self.chain_runs = 0
+        self.chain_runs_skipped = 0
         self.chain_steps = 0
         self.cache_hits = 0
         self.chain_run_s = 0.0
 
     def counters(self) -> dict:
-        return {"chain_runs": self.chain_runs, "chain_steps": self.chain_steps,
-                "cache_hits": self.cache_hits, "chain_run_s": self.chain_run_s}
+        return {"chain_runs": self.chain_runs, "chain_runs_skipped": self.chain_runs_skipped,
+                "chain_steps": self.chain_steps, "cache_hits": self.cache_hits,
+                "chain_run_s": self.chain_run_s}
 
     def fill(self, ks, compute_b: bool) -> None:
         """Run every population in ``ks`` that ``pa`` (or ``pb`` when
@@ -359,100 +417,298 @@ def _early_quantiles(
 ) -> list[int | None]:
     """Each lattice's P_A mixture q-quantile, or None where its mass falls short of
     ``q``, bit for bit what ``_mixtures`` gives, with each population run only as long
-    as some quantile may still depend on it.
+    as some quantile may still depend on it, and the lightest ones not at all where
+    none does.
 
-    The runs the cache lacks are cut into ``_stacks`` and kept on ``ResidentJobs``;
-    each round advances them (``_FIRST_ROUND`` steps, twice as many each round after)
-    and reports each population's atoms so far and its ``StackRun.bounds`` entry,
-    below which its atoms are final.  A mixture built from the atoms so far, in
-    ``_mixtures``' order and weights, has ``U``, its least duration whose cumulative
-    mass reaches ``q`` (none if the mass is short of ``q`` or the sums never reach
-    it).  The mass still to come is non-negative and float addition is monotone, so
-    every bin, every cumulative sum and the ``math.fsum`` mass of the full mixture is
-    at least the partial one's: ``U`` is an upper bound on the final quantile, and it
-    can only fall from round to round.  Once ``U`` lies below the bound of every
-    component, the atoms at or below ``U``, their concatenation order and the
-    ``bincount`` that sums them are those of the full mixture, so ``U`` is its
-    quantile to the bit, and the mixture is settled.  A population whose bound lies
-    above the ``U`` of every unsettled mixture it is a component of is dropped for
-    good, and keeps its atoms and bound: its bound stays above those ``U``, so it
-    never holds a mixture back.  A mixture whose components all completed is
-    ``_mixtures``' own, and gives its quantile as ``TimeDistribution.quantile`` does.
-    The runs that complete are stored in the cache; the dropped ones are not.
+    The runs the cache lacks are cut into ``_stacks``, the deferred ones (``_DEFER``)
+    apart, and kept on ``ResidentJobs``; each round advances a worker's started stacks
+    ``_ROUND`` steps and reports each population's atoms so far and its reach profile
+    (``StackRun.profiles``), whose first time is a bound below which its atoms are
+    final.  A mixture built from the atoms so far, in ``_mixtures``' order and weights,
+    has ``U``, its least duration whose cumulative mass reaches ``q`` (none if the mass
+    is short of ``q`` or the sums never reach it), and ``below``, its cumulative mass
+    at its last atom before ``U``.  The mass still to come is non-negative and float
+    addition is monotone, so every bin, every cumulative sum and the ``math.fsum`` mass
+    of the full mixture is at least the partial one's: ``U`` is an upper bound on the
+    final quantile, and it can only fall from round to round.  ``U`` is the final
+    quantile to the bit once the full mixture's cumulative mass at its last atom
+    before ``U`` stays below ``q``, and a size is settled by either of two tests:
+
+    * bound: ``U`` lies below the bound of every component, so the atoms at or below
+      ``U``, their concatenation order and the ``bincount`` that sums them are those
+      of the full mixture;
+    * mass: ``below + R (1 + _SLACK) + _SLACK < q``, where ``R`` sums each component's
+      weight times its reach below ``U`` (its full weight before its first report, 0
+      once complete).  Mass only moves up in c, s and t and is passed on, absorbed,
+      failed or pruned, so a run adds below ``U`` at most what its cells with a time
+      below ``U`` carry; ``_SLACK`` covers the rounding.
+
+    A size whose components all completed is ``_mixtures``' own, and gives its
+    quantile as ``TimeDistribution.quantile`` does.  A population whose bound lies
+    above the ``U`` of every unsettled size it is a component of is dropped for good,
+    and keeps its atoms and profile: its bound stays above those ``U``, so it never
+    holds a size back.  A deferred population starts when a size that cannot settle
+    has no started component left that can move it (heaviest first, until the rest
+    fit the size's slack; all of them where it has no ``U``), or when its worker has
+    nothing else wanted.  Full runs are always settled, so the sweep ends.  The runs
+    that complete are stored in the cache; the dropped ones are not.
     """
     check_level(q)
-    missing = cache._missing(np.concatenate([ks for ks, _ in lattices]), False)
-    cache.chain_runs += len(missing)
-    cache._unread.update((k, False) for k in missing)  # each is read by a mixture below
-    # each population's atoms so far, and the bound below which they are final
-    parts = {k: cache._runs.get((k, False), _NO_ATOMS)
-             for ks, _ in lattices for k in ks.tolist()}
-    bounds = {k: 0.0 if k in missing else math.inf for k in parts}
-    slots: dict[int, int | None] = {}
+    sweep = _Sweep(lattices, cache, q)
+    if sweep.uppers:
+        with ResidentJobs(_Rounds, _round, [
+                ([cache.params.with_stations(k) for k in stack], cache.durations,
+                 i >= sweep.first_deferred) for i, stack in enumerate(sweep.stacks)]) as jobs:
+            sweep.run(jobs)
+    sweep.count()
+    return [sweep.slots[i] for i in range(len(lattices))]
 
-    def unsettled() -> dict[int, float]:
-        """Settle what the atoms so far settle; the U of each mixture left, inf where
-        it has none."""
-        uppers = {}
-        for i, (ks, weights) in enumerate(lattices):
-            if i not in slots:
-                settled, slot = _settle(_merge(ks, weights, parts.__getitem__),
-                                        min(bounds[k] for k in ks.tolist()), q)
-                if not settled:
-                    uppers[i] = slot
-                    continue
-                slots[i] = slot
-                for k in ks.tolist():
-                    cache._count_read((k, False))
-        return uppers
 
-    uppers = unsettled()
-    stacks = [([cache.params.with_stations(k) for k in stack], cache.durations)
-              for stack in _stacks(missing, False)]
-    with ResidentJobs(_Rounds, _round, stacks) as jobs:
-        budgets = [_FIRST_ROUND] * jobs.groups
-        for group in range(jobs.groups):
-            jobs.send(group, _FIRST_ROUND, set())
-        while uppers:
-            # A group answers with the news of its populations; it runs on, dropping
-            # those no mixture needs, while it holds one that some mixture needs.
+class _Sweep:
+    """``_early_quantiles``' state in the calling process: what each component's reports
+    say, each size's ``U`` and ``below`` or its slot, and which stacks run where.
+
+    A component is started once its stack is, live while it is started and neither
+    complete nor dropped, and stepped once a round has been sent for it."""
+
+    def __init__(self, lattices: list[tuple[np.ndarray, np.ndarray]],
+                 cache: DistributionCache, q: float):
+        self.cache, self.q = cache, q
+        self.sizes = [(ks.tolist(), weights.tolist()) for ks, weights in lattices]
+        durations = cache.durations
+        self.missing = cache._missing(np.concatenate([ks for ks, _ in lattices]), False)
+        self.parts = {k: cache._runs.get((k, False), _NO_ATOMS) for ks, _ in self.sizes
+                      for k in ks}
+        self.complete = set(self.parts) - set(self.missing)
+        self.profiles: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+        self.started: set[int] = set()
+        self.live: set[int] = set()
+        self.stepped: set[int] = set()
+        self.slots: dict[int, int | None] = {}
+        self.uppers: dict[int, tuple[float, float]] = {}  # unsettled: (U, below)
+        self.sound = bool(self.missing) and _mass_test_sound(
+            cache.params, durations, self.missing[0], max(len(ks) for ks, _ in self.sizes))
+        deferred = _deferred(self.sizes, self.missing, q) if self.sound else set()
+        self.stacks = _stacks([k for k in self.missing if k not in deferred], False)
+        self.first_deferred = len(self.stacks)
+        self.stacks += _stacks([k for k in self.missing if k in deferred], False)
+        self.stack_of = {k: i for i, stack in enumerate(self.stacks) for k in stack}
+        for i in range(len(self.sizes)):
+            self._test(i)
+
+    def run(self, jobs: ResidentJobs) -> None:
+        """Run rounds on ``jobs``, whose states are ``self.stacks``, until every size is
+        settled."""
+        self.groups = jobs.groups
+        self.held = [set() for _ in range(jobs.groups)]  # each group's live components
+        self.starts = [set() for _ in range(jobs.groups)]  # its deferred ones to start
+        for i in range(self.first_deferred):
+            self._start(i)
+        busy: set[int] = set()
+        while self.uppers:
+            self._release()
+            self._dispatch(jobs, busy)
             group, replies = jobs.receive()
-            held = set()
-            for news, seconds, steps in replies:
-                cache.chain_run_s += seconds
-                cache.chain_steps += steps
-                for k, bound, atoms in news:
-                    parts[k] = atoms
-                    if bound is None:  # the run is complete
-                        cache._runs[k, False], bound = atoms, math.inf
-                    else:
-                        held.add(k)
-                    bounds[k] = bound
-            uppers = unsettled()
-            needed = {k for i, upper in uppers.items() for k in lattices[i][0].tolist()
-                      if bounds[k] <= upper}
-            if held & needed:
-                budgets[group] *= 2
-                jobs.send(group, budgets[group], held - needed)
-    return [slots[i] for i in range(len(lattices))]
+            busy.discard(group)
+            changed = self._take(group, replies)
+            for i in [i for i in self.uppers if not changed.isdisjoint(self.sizes[i][0])]:
+                self._test(i)
+
+    def count(self) -> None:
+        """Book the sweep in the cache's counters: a component stepped is a cold run,
+        whose first read by a size is its miss; one never stepped is skipped and its
+        reads count nothing; a stored run's reads are cache hits."""
+        cache = self.cache
+        skipped = set(self.missing) - self.stepped
+        cache.chain_runs += len(self.stepped)
+        cache.chain_runs_skipped += len(skipped)
+        cache._unread.update((k, False) for k in self.stepped)
+        for ks, _ in self.sizes:
+            for k in ks:
+                if k not in skipped:
+                    cache._count_read((k, False))
+
+    def _bound(self, k: int) -> float:
+        """A duration below which component ``k``'s atoms so far are final."""
+        if k in self.complete:
+            return math.inf
+        if k not in self.profiles:
+            return 0.0
+        times = self.profiles[k][0]
+        return int(times[0]) if times.size else math.inf
+
+    def _reach(self, k: int, upper: float) -> float:
+        """The mass component ``k`` can still absorb below ``upper``."""
+        if k in self.complete:
+            return 0.0
+        if k not in self.profiles:
+            return 1.0
+        times, cumulative = self.profiles[k]
+        i = int(np.searchsorted(times, upper))
+        return float(cumulative[i - 1]) if i else 0.0
+
+    def _test(self, i: int) -> None:
+        """Settle size ``i`` if its components' reports so far settle it, else record its
+        ``U`` and ``below``."""
+        ks, weights = self.sizes[i]
+        if self.complete.issuperset(ks):
+            self._settle(i, _quantile(_merge(ks, weights, self.parts.__getitem__), self.q))
+            return
+        # U only falls, so only the atoms up to the last U can move it; each bin of
+        # the merge and each cumulative sum below it is the whole mixture's
+        cap = self.uppers.get(i, (math.inf,))[0]
+        mixture = _merge(ks, weights, lambda k: _up_to(self.parts[k], cap))
+        cumulative = mixture.cumulative()
+        at = int(np.searchsorted(cumulative, self.q, side="left"))
+        # the mass of the whole mixture reaches q once it has had a U
+        if at == cumulative.size or (cap == math.inf and self.q > mixture.total_mass):
+            self.uppers[i] = (math.inf, 0.0)
+            return
+        upper, below = int(mixture.durations[at]), float(cumulative[at - 1]) if at else 0.0
+        if (upper < min(self._bound(k) for k in ks)
+                or self._fits(i, upper, below, lambda k: self._reach(k, upper))):
+            self._settle(i, upper)
+        else:
+            self.uppers[i] = (upper, below)
+
+    def _fits(self, i: int, upper: float, below: float, reach) -> bool:
+        """The mass test of size ``i`` at ``upper``, whose components can each still add
+        ``reach(k)`` below it."""
+        if not self.sound or upper == math.inf:
+            return False
+        ks, weights = self.sizes[i]
+        mass = sum(w * reach(k) for k, w in zip(ks, weights))
+        return below + mass * (1.0 + _SLACK) + _SLACK < self.q
+
+    def _settle(self, i: int, slot: int | None) -> None:
+        self.slots[i] = slot
+        self.uppers.pop(i, None)
+
+    def _moves(self, k: int, upper: float) -> bool:
+        """Whether live component ``k`` may still move a size whose ``U`` is ``upper``."""
+        return k in self.live and self._bound(k) <= upper
+
+    def _release(self) -> None:
+        """Start the deferred components of each unsettled size that no started component
+        can move any more, heaviest first, until those left fit the size's slack (they
+        are then all that can still add below its ``U``)."""
+        for i, (upper, below) in list(self.uppers.items()):
+            ks, weights = self.sizes[i]
+            if any(self._moves(k, upper) for k in ks):
+                continue
+            for _, k in sorted(zip(weights, ks), reverse=True):
+                if self._fits(i, upper, below, self._waiting):
+                    break
+                if self._waiting(k):
+                    self._start(self.stack_of[k])
+
+    def _waiting(self, k: int) -> float:
+        """1.0 for a component whose stack has not started, else 0.0."""
+        return float(k in self.stack_of and k not in self.started)
+
+    def _start(self, i: int) -> None:
+        """Start stack ``i``: its populations are live from now on."""
+        stack, group = self.stacks[i], i % self.groups  # ResidentJobs deals jobs in turn
+        self.started.update(stack)
+        self.live.update(stack)
+        self.held[group].update(stack)
+        if i >= self.first_deferred:
+            self.starts[group].update(stack)
+
+    def _dispatch(self, jobs: ResidentJobs, busy: set[int]) -> None:
+        """Send a round to each idle group that holds a wanted component, dropping those
+        it holds that no unsettled size wants; a group that holds none starts its
+        deferred stacks that an unsettled size has, rather than idle."""
+        wanted = {k for i, (upper, _) in self.uppers.items() for k in self.sizes[i][0]
+                  if self._moves(k, upper)}
+        for group in set(range(jobs.groups)) - busy:
+            if wanted.isdisjoint(self.held[group]):
+                needed = {k for i in self.uppers for k in self.sizes[i][0]}
+                for i in range(self.first_deferred, len(self.stacks)):
+                    if (i % jobs.groups == group and self._waiting(self.stacks[i][0])
+                            and not needed.isdisjoint(self.stacks[i])):
+                        self._start(i)
+                        wanted |= needed.intersection(self.stacks[i])
+            keep = self.held[group] & wanted
+            if keep:
+                drop = self.held[group] - keep
+                self.live -= drop
+                self.held[group] = keep
+                self.stepped |= keep
+                jobs.send(group, _ROUND, drop, self.starts[group])
+                self.starts[group] = set()
+                busy.add(group)
+
+    def _take(self, group: int, replies) -> set[int]:
+        """Record group ``group``'s replies; the components they report on."""
+        changed = set()
+        for news, seconds, steps in replies:
+            self.cache.chain_run_s += seconds
+            self.cache.chain_steps += steps
+            for k, profile, atoms in news:
+                self.parts[k] = atoms
+                if profile is None:  # the run is complete
+                    self.cache._runs[k, False] = atoms
+                    self.complete.add(k)
+                    self.live.discard(k)
+                    self.held[group].discard(k)
+                else:
+                    self.profiles[k] = profile
+                changed.add(k)
+        return changed
 
 
-def _settle(mixture: TimeDistribution, limit: float, q: float) -> tuple[bool, float | None]:
-    """Whether ``mixture``, whose atoms below ``limit`` are final (``_early_quantiles``),
-    is settled, and then its q-quantile, or None where its mass falls short of ``q``;
-    else its ``U``, or inf where it has none."""
-    if limit == math.inf:
-        try:
-            return True, mixture.quantile(q)
-        except UnsatisfiableQuantileError:
-            return True, None
-    if q > mixture.total_mass:
-        return False, math.inf
-    idx = int(np.searchsorted(mixture.cumulative(), q, side="left"))
-    if idx == mixture.durations.size:
-        return False, math.inf
-    upper = int(mixture.durations[idx])
-    return upper < limit, upper
+class _Atoms(NamedTuple):
+    """Atoms as ``merge_weighted`` reads them."""
+
+    durations: np.ndarray
+    probabilities: np.ndarray
+
+
+def _up_to(atoms: TimeDistribution, cap: float) -> _Atoms:
+    """The atoms of ``atoms`` at or below ``cap``."""
+    n = int(np.searchsorted(atoms.durations, cap, side="right"))
+    return _Atoms(atoms.durations[:n], atoms.probabilities[:n])
+
+
+def _mass_test_sound(params: ModelParams, durations: SlotDurations, k_max: int,
+                     components: int) -> bool:
+    """Whether ``_SLACK`` covers the rounding of a sweep whose largest population has
+    ``k_max`` stations and whose largest lattice ``components`` components."""
+    steps = min(params.t_max_cap, params.max_backoff_slots())
+    g = math.gcd(durations.t_empty, durations.t_success, durations.t_collision)
+    rl = params.retry_limit
+    ops = ((steps + 1) * (3 * k_max + rl + 17 + max(durations.t_success,
+                                                    durations.t_collision) // g)
+           + 2 * components + rl + 9)
+    return 1.01 * ops * 2.0**-53 <= _SLACK / 2
+
+
+def _deferred(sizes: list[tuple[list[int], list[float]]], missing: list[int],
+              q: float) -> set[int]:
+    """The populations of ``missing`` that every size with them marks: a size marks its
+    lightest components of ``missing`` whose weights sum to at most ``_DEFER`` times its
+    weight sum less ``q``."""
+    marks: dict[int, bool] = {}
+    candidates = set(missing)
+    for ks, weights in sizes:
+        room, total, marked = _DEFER * (math.fsum(weights) - q), 0.0, set()
+        for w, k in sorted((w, k) for k, w in zip(ks, weights) if k in candidates):
+            total += w
+            if total > room:
+                break
+            marked.add(k)
+        for k in candidates.intersection(ks):
+            marks[k] = marks.get(k, True) and k in marked
+    return {k for k, all_mark in marks.items() if all_mark}
+
+
+def _quantile(mixture: TimeDistribution, q: float) -> int | None:
+    """``mixture``'s q-quantile, or None where its mass falls short of ``q``."""
+    try:
+        return mixture.quantile(q)
+    except UnsatisfiableQuantileError:
+        return None
 
 
 def mixture_pa(
@@ -533,7 +789,7 @@ def optimize_groups(
     lattices = [_spec_lattice(MixtureSpec(size, spec.p_active, spec.conditioning),
                               problem_b, k_stride) for size in sizes]
     if problem_b:
-        quantiles = [_settle(dist, math.inf, q)[1] for dist in _mixtures(lattices, cache, True)]
+        quantiles = [_quantile(dist, q) for dist in _mixtures(lattices, cache, True)]
     else:
         quantiles = _early_quantiles(lattices, cache, q)
     slot_by_size = {size: slot for size, slot in zip(sizes, quantiles) if slot is not None}

@@ -49,14 +49,28 @@ class TxProbTable:
         return self.split[t]
 
 
+#: Most ``t_extent * retry_limit`` cells a table may have: 2**24, over 1,000 times the
+#: 2,033 x 7 cells of the 802.11ah table, and 128 MiB per float64 array, of which a table
+#: keeps six (``a``, ``b``, ``p_tx`` and the three of ``split``).  A larger table is
+#: refused before anything is allocated: the windows of ``cw_max = 2**30`` would ask
+#: for tens of GiB.
+MAX_TABLE_CELLS = 2**24
+
+
 def build_tx_prob_table(params: ModelParams, t_extent: int) -> TxProbTable:
     """Materialize ``a``, ``b`` and ``p_tx`` for slots ``0..t_extent-1``.
 
     The recursion is evaluated with prefix sums, so the cost is
-    ``O(t_extent * retry_limit)``.
+    ``O(t_extent * retry_limit)``.  ``ConfigurationError`` if the table would have more
+    than ``MAX_TABLE_CELLS`` cells.
     """
     if t_extent < 1:
         raise ConfigurationError(f"t_extent must be >= 1, got {t_extent}")
+    if t_extent * params.retry_limit > MAX_TABLE_CELLS:
+        raise ConfigurationError(
+            f"the transmission-probability table would have {t_extent} slots x "
+            f"{params.retry_limit} retry counts, more than {MAX_TABLE_CELLS} cells; "
+            f"lower cw_max, retry_limit or t_max_cap")
     windows = params.contention_windows()
     rl = params.retry_limit
     cw0 = windows[0]

@@ -724,6 +724,11 @@ def test_stack_run_kept_on_a_worker_equals_run_stack(monkeypatch):
         assert_results_equal(results, run_stack(stack, AH_SLOT_DURATIONS))
 
 
+def _bounds(run):
+    """Each population's bound: its reach profile's first time, inf with no cells."""
+    return np.array([times[0] if times.size else np.inf for times, _ in run.profiles()])
+
+
 @settings(max_examples=25, deadline=None)
 @given(small_configs(prune_floors=(0.0, 1e-6, 1e-3)),
        st.lists(st.integers(1, 30), min_size=1, max_size=3, unique=True))
@@ -734,7 +739,7 @@ def test_atoms_below_the_bound_are_final(config, stations):
     stack = [params.with_stations(n) for n in stations]
     run, snapshots = StackRun(stack, durations), []
     while not run.advance(1):
-        bounds = run.bounds()
+        bounds = _bounds(run)
         assert np.all(bounds >= _state_time(0, 1, run._layer_a.t + 1, durations))
         snapshots.append([(bound, run.atoms(j)) for j, bound in enumerate(bounds)])
     for snapshot in snapshots:
@@ -748,6 +753,34 @@ def test_atoms_below_the_bound_are_final(config, stations):
 
 @settings(max_examples=25, deadline=None)
 @given(small_configs(prune_floors=(0.0, 1e-6, 1e-3)),
+       st.lists(st.integers(1, 30), min_size=1, max_size=4, unique=True),
+       st.integers(0, 120))
+def test_reach_bounds_the_mass_still_to_come(config, stations, t):
+    # the atoms a population absorbs after t below any duration d sum to at most the
+    # mass its profile at t holds below d
+    params, durations = config
+    stack = [params.with_stations(n) for n in stations]
+    run = StackRun(stack, durations)
+    run.advance(t)
+    profiles, left = run.profiles(), [result is not None for result in run.results]
+    for (times, cumulative), gone in zip(profiles, left):
+        assert times.size == cumulative.size
+        assert gone <= (times.size == 0)  # one that has left the stack reports no cells
+        assert np.all(np.diff(times) > 0) and np.all(np.diff(cumulative) >= 0)
+    run._atoms_a = _AtomAccumulator(durations, len(stack))  # from now on only
+    run.advance()
+    for (times, cumulative), gone, result in zip(profiles, left, run.results):
+        if gone:
+            continue
+        later = result.p_a
+        # each d just above an atom: the atoms up to it against the cells below d
+        below = np.searchsorted(times, later.durations, side="right")
+        reach = np.concatenate(([0.0], cumulative))[below]
+        assert np.all(np.cumsum(later.probabilities) <= reach * (1 + 1e-12))
+
+
+@settings(max_examples=25, deadline=None)
+@given(small_configs(prune_floors=(0.0, 1e-6, 1e-3)),
        st.lists(st.integers(1, 30), min_size=2, max_size=4, unique=True),
        st.integers(0, 20_000))
 def test_dropped_population_keeps_the_full_runs_atoms_up_to_h(config, stations, h):
@@ -757,7 +790,7 @@ def test_dropped_population_keeps_the_full_runs_atoms_up_to_h(config, stations, 
     stack = [params.with_stations(n) for n in stations]
     run, dropped = StackRun(stack, durations), {}
     while not run.advance(1):
-        gone = [j for j, bound in enumerate(run.bounds()) if h < bound < np.inf]
+        gone = [j for j, bound in enumerate(_bounds(run)) if h < bound < np.inf]
         run.drop(gone)
         dropped.update((j, run.atoms(j)) for j in gone)
     for j, (result, full) in enumerate(zip(run.results, run_stack(stack, durations))):

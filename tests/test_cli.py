@@ -306,6 +306,24 @@ def test_out_of_memory_is_one_error_line(tmp_path, capsys, monkeypatch, exc):
     assert str(exc) in err and "Traceback" not in err
 
 
+def test_oversized_table_refused_before_allocating(tmp_path):
+    # windows of 2**30 slots would need a table of tens of GiB; under a 1 GiB
+    # address-space limit the command still exits 1 with the refusal, not with an
+    # allocation failure
+    pytest.importorskip("resource")
+    code = ("import resource, sys; resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30)); "
+            "from rawtime.cli import main; sys.exit(main(sys.argv[1:]))")
+    argv = ["model", "--paper-params", "--n", "2", "--cw-min", "1073741824", "--cw-max",
+            "1073741824", "--retry-limit", "7", "--out", str(tmp_path / "x")]
+    env = dict(os.environ, PYTHONPATH=str(Path(rawtime.__file__).parents[1]),
+               OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+    proc = subprocess.run([sys.executable, "-c", code, *argv], env=env, capture_output=True,
+                          text=True, timeout=60)
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error: the transmission-probability table would have ")
+    assert len(proc.stderr.strip().splitlines()) == 1
+
+
 @pytest.mark.parametrize("body", [
     "duration_us,probability\n10,0.5\n10,0.2\n",
     "duration_us,probability\n10,0.5\n20,nan\n",
@@ -390,8 +408,8 @@ def test_cli_import_loads_no_scipy_or_click():
 _MANIFEST_KEYS = {"artifact", "command", "created_utc", "durations", "extra", "outputs",
                   "params", "runs", "seed", "source", "version", "wall_clock_s"}
 _DIST_KEYS = {"atoms", "total_mass", "deficit"}
-_PLANNER_EXTRA = {"p_active", "q", "conditioning", "k_stride", "chain_runs", "chain_steps",
-                  "cache_hits", "chain_run_s"}
+_PLANNER_EXTRA = {"p_active", "q", "conditioning", "k_stride", "chain_runs",
+                  "chain_runs_skipped", "chain_steps", "cache_hits", "chain_run_s"}
 
 # command -> (argv, {output suffix: CSV header or top-level JSON keys},
 #             manifest extra keys); "{fmt}" is the --format value

@@ -420,7 +420,9 @@ class TestEarlyStoppingSweep:
         expected = _sweep_or_mass(lambda: full_run_sweep(spec, params, durations, q, g_range,
                                                          k_stride))
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(planner, "_FIRST_ROUND", data.draw(st.sampled_from([1, 3, 64])))
+            patch.setattr(planner, "_ROUND", data.draw(st.sampled_from([1, 3, 64])))
+            patch.setattr(planner, "_DEFER", data.draw(st.sampled_from([0.0, planner._DEFER,
+                                                                         1.0])))
             patch.setattr(pool, "_usable_cpus", lambda: 1)
             cache = DistributionCache(params, durations)
             cache.fill(data.draw(st.lists(st.integers(1, spec.n_total), max_size=6)), False)
@@ -434,22 +436,105 @@ class TestEarlyStoppingSweep:
                 full = run_chains(params.with_stations(k), durations, compute_b=False).p_a
                 _assert_same_bits(cache._runs[k, False], full)
 
-    @pytest.mark.parametrize("first_round, windows, slots, n, p, g_max, q", [
+    @pytest.mark.parametrize("steps, windows, slots, n, p, g_max, q", [
         (1, (2, 16, 5), (12, 2580, 2057), 14, 0.3, 2, 0.72),
         (3, (8, 16, 3), (48, 1721, 1481), 30, 0.3, 4, 0.7),
     ])
     @pytest.mark.parametrize("usable", [1, 2])
-    def test_population_shared_by_unsettled_sizes(self, monkeypatch, usable, first_round,
+    def test_population_shared_by_unsettled_sizes(self, monkeypatch, usable, steps,
                                                   windows, slots, n, p, g_max, q):
         # a population some unsettled size still needs, while another size's U already
         # lies below its bound, must run on
-        monkeypatch.setattr(planner, "_FIRST_ROUND", first_round)
+        monkeypatch.setattr(planner, "_ROUND", steps)
         monkeypatch.setattr(pool, "_usable_cpus", lambda: usable)
         params = ModelParams(1, *windows)
         durations = SlotDurations(*slots)
         cache = DistributionCache(params, durations)
         got = optimize_groups(MixtureSpec(n, p), cache, q, (1, g_max), "A")
         assert got == full_run_sweep(MixtureSpec(n, p), params, durations, q, (1, g_max), 1)
+
+    # one size whose lattice's light tail k = 14-18 is deferred
+    DEFERRING = (ModelParams(1, 4, 8, 3), SlotDurations(3, 30, 27), MixtureSpec(32, 0.1))
+
+    def _gap_below_the_deferred_weight(self):
+        """``DEFERRING`` and a q 1e-13 above the CDF at an atom of its mixture: the
+        quantile gap is below the deferred weight (and below ``_SLACK``), so no mass test
+        can settle the size before its deferred components have started."""
+        params, durations, spec = self.DEFERRING
+        cumulative = mixture_pa(spec, DistributionCache(params, durations)).cumulative()
+        q = float(cumulative[np.searchsorted(cumulative, 0.8) - 1]) + 1e-13
+        ks, weights = planner._spec_lattice(spec, False, 1)
+        deferred = planner._deferred([(ks.tolist(), weights.tolist())], ks.tolist(), q)
+        assert deferred == {14, 15, 16, 17, 18}
+        return params, durations, spec, q, deferred
+
+    @pytest.mark.parametrize("usable", [1, 2])
+    def test_deferred_runs_start_when_the_gap_is_smaller(self, monkeypatch, usable):
+        monkeypatch.setattr(pool, "_usable_cpus", lambda: usable)
+        params, durations, spec, q, deferred = self._gap_below_the_deferred_weight()
+        cache = DistributionCache(params, durations)
+        assert optimize_groups(spec, cache, q, (1, 1), "A") == full_run_sweep(
+            spec, params, durations, q, (1, 1), 1)
+        assert cache.chain_runs_skipped == 0
+        assert all((k, False) in cache._runs for k in deferred)  # 64 steps complete them
+
+    def test_costepped_deferred_population_dropped(self, monkeypatch):
+        # the deferred stack starts for its heaviest component and steps the others
+        # beside it; one is dropped once the size no longer needs it while the stack
+        # runs on, and the sweep sends no work for it again and ends
+        monkeypatch.setattr(planner, "_ROUND", 1)
+        monkeypatch.setattr(pool, "_usable_cpus", lambda: 1)  # rounds run in this process
+        params, durations, spec, q, deferred = self._gap_below_the_deferred_weight()
+        rounds, reports = planner._round, []
+
+        def recording_round(state, budget, drop, start):
+            news, seconds, steps = rounds(state, budget, drop, start)
+            if state.started and set(state.ks) == deferred:
+                reports.append({k for k, _, _ in news})
+            return news, seconds, steps
+
+        monkeypatch.setattr(planner, "_round", recording_round)
+        cache = DistributionCache(params, durations)
+        assert optimize_groups(spec, cache, q, (1, 1), "A") == full_run_sweep(
+            spec, params, durations, q, (1, 1), 1)
+        assert reports[0] == deferred  # they start together
+        gone = [k for k in deferred if any(k not in later for later in reports)]
+        assert gone and reports[-1]  # some were dropped while others ran on
+        for k in gone:
+            first_gap = next(i for i, later in enumerate(reports) if k not in later)
+            assert not any(k in later for later in reports[first_gap:])
+        assert not any((k, False) in cache._runs for k in gone)
+
+    def test_release_stops_once_the_rest_fits(self, monkeypatch):
+        # with its whole room deferred (stacks k = 20-26, 13-19 and 1-6 with 12), the
+        # size starts its heaviest deferred stacks and settles with the lightest, the
+        # tail k = 20-26, never stepped
+        monkeypatch.setattr(planner, "_DEFER", 1.0)
+        monkeypatch.setattr(pool, "_usable_cpus", lambda: 1)  # no idle worker starts one
+        params, durations = ModelParams(1, 16, 16, 3), SlotDurations(3, 20, 9)
+        spec, q = MixtureSpec(29, 0.3), 0.611
+        cache = DistributionCache(params, durations)
+        assert optimize_groups(spec, cache, q, (1, 1), "A") == full_run_sweep(
+            spec, params, durations, q, (1, 1), 1)
+        assert cache.chain_runs_skipped == 7
+        assert not any((k, False) in cache._runs for k in range(20, 27))
+
+    @pytest.mark.parametrize("usable", [1, 2])
+    def test_size_short_of_q_starts_its_deferred_runs(self, monkeypatch, usable):
+        # the g=1 size's mass (0.173) falls short of q, so it has no U until all its
+        # runs are complete, the deferred k = 23-24 too; the g=2 size reaches q (0.713)
+        monkeypatch.setattr(pool, "_usable_cpus", lambda: usable)
+        params, durations = ModelParams(1, 4, 8, 3), SlotDurations(3, 30, 27)
+        spec, q = MixtureSpec(24, 0.5), 0.6
+        sizes = [planner._spec_lattice(MixtureSpec(n, 0.5), False, 1) for n in (24, 12)]
+        assert planner._deferred([(ks.tolist(), w.tolist()) for ks, w in sizes],
+                                 list(range(24, 0, -1)), q) == {23, 24}
+        cache = DistributionCache(params, durations)
+        plans, best = optimize_groups(spec, cache, q, (1, 2), "A")
+        assert (plans, best) == full_run_sweep(spec, params, durations, q, (1, 2), 1)
+        assert [plan.group_count for plan in plans] == [2]
+        assert cache.chain_runs_skipped == 0
+        assert (23, False) in cache._runs and (24, False) in cache._runs
 
     def test_stops_runs_early_with_the_same_plans(self, monkeypatch):
         spec = MixtureSpec(30, 0.3)
@@ -461,14 +546,19 @@ class TestEarlyStoppingSweep:
             monkeypatch.setattr(pool, "_usable_cpus", lambda: usable)
             cache = DistributionCache(PARAMS, DUR)
             assert optimize_groups(spec, cache, 0.9, (1, 3), "A", k_stride="auto") == expected
-            assert (cache.chain_runs, cache.cache_hits) == (full.chain_runs, full.cache_hits)
+            # the light populations the sweep never stepped are neither runs nor hits; in
+            # the calling process it skips k = 22-26, while a worker that has nothing
+            # else to step may start them
+            runs, skipped = cache.chain_runs, cache.chain_runs_skipped
+            assert skipped == 5 if usable == 1 else skipped in (0, 5)
+            assert (runs + skipped, cache.cache_hits) == (full.chain_runs, full.cache_hits)
             assert cache.chain_steps < full.chain_steps / 2
             # the cache keeps only the runs that completed; a later lookup of a stopped
-            # population runs it in full
+            # or skipped population runs it in full
             stopped = [k for k, b in full._runs if not b and (k, False) not in cache._runs]
             assert stopped
-            _assert_same_bits(cache.pa(stopped[0]), full._runs[stopped[0], False])
-            assert cache.chain_runs == full.chain_runs + 1
+            _assert_same_bits(cache.pa(min(stopped)), full._runs[min(stopped), False])
+            assert cache.chain_runs == runs + 1
 
     def test_cached_runs_are_reused(self, monkeypatch):
         monkeypatch.setattr(pool, "_usable_cpus", lambda: 1)  # the same runs stop each time
@@ -487,7 +577,7 @@ class TestEarlyStoppingSweep:
         assert cache.chain_runs == runs
 
     def test_unsatisfiable_sweep_names_the_full_runs_mass(self, monkeypatch):
-        monkeypatch.setattr(planner, "_FIRST_ROUND", 3)
+        monkeypatch.setattr(planner, "_ROUND", 3)
         # every g has a size that falls short of q, and the sweep stops one population
         # of a size that reaches it: naming the best mass runs that one again in full
         params = ModelParams(n_stations=1, cw_min=2, cw_max=2, retry_limit=5)
