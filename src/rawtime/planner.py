@@ -449,9 +449,10 @@ def _early_quantiles(
     and keeps its atoms and profile: its bound stays above those ``U``, so it never
     holds a size back.  A deferred population starts when a size that cannot settle
     has no started component left that can move it (heaviest first, until the rest
-    fit the size's slack; all of them where it has no ``U``), or when its worker has
-    nothing else wanted.  Full runs are always settled, so the sweep ends.  The runs
-    that complete are stored in the cache; the dropped ones are not.
+    fit the size's slack; all of them where it has no ``U``).  Full runs are always
+    settled, so the sweep ends.  The runs that complete are stored in the cache; the
+    dropped ones are not, so the sweep saves the most where it is the cache's only
+    one: a later sweep runs what this one stopped or skipped again from the start.
     """
     check_level(q)
     sweep = _Sweep(lattices, cache, q)
@@ -499,7 +500,7 @@ class _Sweep:
     def run(self, jobs: ResidentJobs) -> None:
         """Run rounds on ``jobs``, whose states are ``self.stacks``, until every size is
         settled."""
-        self.groups = jobs.groups
+        self.group_of = jobs.group_of
         self.held = [set() for _ in range(jobs.groups)]  # each group's live components
         self.starts = [set() for _ in range(jobs.groups)]  # its deferred ones to start
         for i in range(self.first_deferred):
@@ -608,7 +609,7 @@ class _Sweep:
 
     def _start(self, i: int) -> None:
         """Start stack ``i``: its populations are live from now on."""
-        stack, group = self.stacks[i], i % self.groups  # ResidentJobs deals jobs in turn
+        stack, group = self.stacks[i], self.group_of(i)
         self.started.update(stack)
         self.live.update(stack)
         self.held[group].update(stack)
@@ -617,18 +618,10 @@ class _Sweep:
 
     def _dispatch(self, jobs: ResidentJobs, busy: set[int]) -> None:
         """Send a round to each idle group that holds a wanted component, dropping those
-        it holds that no unsettled size wants; a group that holds none starts its
-        deferred stacks that an unsettled size has, rather than idle."""
+        it holds that no unsettled size wants."""
         wanted = {k for i, (upper, _) in self.uppers.items() for k in self.sizes[i][0]
                   if self._moves(k, upper)}
         for group in set(range(jobs.groups)) - busy:
-            if wanted.isdisjoint(self.held[group]):
-                needed = {k for i in self.uppers for k in self.sizes[i][0]}
-                for i in range(self.first_deferred, len(self.stacks)):
-                    if (i % jobs.groups == group and self._waiting(self.stacks[i][0])
-                            and not needed.isdisjoint(self.stacks[i])):
-                        self._start(i)
-                        wanted |= needed.intersection(self.stacks[i])
             keep = self.held[group] & wanted
             if keep:
                 drop = self.held[group] - keep

@@ -59,10 +59,10 @@ def map_jobs(fn, *iterables) -> list:
 
 class ResidentJobs:
     """Jobs whose state stays where it was made: each job's state is ``start(*job)``,
-    and its states are dealt out in turn to ``groups`` groups.  ``send(group, *args)``
-    asks a group to run ``step(state, *args)`` on each of its states, and
-    ``receive()`` returns ``(group, replies)`` for a group that has answered, its
-    replies in job order.
+    and group ``group_of(i)`` of ``groups`` keeps the state of job ``i``.
+    ``send(group, *args)`` asks a group to run ``step(state, *args)`` on each of its
+    states, and ``receive()`` returns ``(group, replies)`` for a group that has
+    answered, its replies in job order.
 
     With more than one usable CPU, more than one job and a safe ``fork``, each group
     is a forked worker, one per usable CPU and never more than jobs, which keeps its
@@ -84,14 +84,19 @@ class ResidentJobs:
             self.groups = min(len(jobs), 1)
             return
         self.groups = workers
-        for i in range(workers):
+        for group in range(workers):
             ours, theirs = context.Pipe()
+            kept = [job for i, job in enumerate(jobs) if self.group_of(i) == group]
             proc = context.Process(target=_serve, daemon=True, args=(
-                theirs, [*self._conns, ours], start, step, jobs[i::workers]))
+                theirs, [*self._conns, ours], start, step, kept))
             self._conns.append(ours)
             proc.start()
             theirs.close()
             self._procs.append(proc)
+
+    def group_of(self, job: int) -> int:
+        """The group that keeps the state of ``jobs[job]``: the jobs are dealt out in turn."""
+        return job % self.groups
 
     def send(self, group: int, *args) -> None:
         if self._conns:

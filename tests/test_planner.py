@@ -423,6 +423,10 @@ class TestEarlyStoppingSweep:
             patch.setattr(planner, "_ROUND", data.draw(st.sampled_from([1, 3, 64])))
             patch.setattr(planner, "_DEFER", data.draw(st.sampled_from([0.0, planner._DEFER,
                                                                          1.0])))
+            # no allowance for rounding: the mass test never holds, nothing is deferred
+            # and the sizes settle by the bound test alone
+            slack = data.draw(st.sampled_from([0.0, planner._SLACK]))
+            patch.setattr(planner, "_SLACK", slack)
             patch.setattr(pool, "_usable_cpus", lambda: 1)
             cache = DistributionCache(params, durations)
             cache.fill(data.draw(st.lists(st.integers(1, spec.n_total), max_size=6)), False)
@@ -431,6 +435,8 @@ class TestEarlyStoppingSweep:
             got = _sweep_or_mass(lambda: optimize_groups(spec, cache, q, g_range, "A",
                                                          k_stride=k_stride))
         assert got == expected
+        if slack == 0.0:
+            assert cache.chain_runs_skipped == 0
         for k in range(1, spec.n_total + 1):  # the cache keeps complete runs only
             if (k, False) in cache._runs:
                 full = run_chains(params.with_stations(k), durations, compute_b=False).p_a
@@ -505,12 +511,13 @@ class TestEarlyStoppingSweep:
             assert not any(k in later for later in reports[first_gap:])
         assert not any((k, False) in cache._runs for k in gone)
 
-    def test_release_stops_once_the_rest_fits(self, monkeypatch):
+    @pytest.mark.parametrize("usable", [1, 2])
+    def test_release_stops_once_the_rest_fits(self, monkeypatch, usable):
         # with its whole room deferred (stacks k = 20-26, 13-19 and 1-6 with 12), the
         # size starts its heaviest deferred stacks and settles with the lightest, the
         # tail k = 20-26, never stepped
         monkeypatch.setattr(planner, "_DEFER", 1.0)
-        monkeypatch.setattr(pool, "_usable_cpus", lambda: 1)  # no idle worker starts one
+        monkeypatch.setattr(pool, "_usable_cpus", lambda: usable)
         params, durations = ModelParams(1, 16, 16, 3), SlotDurations(3, 20, 9)
         spec, q = MixtureSpec(29, 0.3), 0.611
         cache = DistributionCache(params, durations)
@@ -546,11 +553,10 @@ class TestEarlyStoppingSweep:
             monkeypatch.setattr(pool, "_usable_cpus", lambda: usable)
             cache = DistributionCache(PARAMS, DUR)
             assert optimize_groups(spec, cache, 0.9, (1, 3), "A", k_stride="auto") == expected
-            # the light populations the sweep never stepped are neither runs nor hits; in
-            # the calling process it skips k = 22-26, while a worker that has nothing
-            # else to step may start them
+            # the light populations the sweep never stepped, k = 22-26, are neither runs
+            # nor hits
             runs, skipped = cache.chain_runs, cache.chain_runs_skipped
-            assert skipped == 5 if usable == 1 else skipped in (0, 5)
+            assert skipped == 5
             assert (runs + skipped, cache.cache_hits) == (full.chain_runs, full.cache_hits)
             assert cache.chain_steps < full.chain_steps / 2
             # the cache keeps only the runs that completed; a later lookup of a stopped
@@ -591,6 +597,16 @@ class TestEarlyStoppingSweep:
         assert got.value.total_mass == expected.value.total_mass
         assert cache.chain_runs == 7
 
+    def test_mass_test_sound_up_to_about_700_stations(self, monkeypatch):
+        # at 802.11ah parameters _SLACK covers the rounding of populations of up to 709
+        # stations, whatever the lattice's length; larger ones settle by the bound alone
+        for k, components in [(1, 1), (120, 51), (709, 1), (709, 200)]:
+            assert planner._mass_test_sound(PARAMS, DUR, k, components)
+        for k, components in [(709, 1000), (710, 1), (1000, 100)]:
+            assert not planner._mass_test_sound(PARAMS, DUR, k, components)
+        monkeypatch.setattr(planner, "_SLACK", 0.0)
+        assert not planner._mass_test_sound(PARAMS, DUR, 1, 1)
+
     def test_bad_level_rejected_before_any_run(self):
         cache = DistributionCache(SMALL, SMALL_DUR)
         for q in (0.0, 1.0, float("nan")):
@@ -630,6 +646,7 @@ class TestResidentJobs:
                     jobs.send(group, round_)
                 answers = dict(jobs.receive() for _ in range(2))
             # the jobs are dealt out in turn
+            assert [jobs.group_of(i) for i in range(3)] == [0, 1, 0]
             assert answers == {0: [[1, "a", "b"], [3, "a", "b"]], 1: [[2, "a", "b"]]}
             assert len(multiprocessing.active_children()) == 2
         assert multiprocessing.active_children() == []
@@ -648,6 +665,7 @@ class TestResidentJobs:
         try:
             with pool.ResidentJobs(_start, _step, jobs_) as jobs:
                 assert jobs.groups == 1 and multiprocessing.active_children() == []
+                assert [jobs.group_of(i) for i in range(len(jobs_))] == [0] * len(jobs_)
                 jobs.send(0, "a")
                 jobs.send(0, "b")
                 assert jobs.receive() == (0, [[*job[0], "a"] for job in jobs_])
