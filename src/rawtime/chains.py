@@ -217,7 +217,7 @@ class StackRun:
         it are final to the bit.  A step passes a cell's mass on, absorbs, fails or
         prunes it and creates none, so the mass the run absorbs from now on below a
         duration ``d`` is at most the cumulative mass of the times below ``d``, up to
-        the rounding of the steps (``planner._SLACK`` bounds it).
+        the rounding of the steps (``planner._slack`` bounds it).
         """
         none = (np.empty(0, dtype=np.int64), np.empty(0))
         profiles = [none] * len(self.results)

@@ -96,36 +96,43 @@ _ROUND = 64
 #: deferred components that size needed.
 _DEFER = 1e-4
 
-#: The mass test's allowance (delta) for rounding: an unsettled size is settled
-#: at U once ``below + R (1 + delta) + delta < q`` (``_Sweep._fits``).  With
-#: u = 2**-53, a computed sum of m non-negative terms lies within a factor
-#: (1 + u)**m of the exact sum of those terms, and each product within 1 + u:
-#:
-#: * A step of a population of k stations splits a cell's mass by the table's
-#:   (1 - p, p) and then by its peers' slot-type probabilities.  For n peers
-#:   P(one) is computed from the rounded 1 - prob, so it may exceed 1 - P(empty)
-#:   by n u; the routes of a cell sum to at most 1 + (n + 8) u of its mass, a
-#:   landing cell adds at most four routes and an absorption sums at most RL
-#:   rows.  So the mass descending from a set of cells grows by at most a factor
-#:   (1 + u)**(k + RL + 16) per step, over at most T = min(t_max_cap,
-#:   max_backoff_slots()) steps.
-#: * An atom of a run sums at most T k absorptions (``np.add.at``; the states of
-#:   one duration), the mixture weights it by one product and sums at most L
-#:   components into a bin (``bincount``, in input order), and the cumulative
-#:   sum up to U adds at most A = (T + 1) max(Ts, Tc) / g + 1 bins,
-#:   g = gcd(Te, Ts, Tc).
-#: * A reach sums at most RL rows, then at most (T + 1) k cells, and R weights
-#:   and sums at most L reaches.
-#:
-#: So the full mixture's CDF just below U is at most (below + R)(1 + e), which
-#: is at most below + R (1 + e) + e as below < q < 1, with e <= 1.01 M u for
-#: M = (T + 1)(3 k + RL + 17) + A + 2 L + RL + 8; underflow adds under 1e-300.
-#: The test's own three roundings add at most 3 u.  ``_mass_test_sound`` checks
-#: 1.01 M u <= delta / 2 for the sweep's largest population and lattice, and a
-#: sweep that fails it settles by the bound rule alone: at 802.11ah parameters
-#: populations of up to about 700 stations pass.  A larger delta would weaken
-#: the test only where a size's quantile gap is about as small.
-_SLACK = 1e-9
+
+def _slack(params: ModelParams, durations: SlotDurations, k_max: int,
+           components: int) -> float:
+    """The mass test's allowance (delta) for rounding in a sweep whose largest population
+    run has ``k_max`` stations and whose largest lattice ``components`` components: a
+    size is settled at U once ``below + R (1 + delta) + delta < q`` (``_Sweep._fits``).
+
+    With u = 2**-53, a computed sum of m non-negative terms lies within a factor
+    (1 + u)**m of the exact sum of those terms, and each product within 1 + u:
+
+    * A step of a population of k stations splits a cell's mass by the table's
+      (1 - p, p) and then by its peers' slot-type probabilities.  For n peers P(one) is
+      computed from the rounded 1 - prob, so it may exceed 1 - P(empty) by n u; the
+      routes of a cell sum to at most 1 + (n + 8) u of its mass, a landing cell adds at
+      most four routes and an absorption sums at most RL rows.  So the mass descending
+      from a set of cells grows by at most a factor (1 + u)**(k + RL + 16) per step,
+      over at most T = min(t_max_cap, max_backoff_slots()) steps.
+    * An atom of a run sums at most T k absorptions (``np.add.at``; the states of one
+      duration), the mixture weights it by one product and sums at most L components
+      into a bin (``bincount``, in input order), and the cumulative sum up to U adds at
+      most A = (T + 1) max(Ts, Tc) / g + 1 bins, g = gcd(Te, Ts, Tc).
+    * A reach sums at most RL rows, then at most (T + 1) k cells, and R weights and
+      sums at most L reaches.
+
+    So the full mixture's CDF just below U is at most (below + R)(1 + e), which is at
+    most below + R (1 + e) + e as below < q < 1, with e <= 1.01 M u for M = (T + 1)(3 k
+    + RL + 17) + A + 2 L + RL + 8; underflow adds under 1e-300.  delta is 2 e, which
+    leaves e for the test's own three roundings (3 u).  At 802.11ah parameters it stays
+    at most 1e-9 up to k = 709; a larger delta weakens the test only where a size's
+    quantile gap is about as small.
+    """
+    steps = min(params.t_max_cap, params.max_backoff_slots())
+    g = math.gcd(durations.t_empty, durations.t_success, durations.t_collision)
+    rl = params.retry_limit
+    bins = (steps + 1) * max(durations.t_success, durations.t_collision) // g + 1
+    m = (steps + 1) * (3 * k_max + rl + 17) + bins + 2 * components + rl + 8
+    return 2.02 * m * 2.0**-53
 
 
 def _chain_run(stack: list[ModelParams], durations: SlotDurations, compute_b: bool):
@@ -160,30 +167,27 @@ def _stacks(ks: list[int], compute_b: bool) -> list[list[int]]:
 
 class _Rounds:
     """One stack's early-stopping run where it is kept (``ResidentJobs`` state): the
-    run, the indices of the populations it still reports on, and whether it has
-    started (a deferred stack starts once a round names one of its populations)."""
+    run and the indices of the populations it still reports on."""
 
-    def __init__(self, stack: list[ModelParams], durations: SlotDurations, deferred: bool):
+    def __init__(self, stack: list[ModelParams], durations: SlotDurations):
         self.run = StackRun(stack, durations)
         self.ks = [params.n_stations for params in stack]
         self.reporting = set(range(len(stack)))
-        self.started = not deferred
 
 
-def _round(state: _Rounds, budget: int, drop: set[int], start: set[int]):
-    """Start the stack if ``start`` names one of its populations, drop the populations in
-    ``drop``, advance the stack ``budget`` steps and report (its populations' news,
-    seconds the round took where it ran, population-steps); a stack that has not
-    started reports nothing.
+def _round(state: _Rounds, budget: int, keep: set[int]):
+    """Drop the populations that ``keep`` leaves out, advance the stack ``budget`` steps
+    and report (its populations' news, seconds the round took where it ran,
+    population-steps); a stack none of whose reporting populations ``keep`` names (one
+    that is deferred and has not started, too) does nothing and reports nothing.
 
     A population's news is ``(k, None, P_A)`` once it has stopped, else ``(k, profile,
     atoms)``: its ``StackRun.profiles`` entry and the atoms it has absorbed so far.  Each
     population is reported until it stops or is dropped."""
-    state.started = state.started or not start.isdisjoint(state.ks)
-    if not state.started:
+    if not any(state.ks[j] in keep for j in state.reporting):
         return [], 0.0, 0
     run, started, steps = state.run, time.perf_counter(), state.run.steps
-    dropped = {j for j in state.reporting if state.ks[j] in drop}
+    dropped = {j for j in state.reporting if state.ks[j] not in keep}
     run.drop(dropped)
     state.reporting -= dropped
     run.advance(budget)
@@ -206,9 +210,11 @@ class DistributionCache:
     the two was asked for first never changes the other.
     ``params.n_stations`` is ignored; the population comes from the lookup
     key.  It stores complete runs only: a problem-A ``optimize_groups`` stops
-    the runs its quantiles no longer need, never starts the light ones no
-    quantile needs, and stores the runs that complete, so a later ``pa(k)`` of
-    a population it stopped or skipped runs it in full.
+    a run once it can no longer add mass below the quantile bound of any
+    unsettled group size, never starts the light runs it deferred where the
+    sizes settle without them (``_early_quantiles``), and stores the runs that
+    complete, so a later ``pa(k)`` of a population it stopped or skipped runs
+    it in full.
 
     ``chain_runs`` counts cold runs, one per population stepped at least once,
     also where several were stepped as one stack, complete or stopped early;
@@ -421,45 +427,43 @@ def _early_quantiles(
     none does.
 
     The runs the cache lacks are cut into ``_stacks``, the deferred ones (``_DEFER``)
-    apart, and kept on ``ResidentJobs``; each round advances a worker's started stacks
-    ``_ROUND`` steps and reports each population's atoms so far and its reach profile
-    (``StackRun.profiles``), whose first time is a bound below which its atoms are
-    final.  A mixture built from the atoms so far, in ``_mixtures``' order and weights,
-    has ``U``, its least duration whose cumulative mass reaches ``q`` (none if the mass
-    is short of ``q`` or the sums never reach it), and ``below``, its cumulative mass
-    at its last atom before ``U``.  The mass still to come is non-negative and float
-    addition is monotone, so every bin, every cumulative sum and the ``math.fsum`` mass
-    of the full mixture is at least the partial one's: ``U`` is an upper bound on the
-    final quantile, and it can only fall from round to round.  ``U`` is the final
-    quantile to the bit once the full mixture's cumulative mass at its last atom
-    before ``U`` stays below ``q``, and a size is settled by either of two tests:
+    apart, and kept on ``ResidentJobs``; each round names the populations a worker is
+    to step (``_round``'s ``keep``), advances their stacks ``_ROUND`` steps and reports
+    each population's atoms so far and its reach profile (``StackRun.profiles``).  A
+    mixture built from the atoms so far, in ``_mixtures``' order and weights, has ``U``,
+    its least duration whose cumulative mass reaches ``q`` (none if the mass is short of
+    ``q`` or the sums never reach it), and ``below``, its cumulative mass at its last
+    atom before ``U``.  The mass still to come is non-negative and float addition is
+    monotone, so every bin, every cumulative sum and the ``math.fsum`` mass of the full
+    mixture is at least the partial one's: ``U`` is an upper bound on the final
+    quantile, and it can only fall from round to round.  ``U`` is the final quantile to
+    the bit once the full mixture's cumulative mass at its last atom before ``U`` stays
+    below ``q``.  Mass only moves up in c, s and t and is passed on, absorbed, failed or
+    pruned, so a component can still add below ``U`` at most its reach: what its cells
+    with a time below ``U`` carry (all of it before its first report, none once
+    complete).  A size settles at ``U`` (``_Sweep._fits``) where
 
-    * bound: ``U`` lies below the bound of every component, so the atoms at or below
-      ``U``, their concatenation order and the ``bincount`` that sums them are those
-      of the full mixture;
-    * mass: ``below + R (1 + _SLACK) + _SLACK < q``, where ``R`` sums each component's
-      weight times its reach below ``U`` (its full weight before its first report, 0
-      once complete).  Mass only moves up in c, s and t and is passed on, absorbed,
-      failed or pruned, so a run adds below ``U`` at most what its cells with a time
-      below ``U`` carry; ``_SLACK`` covers the rounding.
+    * no component can reach below ``U``: the bins below ``U`` then keep their terms and
+      their order, so ``below < q`` is final (mass that lands at ``U`` cannot lower it);
+    * or ``below + R (1 + delta) + delta < q``, where ``R`` sums each component's weight
+      times its reach and ``delta`` (``_slack``) covers the rounding.
 
     A size whose components all completed is ``_mixtures``' own, and gives its
-    quantile as ``TimeDistribution.quantile`` does.  A population whose bound lies
-    above the ``U`` of every unsettled size it is a component of is dropped for good,
-    and keeps its atoms and profile: its bound stays above those ``U``, so it never
-    holds a size back.  A deferred population starts when a size that cannot settle
-    has no started component left that can move it (heaviest first, until the rest
-    fit the size's slack; all of them where it has no ``U``).  Full runs are always
-    settled, so the sweep ends.  The runs that complete are stored in the cache; the
-    dropped ones are not, so the sweep saves the most where it is the cache's only
-    one: a later sweep runs what this one stopped or skipped again from the start.
+    quantile as ``TimeDistribution.quantile`` does.  A population that can reach below
+    the ``U`` of no unsettled size it is a component of is dropped for good, and keeps
+    its atoms and profile: those ``U`` only fall, so it never holds a size back.  A
+    deferred population starts when a size that cannot settle has no started component
+    left that can move it (heaviest first, until the rest fit the size's slack; all of
+    them where it has no ``U``).  Full runs are always settled, so the sweep ends.  The
+    runs that complete are stored in the cache; the dropped ones are not, so the sweep
+    saves the most where it is the cache's only one: a later sweep runs what this one
+    stopped or skipped again from the start.
     """
-    check_level(q)
     sweep = _Sweep(lattices, cache, q)
     if sweep.uppers:
         with ResidentJobs(_Rounds, _round, [
-                ([cache.params.with_stations(k) for k in stack], cache.durations,
-                 i >= sweep.first_deferred) for i, stack in enumerate(sweep.stacks)]) as jobs:
+                ([cache.params.with_stations(k) for k in stack], cache.durations)
+                for stack in sweep.stacks]) as jobs:
             sweep.run(jobs)
     sweep.count()
     return [sweep.slots[i] for i in range(len(lattices))]
@@ -469,27 +473,25 @@ class _Sweep:
     """``_early_quantiles``' state in the calling process: what each component's reports
     say, each size's ``U`` and ``below`` or its slot, and which stacks run where.
 
-    A component is started once its stack is, live while it is started and neither
-    complete nor dropped, and stepped once a round has been sent for it."""
+    A component is started once its stack is, and stepped once a round has been sent
+    for it."""
 
     def __init__(self, lattices: list[tuple[np.ndarray, np.ndarray]],
                  cache: DistributionCache, q: float):
         self.cache, self.q = cache, q
         self.sizes = [(ks.tolist(), weights.tolist()) for ks, weights in lattices]
-        durations = cache.durations
         self.missing = cache._missing(np.concatenate([ks for ks, _ in lattices]), False)
         self.parts = {k: cache._runs.get((k, False), _NO_ATOMS) for ks, _ in self.sizes
                       for k in ks}
         self.complete = set(self.parts) - set(self.missing)
         self.profiles: dict[int, tuple[np.ndarray, np.ndarray]] = {}
         self.started: set[int] = set()
-        self.live: set[int] = set()
         self.stepped: set[int] = set()
         self.slots: dict[int, int | None] = {}
         self.uppers: dict[int, tuple[float, float]] = {}  # unsettled: (U, below)
-        self.sound = bool(self.missing) and _mass_test_sound(
-            cache.params, durations, self.missing[0], max(len(ks) for ks, _ in self.sizes))
-        deferred = _deferred(self.sizes, self.missing, q) if self.sound else set()
+        self.slack = _slack(cache.params, cache.durations, max(self.missing, default=0),
+                            max(len(ks) for ks, _ in self.sizes))
+        deferred = _deferred(self.sizes, self.missing, q)
         self.stacks = _stacks([k for k in self.missing if k not in deferred], False)
         self.first_deferred = len(self.stacks)
         self.stacks += _stacks([k for k in self.missing if k in deferred], False)
@@ -500,18 +502,15 @@ class _Sweep:
     def run(self, jobs: ResidentJobs) -> None:
         """Run rounds on ``jobs``, whose states are ``self.stacks``, until every size is
         settled."""
-        self.group_of = jobs.group_of
-        self.held = [set() for _ in range(jobs.groups)]  # each group's live components
-        self.starts = [set() for _ in range(jobs.groups)]  # its deferred ones to start
-        for i in range(self.first_deferred):
-            self._start(i)
+        self.group_of = {k: jobs.group_of(i) for k, i in self.stack_of.items()}
+        self.started.update(*self.stacks[:self.first_deferred])
         busy: set[int] = set()
         while self.uppers:
             self._release()
             self._dispatch(jobs, busy)
             group, replies = jobs.receive()
             busy.discard(group)
-            changed = self._take(group, replies)
+            changed = self._take(replies)
             for i in [i for i in self.uppers if not changed.isdisjoint(self.sizes[i][0])]:
                 self._test(i)
 
@@ -528,15 +527,6 @@ class _Sweep:
             for k in ks:
                 if k not in skipped:
                     cache._count_read((k, False))
-
-    def _bound(self, k: int) -> float:
-        """A duration below which component ``k``'s atoms so far are final."""
-        if k in self.complete:
-            return math.inf
-        if k not in self.profiles:
-            return 0.0
-        times = self.profiles[k][0]
-        return int(times[0]) if times.size else math.inf
 
     def _reach(self, k: int, upper: float) -> float:
         """The mass component ``k`` can still absorb below ``upper``."""
@@ -566,28 +556,32 @@ class _Sweep:
             self.uppers[i] = (math.inf, 0.0)
             return
         upper, below = int(mixture.durations[at]), float(cumulative[at - 1]) if at else 0.0
-        if (upper < min(self._bound(k) for k in ks)
-                or self._fits(i, upper, below, lambda k: self._reach(k, upper))):
+        if self._fits(i, upper, below, lambda k: self._reach(k, upper)):
             self._settle(i, upper)
         else:
             self.uppers[i] = (upper, below)
 
     def _fits(self, i: int, upper: float, below: float, reach) -> bool:
-        """The mass test of size ``i`` at ``upper``, whose components can each still add
-        ``reach(k)`` below it."""
-        if not self.sound or upper == math.inf:
+        """Whether size ``i`` settles at ``upper`` where each component can still add
+        ``reach(k)`` below it: none can add any, or their weighted sum is too light to
+        lift ``below`` to q (each tested on its own, as the sum could underflow)."""
+        if upper == math.inf:
             return False
         ks, weights = self.sizes[i]
-        mass = sum(w * reach(k) for k, w in zip(ks, weights))
-        return below + mass * (1.0 + _SLACK) + _SLACK < self.q
+        reaches = [reach(k) for k in ks]
+        if not any(reaches):
+            return True
+        mass = sum(w * r for w, r in zip(weights, reaches))
+        return below + mass * (1.0 + self.slack) + self.slack < self.q
 
     def _settle(self, i: int, slot: int | None) -> None:
         self.slots[i] = slot
         self.uppers.pop(i, None)
 
     def _moves(self, k: int, upper: float) -> bool:
-        """Whether live component ``k`` may still move a size whose ``U`` is ``upper``."""
-        return k in self.live and self._bound(k) <= upper
+        """Whether component ``k`` is started and may still move a size whose ``U`` is
+        ``upper``; one that may not never may again, as ``U`` only falls."""
+        return k in self.started and self._reach(k, upper) > 0
 
     def _release(self) -> None:
         """Start the deferred components of each unsettled size that no started component
@@ -601,39 +595,26 @@ class _Sweep:
                 if self._fits(i, upper, below, self._waiting):
                     break
                 if self._waiting(k):
-                    self._start(self.stack_of[k])
+                    self.started.update(self.stacks[self.stack_of[k]])
 
     def _waiting(self, k: int) -> float:
         """1.0 for a component whose stack has not started, else 0.0."""
         return float(k in self.stack_of and k not in self.started)
 
-    def _start(self, i: int) -> None:
-        """Start stack ``i``: its populations are live from now on."""
-        stack, group = self.stacks[i], self.group_of(i)
-        self.started.update(stack)
-        self.live.update(stack)
-        self.held[group].update(stack)
-        if i >= self.first_deferred:
-            self.starts[group].update(stack)
-
     def _dispatch(self, jobs: ResidentJobs, busy: set[int]) -> None:
-        """Send a round to each idle group that holds a wanted component, dropping those
-        it holds that no unsettled size wants."""
+        """Send each idle group that holds a wanted component the set of those it holds:
+        it steps them and drops the others."""
         wanted = {k for i, (upper, _) in self.uppers.items() for k in self.sizes[i][0]
                   if self._moves(k, upper)}
         for group in set(range(jobs.groups)) - busy:
-            keep = self.held[group] & wanted
+            keep = {k for k in wanted if self.group_of[k] == group}
             if keep:
-                drop = self.held[group] - keep
-                self.live -= drop
-                self.held[group] = keep
                 self.stepped |= keep
-                jobs.send(group, _ROUND, drop, self.starts[group])
-                self.starts[group] = set()
+                jobs.send(group, _ROUND, keep)
                 busy.add(group)
 
-    def _take(self, group: int, replies) -> set[int]:
-        """Record group ``group``'s replies; the components they report on."""
+    def _take(self, replies) -> set[int]:
+        """Record a group's replies; the components they report on."""
         changed = set()
         for news, seconds, steps in replies:
             self.cache.chain_run_s += seconds
@@ -643,8 +624,6 @@ class _Sweep:
                 if profile is None:  # the run is complete
                     self.cache._runs[k, False] = atoms
                     self.complete.add(k)
-                    self.live.discard(k)
-                    self.held[group].discard(k)
                 else:
                     self.profiles[k] = profile
                 changed.add(k)
@@ -662,19 +641,6 @@ def _up_to(atoms: TimeDistribution, cap: float) -> _Atoms:
     """The atoms of ``atoms`` at or below ``cap``."""
     n = int(np.searchsorted(atoms.durations, cap, side="right"))
     return _Atoms(atoms.durations[:n], atoms.probabilities[:n])
-
-
-def _mass_test_sound(params: ModelParams, durations: SlotDurations, k_max: int,
-                     components: int) -> bool:
-    """Whether ``_SLACK`` covers the rounding of a sweep whose largest population has
-    ``k_max`` stations and whose largest lattice ``components`` components."""
-    steps = min(params.t_max_cap, params.max_backoff_slots())
-    g = math.gcd(durations.t_empty, durations.t_success, durations.t_collision)
-    rl = params.retry_limit
-    ops = ((steps + 1) * (3 * k_max + rl + 17 + max(durations.t_success,
-                                                    durations.t_collision) // g)
-           + 2 * components + rl + 9)
-    return 1.01 * ops * 2.0**-53 <= _SLACK / 2
 
 
 def _deferred(sizes: list[tuple[list[int], list[float]]], missing: list[int],
@@ -769,6 +735,7 @@ def optimize_groups(
     each population only as long as some group size's quantile may still
     depend on it (``_early_quantiles``); its plans are those of full runs.
     """
+    check_level(q)
     if problem not in ("A", "B"):
         raise ConfigurationError(f"problem must be 'A' or 'B', got {problem!r}")
     g_min, g_max = g_range

@@ -423,10 +423,11 @@ class TestEarlyStoppingSweep:
             patch.setattr(planner, "_ROUND", data.draw(st.sampled_from([1, 3, 64])))
             patch.setattr(planner, "_DEFER", data.draw(st.sampled_from([0.0, planner._DEFER,
                                                                          1.0])))
-            # no allowance for rounding: the mass test never holds, nothing is deferred
-            # and the sizes settle by the bound test alone
-            slack = data.draw(st.sampled_from([0.0, planner._SLACK]))
-            patch.setattr(planner, "_SLACK", slack)
+            # an allowance no mass fits: the sizes settle only where no component can
+            # reach below U, so every deferred population has to start
+            no_mass_test = data.draw(st.booleans())
+            if no_mass_test:
+                patch.setattr(planner, "_slack", lambda *args: math.inf)
             patch.setattr(pool, "_usable_cpus", lambda: 1)
             cache = DistributionCache(params, durations)
             cache.fill(data.draw(st.lists(st.integers(1, spec.n_total), max_size=6)), False)
@@ -435,7 +436,7 @@ class TestEarlyStoppingSweep:
             got = _sweep_or_mass(lambda: optimize_groups(spec, cache, q, g_range, "A",
                                                          k_stride=k_stride))
         assert got == expected
-        if slack == 0.0:
+        if no_mass_test:
             assert cache.chain_runs_skipped == 0
         for k in range(1, spec.n_total + 1):  # the cache keeps complete runs only
             if (k, False) in cache._runs:
@@ -464,8 +465,8 @@ class TestEarlyStoppingSweep:
 
     def _gap_below_the_deferred_weight(self):
         """``DEFERRING`` and a q 1e-13 above the CDF at an atom of its mixture: the
-        quantile gap is below the deferred weight (and below ``_SLACK``), so no mass test
-        can settle the size before its deferred components have started."""
+        quantile gap is below the deferred weight (and below the ``_slack`` allowance),
+        so no mass test can settle the size before its deferred components have started."""
         params, durations, spec = self.DEFERRING
         cumulative = mixture_pa(spec, DistributionCache(params, durations)).cumulative()
         q = float(cumulative[np.searchsorted(cumulative, 0.8) - 1]) + 1e-13
@@ -493,9 +494,10 @@ class TestEarlyStoppingSweep:
         params, durations, spec, q, deferred = self._gap_below_the_deferred_weight()
         rounds, reports = planner._round, []
 
-        def recording_round(state, budget, drop, start):
-            news, seconds, steps = rounds(state, budget, drop, start)
-            if state.started and set(state.ks) == deferred:
+        def recording_round(state, budget, keep):
+            named = keep.intersection(state.ks[j] for j in state.reporting)
+            news, seconds, steps = rounds(state, budget, keep)
+            if named and set(state.ks) == deferred:
                 reports.append({k for k, _, _ in news})
             return news, seconds, steps
 
@@ -510,6 +512,21 @@ class TestEarlyStoppingSweep:
             first_gap = next(i for i, later in enumerate(reports) if k not in later)
             assert not any(k in later for later in reports[first_gap:])
         assert not any((k, False) in cache._runs for k in gone)
+
+    def test_round_leaves_a_stack_keep_does_not_name(self):
+        # a stack none of whose populations keep names is neither stepped nor dropped;
+        # the first round that names one drops the others and steps it from t = 0
+        state = planner._Rounds([SMALL.with_stations(k) for k in (6, 5)], SMALL_DUR)
+        for _ in range(3):
+            assert planner._round(state, 1, {7}) == ([], 0.0, 0)
+        assert (state.run.steps, state.reporting) == (0, {0, 1})
+        news, _, steps = planner._round(state, 2, {6})
+        assert steps == 2 and state.reporting == {0}
+        [(k, profile, got)] = news
+        alone = run_chains(SMALL.with_stations(6), SMALL_DUR, compute_b=False)
+        assert k == 6 and profile is not None and 0 < got.total_mass < alone.p_a.total_mass
+        assert planner._round(state, 100, {6})[0] == [(6, None, state.run.results[0].p_a)]
+        _assert_same_bits(state.run.results[0].p_a, alone.p_a)
 
     @pytest.mark.parametrize("usable", [1, 2])
     def test_release_stops_once_the_rest_fits(self, monkeypatch, usable):
@@ -597,21 +614,29 @@ class TestEarlyStoppingSweep:
         assert got.value.total_mass == expected.value.total_mass
         assert cache.chain_runs == 7
 
-    def test_mass_test_sound_up_to_about_700_stations(self, monkeypatch):
-        # at 802.11ah parameters _SLACK covers the rounding of populations of up to 709
-        # stations, whatever the lattice's length; larger ones settle by the bound alone
-        for k, components in [(1, 1), (120, 51), (709, 1), (709, 200)]:
-            assert planner._mass_test_sound(PARAMS, DUR, k, components)
-        for k, components in [(709, 1000), (710, 1), (1000, 100)]:
-            assert not planner._mass_test_sound(PARAMS, DUR, k, components)
-        monkeypatch.setattr(planner, "_SLACK", 0.0)
-        assert not planner._mass_test_sound(PARAMS, DUR, 1, 1)
+    def test_slack_grows_with_the_population_and_the_lattice(self):
+        # at 802.11ah parameters the allowance stays at most 1e-9 up to 709 stations
+        slacks = [planner._slack(PARAMS, DUR, k, components)
+                  for k, components in [(1, 1), (120, 1), (120, 51), (709, 51), (709, 200)]]
+        assert slacks == sorted(set(slacks)) and 0.0 < slacks[0]
+        assert slacks[-1] <= 1e-9 < planner._slack(PARAMS, DUR, 710, 1)
+
+    def test_large_populations_defer_their_light_tail(self):
+        # an N=1000, p=0.9 lattice (k = 835-955, one stack each) defers 7 of its 25
+        # populations before any run
+        cache = DistributionCache(PARAMS, DUR)
+        lattice = planner._spec_lattice(MixtureSpec(1000, 0.9), False, "auto")
+        assert (lattice[0][0], lattice[0][-1]) == (835, 955)
+        sweep = planner._Sweep([lattice], cache, 0.9)
+        assert (len(sweep.stacks), sweep.first_deferred) == (25, 18)
+        assert sweep.slack > 1e-9 and cache.chain_runs == 0
 
     def test_bad_level_rejected_before_any_run(self):
         cache = DistributionCache(SMALL, SMALL_DUR)
-        for q in (0.0, 1.0, float("nan")):
-            with pytest.raises(ValueError, match="quantile level"):
-                optimize_groups(SMALL_SPEC, cache, q, (1, 6), "A")
+        for problem in ("A", "B"):
+            for q in (0.0, 1.0, float("nan")):
+                with pytest.raises(ValueError, match="quantile level"):
+                    optimize_groups(SMALL_SPEC, cache, q, (1, 6), problem)
         assert cache.chain_runs == 0
 
     @pytest.mark.parametrize("usable", [1, 2])
