@@ -47,9 +47,11 @@ can never move again: each B step first cuts those strips from the box and keeps
 their non-zero values in ``stalled``.  ``carried_mass`` sums box and store
 with ``math.fsum``, which is correctly rounded, so the split moves no bit;
 frozen cells never change and are never pruned, so the pruned mass keeps its
-order too.  B's P(one) for the ``N - s`` stations of a cell needs
+order too.  B's slot-type probabilities are ``_slot_probs`` of A's cell mixture
+for the ``N - s`` stations of each cell.  Their P(one) needs
 ``(1 - q)^(N - 1 - s)``, bit for bit process A's P(empty) on the same cell, so
-B reads it from A's cached slot-type probabilities.
+B passes that from A's cached slot-type probabilities and computes one power
+per cell, for its own P(empty).
 
 For the planner's populations (k <= 70, boxes of tens to a few thousand
 cells) a step costs both a fixed number of numpy calls and arithmetic on
@@ -185,10 +187,11 @@ def _peer_slot_probs(layer: StateLayer, table: TxProbTable,
     return layer.slot_probs
 
 
-def _slot_probs(prob: np.ndarray, k: np.ndarray) -> np.ndarray:
+def _slot_probs(prob: np.ndarray, k: np.ndarray,
+                rest_power: np.ndarray | None = None) -> np.ndarray:
     """Slot-type probabilities for ``k[..., s]`` stations (``prob`` has one column fewer)
     each sending w.p. ``prob``, stacked as P(one transmission), P(collision), P(empty),
-    1 - P(empty)."""
+    1 - P(empty).  ``rest_power``: ``(1 - prob)^(k - 1)`` where the caller has it."""
     # the counts and the counts less one, 0 where the count is 0
     np.maximum(k, 0.0, out=k)
     lead, rest = k[..., :-1], k[..., 1:]
@@ -197,7 +200,7 @@ def _slot_probs(prob: np.ndarray, k: np.ndarray) -> np.ndarray:
     one, coll, empty, busy = pi[0], pi[1], pi[2], pi[3]
     np.power(silent, lead, out=empty)
     np.multiply(lead, prob, out=one)  # exactly 0 where the count is 0
-    one *= silent ** rest
+    one *= silent ** rest if rest_power is None else rest_power
     np.subtract(1.0, empty, out=busy)
     np.subtract(busy, one, out=coll)
     np.maximum(coll, 0.0, out=coll)
@@ -399,18 +402,10 @@ def step_process_b(
         # is process A's P(empty) for the N - 1 - s peers of the same cell.
         prob = _cell_prob(layer_a, table)[0, ia : ia + h, ja : ja + w]
         empty_a = _peer_slot_probs(layer_a, table)[2, 0, ia : ia + h, ja : ja + w]
-        k = np.arange(n - s0, n - s0 - w, -1.0)
-        empty = np.power(1.0 - prob, k)
-        pi = np.empty((2, h, w))
-        p_one, p_coll = pi
-        np.multiply(k, prob, out=p_one)
-        p_one *= empty_a
-        np.subtract(1.0, empty, out=p_coll)
-        p_coll -= p_one
-        np.maximum(p_coll, 0.0, out=p_coll)
+        pi = _slot_probs(prob, np.arange(n - s0, n - s0 - w - 1, -1.0), empty_a)
         sub = m[:h, :w]
-        np.multiply(sub, empty, out=o[:h, :w])
-        succ, coll = sub * pi
+        np.multiply(sub, pi[2], out=o[:h, :w])
+        succ, coll = sub * pi[:2]
         if s0 + w == n:  # successes from s == N - 1 absorb
             new_c = np.flatnonzero(succ[:, -1] > 0.0)
             new_p = succ[new_c, -1]

@@ -140,8 +140,7 @@ def _chain_run(stack: list[ModelParams], durations: SlotDurations, compute_b: bo
     else P_A of each population of the stack; seconds the job took where it
     ran; its population-steps).
 
-    Module-level so a process pool can send it by name; it looks up
-    ``run_chains`` and ``run_stack`` in this module at call time.
+    It looks up ``run_chains`` and ``run_stack`` in this module at call time.
     """
     started = time.perf_counter()
     if compute_b:
@@ -251,10 +250,10 @@ class DistributionCache:
         """Run every population in ``ks`` that ``pa`` (or ``pb`` when
         ``compute_b``) would miss, in one batch of ``_stacks`` jobs
         (``run_stack`` for each stack).  The jobs are independent, so with more
-        than one usable CPU and a forking platform they go to a process pool of
-        at most one worker per CPU, largest populations (the longest runs)
-        first.  Results are stored exactly as serial lookups would store them,
-        bit for bit.
+        than one usable CPU and a forking platform ``map_jobs`` deals them to
+        at most one worker per CPU in turn, largest populations (the longest
+        runs) first.  Results are stored exactly as serial lookups would store
+        them, bit for bit.
         """
         stacks = _stacks(self._missing(ks, compute_b), compute_b)
         results = map_jobs(_chain_run, ([self.params.with_stations(k) for k in stack]

@@ -1,10 +1,14 @@
 """Independent jobs on forked worker processes, one per usable CPU.
 
-The planner's cold chain runs and the simulator's run batches are independent
-and deterministic, so they can run anywhere and in any order; ``map_jobs``
-returns their results in job order either way.  ``ResidentJobs`` keeps each
-job's state on its worker from call to call, for the planner's runs that
-advance in rounds.
+The planner's chain runs and the simulator's run batches are independent and
+deterministic, so they can run anywhere and in any order.  One protocol serves
+them all: ``ResidentJobs`` deals the jobs out in turn to its groups, one forked
+worker per usable CPU (or the calling process alone), makes each job's state
+where its group keeps it, and answers each call sent to a group with the list
+of ``step(state, *args)`` over the states it keeps, in job order.  The
+planner's sweep keeps its stacks there and advances them in rounds;
+``map_jobs`` is one round whose states are the jobs' results, put back in job
+order.
 """
 
 from __future__ import annotations
@@ -40,21 +44,17 @@ def _fork_context():
 
 
 def map_jobs(fn, *iterables) -> list:
-    """``list(map(fn, *iterables))``, on a process pool of ``min(usable CPUs,
-    jobs)`` forked workers when that is more than one and ``fork`` is safe.
-
-    ``fn`` must be a module-level function, so the pool can send it by name.
-    A worker's exception is raised here.
+    """``list(map(fn, *iterables))``: one call to a ``ResidentJobs`` whose states are
+    the results ``fn(*job)``, each made where its group keeps it.  A worker's exception
+    is raised here.
     """
     jobs = list(zip(*iterables))
-    workers = min(_usable_cpus(), len(jobs))
-    context = _fork_context() if workers > 1 else None
-    if context is None:
-        return [fn(*job) for job in jobs]
-    from concurrent.futures import ProcessPoolExecutor
-
-    with ProcessPoolExecutor(workers, mp_context=context) as pool:
-        return list(pool.map(fn, *zip(*jobs)))
+    with ResidentJobs(fn, lambda state: state, jobs) as pool:
+        for group in range(pool.groups):
+            pool.send(group)
+        replies = {group: iter(reply) for group, reply in
+                   (pool.receive() for _ in range(pool.groups))}
+        return [next(replies[pool.group_of(i)]) for i in range(len(jobs))]
 
 
 class ResidentJobs:
@@ -67,9 +67,9 @@ class ResidentJobs:
     With more than one usable CPU, more than one job and a safe ``fork``, each group
     is a forked worker, one per usable CPU and never more than jobs, which keeps its
     states for as long as the block runs, and groups answer as they finish;
-    otherwise the states live in the calling process, as ``map_jobs`` would run them,
-    in one group that runs a call when it is received.  A worker's exception is
-    raised here.  Use it as a context manager: leaving the block stops every worker.
+    otherwise the states live in the calling process, in one group that runs a call
+    when it is received.  A worker's exception is raised here.  Use it as a context
+    manager: leaving the block stops every worker.
     """
 
     def __init__(self, start, step, jobs):
@@ -84,15 +84,19 @@ class ResidentJobs:
             self.groups = min(len(jobs), 1)
             return
         self.groups = workers
-        for group in range(workers):
-            ours, theirs = context.Pipe()
-            kept = [job for i, job in enumerate(jobs) if self.group_of(i) == group]
-            proc = context.Process(target=_serve, daemon=True, args=(
-                theirs, [*self._conns, ours], start, step, kept))
-            self._conns.append(ours)
-            proc.start()
-            theirs.close()
-            self._procs.append(proc)
+        try:
+            for group in range(workers):
+                ours, theirs = context.Pipe()
+                self._conns.append(ours)
+                kept = [job for i, job in enumerate(jobs) if self.group_of(i) == group]
+                proc = context.Process(target=_serve, daemon=True, args=(
+                    theirs, [*self._conns], start, step, kept))
+                with theirs:  # the worker's end, which the fork copies
+                    proc.start()
+                self._procs.append(proc)
+        except BaseException:  # stop the workers that did start before re-raising
+            self.__exit__()
+            raise
 
     def group_of(self, job: int) -> int:
         """The group that keeps the state of ``jobs[job]``: the jobs are dealt out in turn."""

@@ -13,11 +13,15 @@ closes the recursion for a single station:
   what forces ``p_tx`` to 1 on the last slot of a window.
 * ``p_tx[t, r] = a / b`` -- conditional transmission probability, 0 where
   ``b`` vanishes (such states carry no probability mass).
+
+The chains read only ``p_tx``, so a table keeps it alone, in the form they
+multiply by (``TxProbTable.split``); ``a`` and ``b`` live only while the table
+is built.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,22 +30,13 @@ from .params import ConfigurationError, ModelParams
 
 @dataclass(frozen=True, eq=False)
 class TxProbTable:
-    """Arrays indexed ``[t, r]`` for ``t < t_extent`` and ``r < retry_limit``.
-
-    ``split[t, r]`` holds ``(1 - p_tx, 1, p_tx)``: one product with it splits a
-    layer's mass into its silent share, itself and its transmitting share.
+    """``split[t, r]`` holds ``(1 - p_tx, 1, p_tx)`` for ``t < t_extent`` and
+    ``r < retry_limit``: one product with it splits a layer's mass into its silent
+    share, itself and its transmitting share.
     """
 
-    a: np.ndarray
-    b: np.ndarray
-    p_tx: np.ndarray
+    split: np.ndarray
     t_extent: int
-    split: np.ndarray = field(init=False, repr=False)
-
-    def __post_init__(self) -> None:
-        split = np.stack([1.0 - self.p_tx, np.ones_like(self.p_tx), self.p_tx], axis=-1)
-        split.setflags(write=False)
-        object.__setattr__(self, "split", split)
 
     def split_row(self, t: int) -> np.ndarray:
         if not 0 <= t < self.t_extent:
@@ -51,14 +46,14 @@ class TxProbTable:
 
 #: Most ``t_extent * retry_limit`` cells a table may have: 2**24, over 1,000 times the
 #: 2,033 x 7 cells of the 802.11ah table, and 128 MiB per float64 array, of which a table
-#: keeps six (``a``, ``b``, ``p_tx`` and the three of ``split``).  A larger table is
-#: refused before anything is allocated: the windows of ``cw_max = 2**30`` would ask
-#: for tens of GiB.
+#: keeps three (the three of ``split``) and its build makes three more (``a``, ``b`` and
+#: ``p_tx``).  A larger table is refused before anything is allocated: the windows of
+#: ``cw_max = 2**30`` would ask for tens of GiB.
 MAX_TABLE_CELLS = 2**24
 
 
 def build_tx_prob_table(params: ModelParams, t_extent: int) -> TxProbTable:
-    """Materialize ``a``, ``b`` and ``p_tx`` for slots ``0..t_extent-1``.
+    """The table of ``p_tx`` for slots ``0..t_extent-1``, from ``a`` and ``b``.
 
     The recursion is evaluated with prefix sums, so the cost is
     ``O(t_extent * retry_limit)``.  ``ConfigurationError`` if the table would have more
@@ -71,6 +66,17 @@ def build_tx_prob_table(params: ModelParams, t_extent: int) -> TxProbTable:
             f"the transmission-probability table would have {t_extent} slots x "
             f"{params.retry_limit} retry counts, more than {MAX_TABLE_CELLS} cells; "
             f"lower cw_max, retry_limit or t_max_cap")
+    a, b = _attempts(params, t_extent)
+    p_tx = np.zeros_like(a)
+    reachable = b > 0.0
+    p_tx[reachable] = np.clip(a[reachable] / b[reachable], 0.0, 1.0)
+    split = np.stack([1.0 - p_tx, np.ones_like(p_tx), p_tx], axis=-1)
+    split.setflags(write=False)
+    return TxProbTable(split=split, t_extent=t_extent)
+
+
+def _attempts(params: ModelParams, t_extent: int) -> tuple[np.ndarray, np.ndarray]:
+    """``a`` and ``b`` for slots ``0..t_extent-1``."""
     windows = params.contention_windows()
     rl = params.retry_limit
     cw0 = windows[0]
@@ -89,11 +95,4 @@ def build_tx_prob_table(params: ModelParams, t_extent: int) -> TxProbTable:
     for r in range(1, rl):
         entered_minus_left = np.concatenate(([0.0], np.cumsum(a[:, r - 1] - a[:, r])))
         b[:, r] = np.maximum(entered_minus_left[:t_extent], 0.0)
-
-    p_tx = np.zeros_like(a)
-    reachable = b > 0.0
-    p_tx[reachable] = np.clip(a[reachable] / b[reachable], 0.0, 1.0)
-
-    for arr in (a, b, p_tx):
-        arr.setflags(write=False)
-    return TxProbTable(a=a, b=b, p_tx=p_tx, t_extent=t_extent)
+    return a, b

@@ -24,6 +24,8 @@ from rawtime.layers import (
     StateLayer,
     _cell_prob,
     _compensated_add,
+    _peer_slot_probs,
+    _slot_probs,
     step_process_a,
     step_process_b,
 )
@@ -206,7 +208,7 @@ class TestStepProcessA:
         table = build_tx_prob_table(params, 10)
         layer = layer_a(3, {(0, 6, 0): 1.0}, 7)
         nxt = step_process_a(layer, table, params)
-        q = float(table.p_tx[3, 0])
+        q = float(table.split[3, 0, 2])
         assert absorbed_records(nxt) == pytest.approx({(3, 0, 6): q}, abs=1e-15)
         assert mass_a(nxt) == pytest.approx({(0, 6, 0): 1.0 - q}, abs=1e-15)
 
@@ -312,6 +314,27 @@ class TestStepProcessB:
             with pytest.raises(ValueError, match="fell below"):
                 step_process_b(nxt, table, layer_a(3, {(c, s, 0): 1.0}, 3), params)
 
+    def test_slot_probs_with_process_a_power_keep_their_bits(self):
+        # B passes A's P(empty) for the N - 1 - s peers of a cell as the (1 - q)^(k - 1)
+        # of its k = N - s stations: the very bits _slot_probs would compute itself
+        params = ah_params(30)
+        table = build_tx_prob_table(params, 200)
+        layer, checked = StateLayer.initial([30]), 0
+        for t in range(1, 121):
+            layer = step_process_a(layer, table, params)
+            if t % 20:
+                continue
+            prob = _cell_prob(layer, table)[0]
+            empty_a = _peer_slot_probs(layer, table)[2, 0]
+
+            def counts():
+                return 30.0 - layer.s0[0] - np.arange(prob.shape[-1] + 1.0)
+
+            given = _slot_probs(prob, counts(), empty_a)
+            assert given.tobytes() == _slot_probs(prob, counts()).tobytes()
+            checked += np.count_nonzero((prob > 0.0) & (prob < 1.0))
+        assert checked > 1000
+
     def test_box_above_process_a_origin(self):
         # B's box may start above A's; each cell still reads A's mixture at its own (c, s)
         params = ah_params(3)
@@ -319,8 +342,8 @@ class TestStepProcessB:
         la = layer_a(2, {(0, 1, 1): 0.5, (1, 1, 0): 0.5}, 3)
         lb = replace(StateLayer.initial([3]), t=2, c0=np.array([1]), s0=np.array([1]))
         nxt = step_process_b(lb, table, la, params)
-        q = float(table.p_tx[2, 0])
-        assert float(table.p_tx[2, 1]) != q  # A's (0, 1) cell would give other routes
+        q = float(table.split[2, 0, 2])
+        assert float(table.split[2, 1, 2]) != q  # A's (0, 1) cell would give other routes
         assert nxt.p.shape[:2] == (1, 1)
         cells = nxt.p[0, 0]
         got = {(int(nxt.c0[0] + c), int(nxt.s0[0] + s)): float(cells[c, s])

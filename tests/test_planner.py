@@ -1,4 +1,3 @@
-import concurrent.futures
 import math
 import multiprocessing
 import os
@@ -305,10 +304,10 @@ class TestBatchedRuns:
         pooled = DistributionCache(SMALL, SMALL_DUR)
         expected = mixture_pa(SMALL_SPEC, pooled)
 
-        def no_executor(*args, **kwargs):
-            raise AssertionError("a process pool was built")
+        def no_fork(*args, **kwargs):
+            raise AssertionError("a worker was forked")
 
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_executor)
+        monkeypatch.setattr(multiprocessing, "get_context", no_fork)
         if serial_because == "one usable CPU":
             monkeypatch.setattr(pool, "_usable_cpus", lambda: 1)
         else:
@@ -722,6 +721,68 @@ class TestResidentJobs:
         with pool.ResidentJobs(_start, _step, self.JOBS) as jobs:
             jobs.send(0, "never read")
         assert multiprocessing.active_children() == []
+
+    def test_failed_start_stops_the_started_workers(self, monkeypatch):
+        monkeypatch.setattr(pool, "_usable_cpus", lambda: 2)
+        fork, made = multiprocessing.get_context("fork"), []
+
+        def no_start():
+            raise OSError("no process for this worker")
+
+        class SecondStartFails:
+            Pipe = staticmethod(fork.Pipe)
+
+            def Process(self, **kwargs):
+                proc = fork.Process(**kwargs)
+                if made:
+                    proc.start = no_start
+                made.append(proc)
+                return proc
+
+        monkeypatch.setattr(pool, "_fork_context", SecondStartFails)
+        with pytest.raises(OSError, match="no process"):
+            try:
+                pool.ResidentJobs(_start, _step, self.JOBS)
+            except OSError:
+                assert multiprocessing.active_children() == []
+                raise
+        assert len(made) == 2
+
+
+def _square(x):
+    return x * x, os.getpid()
+
+
+def _fail_on_three(x):
+    if x == 3:
+        raise ValueError(f"job {x} failed")
+    return x
+
+
+class TestMapJobs:
+    def test_results_come_back_in_job_order(self, monkeypatch):
+        monkeypatch.setattr(pool, "_usable_cpus", lambda: 2)
+        results = pool.map_jobs(_square, range(5))
+        assert [square for square, _ in results] == [0, 1, 4, 9, 16]
+        # dealt out in turn to two workers, neither of them this process
+        pids = [pid for _, pid in results]
+        assert pids[0::2] == [pids[0]] * 3 and pids[1::2] == [pids[1]] * 2
+        assert len({*pids, os.getpid()}) == 3
+        assert multiprocessing.active_children() == []
+
+    def test_worker_exception_reaches_caller(self, monkeypatch):
+        monkeypatch.setattr(pool, "_usable_cpus", lambda: 2)
+        with pytest.raises(ValueError, match="job 3 failed"):
+            pool.map_jobs(_fail_on_three, range(5))
+        assert multiprocessing.active_children() == []
+
+    def test_no_jobs_fork_nothing(self, monkeypatch):
+        def no_fork(*args, **kwargs):
+            raise AssertionError("a worker was forked")
+
+        monkeypatch.setattr(pool, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(multiprocessing, "get_context", no_fork)
+        assert pool.map_jobs(_square, []) == []
 
 
 def test_group_optimum_cross_checked_by_simulation(ah_cache):

@@ -1,7 +1,7 @@
-import concurrent.futures
 import hashlib
 import json
 import math
+import multiprocessing
 import sys
 import threading
 
@@ -146,10 +146,10 @@ def test_runs_serially_with_same_counts(monkeypatch, serial_because):
     monkeypatch.setattr(pool, "_usable_cpus", lambda: 2)
     pooled = simulate(PINNED)
 
-    def no_executor(*args, **kwargs):
-        raise AssertionError("a process pool was built")
+    def no_fork(*args, **kwargs):
+        raise AssertionError("a worker was forked")
 
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_executor)
+    monkeypatch.setattr(multiprocessing, "get_context", no_fork)
     if serial_because == "one usable CPU":
         monkeypatch.setattr(pool, "_usable_cpus", lambda: 1)
     if serial_because == "macOS":
